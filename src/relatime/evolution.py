@@ -1,21 +1,20 @@
 """Density-matrix evolution engines and energy-decoherence diagnostics.
 
-Three ways to propagate a state under a time-independent Hamiltonian:
+Every engine is one operation: transform the state to the energy basis
+(H is diagonalized once and reused), multiply it elementwise by a matrix
+M, transform back. M[i, j] averages the phase exp(-i (E_i - E_j) t) over
+the evolution times the engine mixes; the engines differ only in M:
 
-* ``evolve_unitary`` - exact-time evolution exp(-iHt) rho exp(+iHt),
-  computed in the eigenbasis (H is diagonalized once and reused).
-* ``evolve_relational_quadrature`` - the state as seen through an
-  inaccurate clock: a weighted mixture of unitary evolutions over the
-  kernel's quadrature nodes.
-* ``evolve_relational_dephasing`` - the same state by the closed-form
-  route: each energy-basis element (i, j) is multiplied by the kernel's
-  characteristic function evaluated at the gap E_i - E_j, so no
-  quadrature error enters. The two relational routes agree to the stated
-  tolerances and are kept separate deliberately: one checks the other.
-* ``evolve_pearle`` - ensemble-level energy-driven collapse dynamics
-  (Pearle-type), a Gaussian average of unitary evolutions around t with
-  width sqrt(lam * t). Coincides with the relational engines for the
-  Gaussian kernel at t_B = t.
+* ``evolve_unitary`` - one exact time t.
+* ``evolve_relational_quadrature`` - the kernel's quadrature nodes: the
+  state as seen through an inaccurate clock.
+* ``evolve_relational_dephasing`` - the same state in closed form: the
+  kernel's characteristic function at the gap E_i - E_j, with no
+  quadrature error. The two relational routes build M independently and
+  are kept separate deliberately: one checks the other.
+* ``evolve_pearle`` - ensemble-level energy-driven collapse (Pearle-type):
+  Gauss-Hermite nodes around t with width sqrt(lam * t). Coincides with
+  the relational engines for the Gaussian kernel at t_B = t.
 
 Mixing over clock uncertainty only ever suppresses energy-basis
 off-diagonals; populations (and any element between equal-energy states)
@@ -24,7 +23,7 @@ are untouched. ``coherence_report`` tabulates that suppression per gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -87,20 +86,32 @@ class CoherencePair:
     magnitude_averaged: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherenceReport:
     """Per-gap dephasing summary for one state, Hamiltonian and kernel.
 
-    ``complete_decoherence`` is True when every element between
-    distinct-energy eigenstates has averaged magnitude below the
-    threshold; with a fully degenerate spectrum there are no such
-    elements and the flag is vacuously True.
+    The arrays hold one entry per energy-basis element (i, j) with i < j,
+    in row-major order. ``complete_decoherence`` is True when every
+    element between distinct-energy eigenstates has averaged magnitude
+    below the threshold; with a fully degenerate spectrum there are no
+    such elements and the flag is vacuously True.
     """
 
-    pairs: tuple[CoherencePair, ...]
+    i: np.ndarray
+    j: np.ndarray
+    energy_i: np.ndarray
+    energy_j: np.ndarray
+    magnitude_exact: np.ndarray
+    magnitude_averaged: np.ndarray
     max_offdiag_averaged: float
     complete_decoherence: bool
     threshold: float
+
+    @property
+    def pairs(self) -> tuple[CoherencePair, ...]:
+        """The same rows as ``CoherencePair`` objects."""
+        columns = (getattr(self, f.name).tolist() for f in fields(CoherencePair))
+        return tuple(CoherencePair(*row) for row in zip(*columns))
 
 
 def _check_dims(rho: DensityMatrix, hamiltonian: Hamiltonian) -> None:
@@ -110,14 +121,19 @@ def _check_dims(rho: DensityMatrix, hamiltonian: Hamiltonian) -> None:
         )
 
 
-def _to_eigenbasis(rho: DensityMatrix, hamiltonian: Hamiltonian) -> np.ndarray:
+def _to_eigenbasis(matrix: np.ndarray, hamiltonian: Hamiltonian) -> np.ndarray:
     basis = hamiltonian.eigenbasis
-    return basis.conj().T @ rho.matrix @ basis
+    return basis.conj().T @ matrix @ basis
 
 
-def _from_eigenbasis(rho_e: np.ndarray, hamiltonian: Hamiltonian) -> np.ndarray:
-    basis = hamiltonian.eigenbasis
-    return basis @ rho_e @ basis.conj().T
+def _distinct_gap_mask(spectrum: np.ndarray) -> np.ndarray:
+    """True at (i, j) where E_i and E_j differ by more than roundoff.
+
+    Closer eigenvalues are degenerate: averaging cannot touch elements
+    inside a degenerate subspace.
+    """
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(spectrum), initial=0.0)))
+    return np.abs(spectrum[:, None] - spectrum[None, :]) > tol
 
 
 def _finish_state(raw: np.ndarray, drift_budget: float | None = None) -> DensityMatrix:
@@ -138,21 +154,35 @@ def _finish_state(raw: np.ndarray, drift_budget: float | None = None) -> Density
     return DensityMatrix(out)
 
 
-def _phase_diag(spectrum: np.ndarray, t: float) -> np.ndarray:
-    return np.exp(-1j * spectrum * t)
+def _unitary_multiplier(spectrum: np.ndarray, t: float) -> np.ndarray:
+    phases = np.exp(-1j * spectrum * t)
+    return np.outer(phases, phases.conj())
 
 
-def _average_over_rule(
-    rho: DensityMatrix, hamiltonian: Hamiltonian, rule: QuadratureRule
-) -> np.ndarray:
-    """Weighted mixture of unitary evolutions, summed in node order."""
-    spectrum = hamiltonian.spectrum
-    rho_e = _to_eigenbasis(rho, hamiltonian)
-    acc = np.zeros_like(rho_e)
-    for t_k, w_k in zip(rule.nodes, rule.weights):
-        phases = _phase_diag(spectrum, float(t_k))
-        acc += w_k * (rho_e * np.outer(phases, phases.conj()))
-    return _from_eigenbasis(acc, hamiltonian)
+def _kernel_multiplier(spectrum: np.ndarray, kernel: TimeKernel) -> np.ndarray:
+    # Element (i, j) picks up exp(+i (E_j - E_i) t); averaging that phase
+    # over the kernel is chi evaluated at E_i - E_j (note the order).
+    return np.asarray(kernel._chi(spectrum[:, None] - spectrum[None, :]))
+
+
+def _rule_multiplier(spectrum: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+    # P[k, i] = exp(-i E_i t_k), so (P^T diag(w) P*)[i, j] is the weighted
+    # sum of the node phases.
+    phases = np.exp(-1j * np.multiply.outer(rule.nodes, spectrum))
+    return phases.T @ (rule.weights[:, None] * phases.conj())
+
+
+def _dephase(
+    rho0: DensityMatrix,
+    hamiltonian: Hamiltonian,
+    multiplier: np.ndarray,
+    drift_budget: float | None = None,
+) -> DensityMatrix:
+    """The state rho0 with its energy-basis elements scaled by ``multiplier``."""
+    _check_dims(rho0, hamiltonian)
+    basis = hamiltonian.eigenbasis
+    rho_e = _to_eigenbasis(rho0.matrix, hamiltonian) * multiplier
+    return _finish_state(basis @ rho_e @ basis.conj().T, drift_budget)
 
 
 def evolve_unitary(
@@ -163,10 +193,7 @@ def evolve_unitary(
     Negative times are allowed (the propagators form a group). Trace,
     Hermiticity, purity and spectrum are preserved up to roundoff.
     """
-    _check_dims(rho0, hamiltonian)
-    phases = _phase_diag(hamiltonian.spectrum, float(t))
-    rho_e = _to_eigenbasis(rho0, hamiltonian) * np.outer(phases, phases.conj())
-    state = _finish_state(_from_eigenbasis(rho_e, hamiltonian))
+    state = _dephase(rho0, hamiltonian, _unitary_multiplier(hamiltonian.spectrum, t))
     return EvolutionResult(state, float(t), METHOD_UNITARY, 0)
 
 
@@ -177,22 +204,12 @@ def evolve_relational_quadrature(
     nodes: int,
 ) -> EvolutionResult:
     """Kernel-averaged state by explicit quadrature over evolution times."""
-    _check_dims(rho0, hamiltonian)
     rule = quadrature_for(kernel, nodes)
-    raw = _average_over_rule(rho0, hamiltonian, rule)
-    state = _finish_state(raw, drift_budget=_TRACE_DRIFT_BUDGET)
+    multiplier = _rule_multiplier(hamiltonian.spectrum, rule)
+    state = _dephase(rho0, hamiltonian, multiplier, _TRACE_DRIFT_BUDGET)
     return EvolutionResult(
         state, kernel.t_b, METHOD_RELATIONAL_QUADRATURE, rule.node_count
     )
-
-
-def _gap_multipliers(hamiltonian: Hamiltonian, kernel: TimeKernel) -> np.ndarray:
-    # Element (i, j) of the state in the energy basis picks up the unitary
-    # phase exp(+i (E_j - E_i) t); averaging that phase over the kernel is
-    # chi evaluated at E_i - E_j (note the order).
-    spectrum = hamiltonian.spectrum
-    gaps = spectrum[:, None] - spectrum[None, :]
-    return np.asarray(kernel._chi(gaps))
 
 
 def evolve_relational_dephasing(
@@ -204,9 +221,8 @@ def evolve_relational_dephasing(
     function has a closed form; for tabulated kernels the characteristic
     sum over the table is itself exact.
     """
-    _check_dims(rho0, hamiltonian)
-    rho_e = _to_eigenbasis(rho0, hamiltonian) * _gap_multipliers(hamiltonian, kernel)
-    state = _finish_state(_from_eigenbasis(rho_e, hamiltonian))
+    multiplier = _kernel_multiplier(hamiltonian.spectrum, kernel)
+    state = _dephase(rho0, hamiltonian, multiplier)
     return EvolutionResult(state, kernel.t_b, METHOD_RELATIONAL_DEPHASING, 0)
 
 
@@ -234,8 +250,8 @@ def evolve_pearle(
     x, w = _hermgauss(int(nodes))
     taus = t - np.sqrt(2.0 * lam * t) * x
     rule = QuadratureRule(taus, w / w.sum())
-    raw = _average_over_rule(rho0, hamiltonian, rule)
-    state = _finish_state(raw, drift_budget=_TRACE_DRIFT_BUDGET)
+    multiplier = _rule_multiplier(hamiltonian.spectrum, rule)
+    state = _dephase(rho0, hamiltonian, multiplier, _TRACE_DRIFT_BUDGET)
     return EvolutionResult(state, float(t), METHOD_PEARLE_COLLAPSE, rule.node_count)
 
 
@@ -254,29 +270,18 @@ def coherence_report(
     """
     _check_dims(rho0, hamiltonian)
     spectrum = hamiltonian.spectrum
-    mag_exact = np.abs(_to_eigenbasis(rho0, hamiltonian))
-    mag_avg = mag_exact * np.abs(_gap_multipliers(hamiltonian, kernel))
-    # Eigenvalues closer than this are treated as degenerate; averaging
-    # cannot touch elements inside a degenerate subspace.
-    gap_tol = 1e-12 * max(1.0, float(np.max(np.abs(spectrum), initial=0.0)))
-    pairs = []
-    max_offdiag = 0.0
-    dim = hamiltonian.dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            pair = CoherencePair(
-                i=i,
-                j=j,
-                energy_i=float(spectrum[i]),
-                energy_j=float(spectrum[j]),
-                magnitude_exact=float(mag_exact[i, j]),
-                magnitude_averaged=float(mag_avg[i, j]),
-            )
-            pairs.append(pair)
-            if abs(spectrum[j] - spectrum[i]) > gap_tol:
-                max_offdiag = max(max_offdiag, pair.magnitude_averaged)
+    rows, cols = np.triu_indices(hamiltonian.dim, 1)
+    mag_exact = np.abs(_to_eigenbasis(rho0.matrix, hamiltonian))[rows, cols]
+    mag_avg = mag_exact * np.abs(kernel._chi(spectrum[rows] - spectrum[cols]))
+    distinct = _distinct_gap_mask(spectrum)[rows, cols]
+    max_offdiag = float(np.max(mag_avg[distinct], initial=0.0))
     return CoherenceReport(
-        pairs=tuple(pairs),
+        i=rows,
+        j=cols,
+        energy_i=spectrum[rows],
+        energy_j=spectrum[cols],
+        magnitude_exact=mag_exact,
+        magnitude_averaged=mag_avg,
         max_offdiag_averaged=max_offdiag,
         complete_decoherence=bool(max_offdiag < threshold),
         threshold=float(threshold),

@@ -264,7 +264,7 @@ def partial_trace(
 
 
 def expectation(observable: Observable, rho: DensityMatrix) -> float:
-    """Expectation value Re Tr(N rho).
+    """Expectation value Re Tr(N rho) = Re sum_ij N_ij rho_ji.
 
     Both operands are Hermitian so the trace is real analytically; a
     residual imaginary part above 1e-9 signals corrupted inputs and raises.
@@ -273,7 +273,7 @@ def expectation(observable: Observable, rho: DensityMatrix) -> float:
         raise DimensionMismatchError(
             f"observable dim {observable.dim} != state dim {rho.dim}"
         )
-    value = complex(np.trace(observable.matrix @ rho.matrix))
+    value = complex(np.sum(observable.matrix * rho.matrix.T))
     if abs(value.imag) > 1e-9:
         raise QuantumStateError(
             f"expectation has imaginary part {value.imag:.3e}; inputs are "
@@ -283,5 +283,5 @@ def expectation(observable: Observable, rho: DensityMatrix) -> float:
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2), in [1/dim, 1] up to the PSD tolerance."""
-    return float(np.trace(rho.matrix @ rho.matrix).real)
+    """Tr(rho^2) = sum |rho_ij|^2, in [1/dim, 1] up to the PSD tolerance."""
+    return float(np.vdot(rho.matrix, rho.matrix).real)

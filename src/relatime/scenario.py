@@ -32,8 +32,8 @@ syntax problems raise ``ScenarioParseError`` with a line number, semantic
 problems are collected and raised together as ``ScenarioValidationError``.
 
 Runners produce ``ResultTable`` objects that serialize to plain CSV with
-a '#'-prefixed metadata header (scenario hash, engine version, node
-count, seed), so identical inputs give byte-identical files.
+a '#'-prefixed metadata header (scenario hash, version, threshold, seed,
+quadrature nodes if used), so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -57,7 +57,13 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
 )
-from .evolution import (
+# bench/traced_job.py wraps every engine here, evolve_unitary included.
+from .evolution import (  # noqa: F401
+    _distinct_gap_mask,
+    _finish_state,
+    _kernel_multiplier,
+    _to_eigenbasis,
+    _unitary_multiplier,
     coherence_report,
     evolve_pearle,
     evolve_relational_dephasing,
@@ -740,27 +746,23 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
 
-def _base_metadata(scn: ScenarioFile, nodes: int, threshold: float, seed: int):
-    return {
-        "generator": f"relatime {__version__}",
-        "scenario-sha256": scn.digest(),
-        "nodes": str(int(nodes)),
-        "threshold": repr(float(threshold)),
-        "seed": str(int(seed)),
-    }
+def _base_metadata(scn: ScenarioFile, threshold: float, seed: int, nodes=None):
+    """Provenance lines; ``nodes`` only for runners that ran quadrature."""
+    meta = {"generator": f"relatime {__version__}", "scenario-sha256": scn.digest()}
+    if nodes is not None:
+        meta["nodes"] = str(int(nodes))
+    meta.update(threshold=repr(float(threshold)), seed=str(int(seed)))
+    return meta
 
 
 def _distinct_gaps(hamiltonian: Hamiltonian) -> np.ndarray:
     energies = hamiltonian.spectrum
     gaps = np.abs(energies[:, None] - energies[None, :])
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(energies), initial=0.0)))
-    positive = np.unique(np.round(gaps[gaps > tol], 12))
-    return positive
+    return np.unique(np.round(gaps[_distinct_gap_mask(energies)], 12))
 
 
 def _max_offdiag(state: DensityMatrix, hamiltonian: Hamiltonian) -> float:
-    basis = hamiltonian.eigenbasis
-    rho_e = basis.conj().T @ state.matrix @ basis
+    rho_e = _to_eigenbasis(state.matrix, hamiltonian)
     off = np.abs(rho_e - np.diag(np.diag(rho_e)))
     return float(np.max(off, initial=0.0))
 
@@ -775,8 +777,12 @@ def run_decoherence_sweep(
     """Sweep t_B or lambda; one row per point with both observers' values.
 
     The exact-time column evolves to the nominal reading; the averaged
-    column uses the closed-form dephasing engine. Per-gap columns hold the
+    column uses the closed-form dephasing law. Per-gap columns hold the
     dephasing factor magnitude at each distinct energy gap.
+
+    The state and observable go to the energy basis once. Each point
+    scales that state by the unitary and kernel multipliers and validates
+    both results as density matrices there. ``nodes`` is unused.
     """
     if scn.sweep is None or scn.sweep.variable not in ("t_B", "lambda"):
         raise ScenarioValidationError(
@@ -788,16 +794,16 @@ def run_decoherence_sweep(
         raise ScenarioValidationError(["a tabulated kernel cannot sweep t_B"])
 
     hamiltonian = scn.system_hamiltonian
-    rho0 = scn.initial_state
+    spectrum = hamiltonian.spectrum
+    rho_e = _to_eigenbasis(scn.initial_state.matrix, hamiltonian)
+    observable_e = Observable(_to_eigenbasis(scn.observable.matrix, hamiltonian))
+    distinct = _distinct_gap_mask(spectrum)
     gaps = _distinct_gaps(hamiltonian)
     gap_names = [f"dephase_gap_{g:.6g}" for g in gaps]
 
     variable = scn.sweep.variable
-    columns: dict[str, list] = {variable: []}
-    for name in ("expect_A", "expect_B", "purity_A", "purity_B", "max_offdiag"):
-        columns[name] = []
-    for name in gap_names:
-        columns[name] = []
+    names = [variable, "expect_A", "expect_B", "purity_A", "purity_B", "max_offdiag"]
+    columns: dict[str, list] = {name: [] for name in names + gap_names}
 
     for x in scn.sweep.values():
         x = float(x)
@@ -808,24 +814,23 @@ def run_decoherence_sweep(
             kernel = scn.kernel_spec.build(lam=x)
             t_alice = scn.kernel_spec.t_b
         try:
-            rho_a = evolve_unitary(rho0, hamiltonian, t_alice).state
-            rho_b = evolve_relational_dephasing(rho0, hamiltonian, kernel).state
-            report = coherence_report(rho0, hamiltonian, kernel, threshold=threshold)
+            rho_a = _finish_state(rho_e * _unitary_multiplier(spectrum, t_alice))
+            rho_b = _finish_state(rho_e * _kernel_multiplier(spectrum, kernel))
         except RelatimeError as exc:
             exc.args = (f"at sweep point {variable} = {x!r}: {exc}",)
             raise
         columns[variable].append(x)
-        columns["expect_A"].append(expectation(scn.observable, rho_a))
-        columns["expect_B"].append(expectation(scn.observable, rho_b))
+        columns["expect_A"].append(expectation(observable_e, rho_a))
+        columns["expect_B"].append(expectation(observable_e, rho_b))
         columns["purity_A"].append(purity(rho_a))
         columns["purity_B"].append(purity(rho_b))
-        columns["max_offdiag"].append(report.max_offdiag_averaged)
-        for name, gap in zip(gap_names, gaps):
-            columns[name].append(abs(complex(kernel._chi(float(gap)))))
+        columns["max_offdiag"].append(
+            float(np.max(np.abs(rho_b.matrix[distinct]), initial=0.0))
+        )
+        for name, factor in zip(gap_names, np.abs(kernel._chi(gaps)).tolist()):
+            columns[name].append(factor)
 
-    return ResultTable(
-        columns=columns, metadata=_base_metadata(scn, nodes, threshold, seed)
-    )
+    return ResultTable(columns=columns, metadata=_base_metadata(scn, threshold, seed))
 
 
 def run_clock_recovery(
@@ -880,9 +885,7 @@ def run_clock_recovery(
         columns["bob_value"].append(b)
         columns["abs_difference"].append(abs(a - b))
 
-    table = ResultTable(
-        columns=columns, metadata=_base_metadata(scn, nodes, threshold, seed)
-    )
+    table = ResultTable(columns=columns, metadata=_base_metadata(scn, threshold, seed))
     table.footer["max_abs_difference"] = repr(max(columns["abs_difference"]))
     return table
 
@@ -934,7 +937,7 @@ def run_pearle_compare(
         columns["offdiag_relational"].append(_max_offdiag(relational, hamiltonian))
 
     return ResultTable(
-        columns=columns, metadata=_base_metadata(scn, nodes, threshold, seed)
+        columns=columns, metadata=_base_metadata(scn, threshold, seed, nodes)
     )
 
 
@@ -950,23 +953,14 @@ def run_report(
         scn.initial_state, scn.system_hamiltonian, scn.kernel(), threshold=threshold
     )
     columns: dict[str, list] = {
-        "i": [],
-        "j": [],
-        "energy_i": [],
-        "energy_j": [],
-        "magnitude_A": [],
-        "magnitude_B": [],
+        "i": report.i.tolist(),
+        "j": report.j.tolist(),
+        "energy_i": report.energy_i.tolist(),
+        "energy_j": report.energy_j.tolist(),
+        "magnitude_A": report.magnitude_exact.tolist(),
+        "magnitude_B": report.magnitude_averaged.tolist(),
     }
-    for pair in report.pairs:
-        columns["i"].append(pair.i)
-        columns["j"].append(pair.j)
-        columns["energy_i"].append(pair.energy_i)
-        columns["energy_j"].append(pair.energy_j)
-        columns["magnitude_A"].append(pair.magnitude_exact)
-        columns["magnitude_B"].append(pair.magnitude_averaged)
-    table = ResultTable(
-        columns=columns, metadata=_base_metadata(scn, nodes, threshold, seed)
-    )
+    table = ResultTable(columns=columns, metadata=_base_metadata(scn, threshold, seed))
     table.footer["max_offdiag_B"] = repr(report.max_offdiag_averaged)
     table.footer["complete_decoherence"] = str(report.complete_decoherence).lower()
     return table

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from relatime.cli import main
 from conftest import SCENARIO_DIR
 
@@ -91,6 +93,14 @@ class TestRunners:
     def test_nodes_flag_respected(self, capsys):
         assert main(["pearle-compare", str(PEARLE), "--nodes", "16"]) == 0
         assert "# nodes: 16" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, path",
+        [("sweep", QUBIT), ("clock-recovery", CLOCKED), ("report", QUBIT)],
+    )
+    def test_nodes_line_only_where_quadrature_ran(self, command, path, capsys):
+        assert main([command, str(path), "--nodes", "16"]) == 0
+        assert "# nodes:" not in capsys.readouterr().out
 
 
 class TestEntryPoint:

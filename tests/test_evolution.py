@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relatime import (
     DeltaKernel,
@@ -27,6 +28,9 @@ from relatime.evolution import (
     METHOD_RELATIONAL_DEPHASING,
     METHOD_RELATIONAL_QUADRATURE,
     METHOD_UNITARY,
+    _kernel_multiplier,
+    _rule_multiplier,
+    _unitary_multiplier,
 )
 from conftest import (
     plus_density,
@@ -45,6 +49,39 @@ def kernel_zoo():
         UniformKernel(0.9, 1.2),
         TabulatedKernel([0.0, 0.7, 1.9], [1.0, 2.0, 1.0]),
     ]
+
+
+class TestMultipliers:
+    """Every engine scales the energy-basis state by one of these matrices."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6))
+    def test_hermitian_unit_diagonal_and_bounded(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        spectrum = random_hamiltonian(rng, dim, scale=3.0).spectrum
+        multipliers = [_unitary_multiplier(spectrum, float(rng.uniform(-5, 5)))]
+        for kernel in kernel_zoo():
+            multipliers.append(_kernel_multiplier(spectrum, kernel))
+            multipliers.append(_rule_multiplier(spectrum, kernel.quadrature(64)))
+        for m in multipliers:
+            assert np.max(np.abs(m - m.conj().T)) <= 1e-13
+            np.testing.assert_allclose(np.diag(m), 1.0, rtol=0, atol=1e-12)
+            assert np.max(np.abs(m)) <= 1.0 + 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6))
+    def test_quadrature_matches_closed_form_at_resolved_gaps(self, seed, dim):
+        # Spectral radius 1 keeps |gap| * sigma <= 3.5 for the Gaussian, which
+        # 64 Gauss-Hermite nodes resolve; delta and table rules are exact.
+        rng = np.random.default_rng(seed)
+        spectrum = random_hamiltonian(rng, dim).spectrum
+        gaussian = make_gaussian_kernel(
+            float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.5, 3.0))
+        )
+        for kernel in (gaussian, DeltaKernel(1.7), kernel_zoo()[3]):
+            closed = _kernel_multiplier(spectrum, kernel)
+            quad = _rule_multiplier(spectrum, kernel.quadrature(64))
+            assert np.max(np.abs(quad - closed)) <= 1e-9
 
 
 class TestUnitary:

@@ -1,18 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relatime import (
-    ResultTable,
+    GaussianKernel,
+    NotPositiveError,
     RelatimeError,
+    ResultTable,
     ScenarioParseError,
     ScenarioValidationError,
+    characteristic,
+    coherence_report,
     emit_scenario,
+    evolve_relational_dephasing,
+    evolve_unitary,
+    expectation,
     parse_scenario,
+    purity,
     run_clock_recovery,
     run_decoherence_sweep,
     run_pearle_compare,
     run_report,
 )
+from relatime.scenario import _distinct_gaps
 
 MINIMAL = """
 system {
@@ -241,6 +251,42 @@ class TestEmission:
         assert once == emit_scenario(parse_scenario(once))
 
 
+def _matrix_block(name: str, matrix: np.ndarray) -> str:
+    rows = [
+        "    row " + " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row)
+        for row in matrix
+    ]
+    return f"  {name} {{\n" + "\n".join(rows) + "\n  }\n"
+
+
+def dense_scenario(rng, dim: int, kind: str, variable: str) -> str:
+    """Sweep scenario with random dense H, state and observable."""
+
+    def hermitian():
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return 0.5 * (a + a.conj().T)
+
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    rho = rho / np.trace(rho).real
+    kernel = {
+        "gaussian": f"  lambda {rng.uniform(0.05, 1.0)!r}\n",
+        "uniform": f"  half_width {rng.uniform(0.1, 2.0)!r}\n",
+        "delta": "",
+    }[kind]
+    start, stop = (0.1, 5.0) if variable == "t_B" else (0.05, 1.0)
+    return (
+        f"system {{\n  dimension {dim}\n"
+        + _matrix_block("hamiltonian", hermitian())
+        + _matrix_block("state", 0.5 * (rho + rho.conj().T))
+        + f"}}\nkernel {{\n  kind {kind}\n{kernel}  t_b 1.5\n}}\n"
+        + "observable {\n"
+        + _matrix_block("matrix", hermitian())
+        + f"}}\nsweep {{\n  variable {variable}\n  start {start}\n"
+        + f"  stop {stop}\n  steps 4\n}}\n"
+    )
+
+
 class TestDecoherenceSweep:
     def test_offdiagonal_column_matches_closed_form(self):
         table = run_decoherence_sweep(parse_scenario(MINIMAL + SWEEP_BLOCK))
@@ -295,6 +341,59 @@ class TestDecoherenceSweep:
         tabulated = CLOCKED + SWEEP_BLOCK
         with pytest.raises(ScenarioValidationError, match="tabulated"):
             run_decoherence_sweep(parse_scenario(tabulated))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 6),
+        kind=st.sampled_from(["gaussian", "uniform", "delta"]),
+        variable=st.sampled_from(["t_B", "lambda"]),
+    )
+    def test_columns_match_reference_engines(self, seed, dim, kind, variable):
+        if variable == "lambda":
+            kind = "gaussian"
+        rng = np.random.default_rng(seed)
+        scn = parse_scenario(dense_scenario(rng, dim, kind, variable))
+        h, rho0 = scn.system_hamiltonian, scn.initial_state
+        table = run_decoherence_sweep(scn)
+        gaps = _distinct_gaps(h)
+        gap_names = [name for name in table.columns if name.startswith("dephase_gap_")]
+        assert len(gap_names) == gaps.size
+        for k, x in enumerate(table.columns[variable]):
+            if variable == "t_B":
+                kernel, t_alice = scn.kernel_spec.build(t_b=x), x
+            else:
+                kernel, t_alice = scn.kernel_spec.build(lam=x), scn.kernel_spec.t_b
+            rho_a = evolve_unitary(rho0, h, t_alice).state
+            rho_b = evolve_relational_dephasing(rho0, h, kernel).state
+            expected = {
+                "expect_A": expectation(scn.observable, rho_a),
+                "expect_B": expectation(scn.observable, rho_b),
+                "purity_A": purity(rho_a),
+                "purity_B": purity(rho_b),
+                "max_offdiag": coherence_report(rho0, h, kernel).max_offdiag_averaged,
+            }
+            for name, gap in zip(gap_names, gaps):
+                expected[name] = abs(characteristic(kernel, gap).value)
+            for name, value in expected.items():
+                assert table.columns[name][k] == pytest.approx(value, rel=0, abs=1e-12)
+
+    def test_non_positive_multiplier_fails_at_its_point(self, monkeypatch):
+        # A kernel whose chi flips the sign of every off-diagonal element is
+        # not positive definite; the energy-basis validation must catch the
+        # resulting state instead of emitting a row for it.
+        closed_form = GaussianKernel._chi
+
+        def flipped(self, omega):
+            omega = np.asarray(omega, dtype=float)
+            return np.where(omega == 0.0, 1.0, -1.0) * closed_form(self, omega)
+
+        monkeypatch.setattr(GaussianKernel, "_chi", flipped)
+        text = (MINIMAL + SWEEP_BLOCK).replace("dimension 2", "dimension 3")
+        text = text.replace("spectrum 0.0 1.0", "spectrum 0.0 1.0 2.5")
+        text = text.replace("preset pauli_x", "preset number_op")
+        with pytest.raises(NotPositiveError, match=r"^at sweep point t_B = 0\.1: "):
+            run_decoherence_sweep(parse_scenario(text))
 
     def test_lambda_sweep_needs_gaussian(self):
         text = MINIMAL.replace(
