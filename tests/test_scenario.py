@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from relatime import (
     run_report,
 )
 from relatime.scenario import _distinct_gaps
+from conftest import SCENARIO_DIR
 
 MINIMAL = """
 system {
@@ -553,3 +556,539 @@ class TestResultTable:
         table = run_report(parse_scenario(MINIMAL))
         lines = [l for l in table.to_csv().splitlines() if not l.startswith("#")]
         assert lines[1].split(",")[0] == "0"
+
+
+# ---------------------------------------------------------------------------
+# Pinned parse outcomes: one input per message parse_scenario can produce,
+# plus the digests of the bundled scenarios. Each expected value is what
+# ``_outcome`` returns: ("ok", digest), ("issues", [...]) for a
+# ScenarioValidationError, or (exception type name, message) otherwise.
+
+SWEPT = MINIMAL + SWEEP_BLOCK
+
+
+def _edit(old: str, new: str, base: str = MINIMAL) -> str:
+    assert old in base, old
+    return base.replace(old, new, 1)
+
+
+def _state(*rows: str) -> str:
+    return "state {\n" + "".join(f"    row {r}\n" for r in rows) + "  }"
+
+
+def _hamiltonian(*rows: str) -> str:
+    return _state(*rows).replace("state {", "hamiltonian {")
+
+
+def _observable(*rows: str) -> str:
+    return _state(*rows).replace("state {", "matrix {")
+
+
+def _kernel(body: str, base: str = MINIMAL) -> str:
+    return _edit("kind gaussian\n  lambda 0.1\n  t_b 2.0", body, base)
+
+
+DENSE_D8 = Path(__file__).resolve().parent / "golden" / "dense_d8.scn"
+
+PARSE_CASES = {
+    # bundled scenarios: their digests pin the canonical text
+    "bundled_qubit_decoherence": (SCENARIO_DIR / "qubit_decoherence.scn").read_text(),
+    "bundled_clock_recovery": (SCENARIO_DIR / "clock_recovery.scn").read_text(),
+    "bundled_pearle_compare": (SCENARIO_DIR / "pearle_compare.scn").read_text(),
+    "golden_dense_d8": DENSE_D8.read_text(),
+    # syntax
+    "unmatched_brace": "}\n",
+    "block_header_two_names": MINIMAL + "two names {\n}\n",
+    "unclosed_block": "system {\n  dimension 2\n",
+    "top_level_key": "dimension 2\n" + MINIMAL,
+    "unknown_top_block": MINIMAL + "plotting {\n  style fancy\n}\n",
+    "duplicate_top_block": MINIMAL + "observable {\n  preset pauli_z\n}\n",
+    "unknown_key_system": _edit("dimension 2", "dimension 2\n  dimensoin 2"),
+    "unknown_key_kernel": _edit("lambda 0.1", "lamda 0.1"),
+    "unknown_key_clock": _edit("tick 0.4", "tock 0.4", CLOCKED),
+    "unknown_key_observable": _edit("preset pauli_x", "prest pauli_x"),
+    "unknown_key_sweep": _edit("steps 12", "step 12", SWEPT),
+    "unknown_block_system": _edit(
+        "state plus_state", "state plus_state\n  " + _observable("1 0")
+    ),
+    "unknown_block_kernel": _edit("t_b 2.0", "t_b 2.0\n  tabel {\n  }"),
+    "unknown_block_clock": _edit("tick 0.4", "tick 0.4\n  pointer {\n  }", CLOCKED),
+    "unknown_block_observable": _edit(
+        "preset pauli_x", "preset pauli_x\n  matrx {\n    row 1 0\n  }"
+    ),
+    "unknown_block_sweep": _edit("steps 12", "steps 12\n  window {\n  }", SWEPT),
+    "duplicate_key": _edit("lambda 0.1", "lambda 0.1\n  lambda 0.2"),
+    "duplicate_nested_block": _edit(
+        "preset pauli_x",
+        _observable("1 0 0 0", "0 0 -1 0") + "\n  " + _observable("1 0 0 0", "0 0 -1 0"),
+    ),
+    "enum_needs_value": _edit("kind gaussian", "kind"),
+    "unknown_kernel_kind": _edit("kind gaussian", "kind gausian"),
+    "unknown_state_preset": _edit("state plus_state", "state plus"),
+    "unknown_observable_preset": _edit("preset pauli_x", "preset pauli_y"),
+    "unknown_sweep_variable": _edit("variable t_B", "variable t_C", SWEPT),
+    "not_a_number": _edit("dimension 2", "dimension two"),
+    "number_count": _edit("t_b 2.0", "t_b 2.0 3.0"),
+    "not_an_integer": _edit("dimension 2", "dimension 2.5"),
+    "matrix_line_not_row": _edit(
+        "state plus_state", _state("0.5 0 0.5 0", "0.5 0 0.5 0").replace("row", "rows", 1)
+    ),
+    "matrix_row_odd": _edit("state plus_state", _state("0.5 0 0.5", "0.5 0 0.5 0")),
+    "matrix_row_empty": _edit("state plus_state", _state("", "0.5 0 0.5 0")),
+    "matrix_row_not_numeric": _edit(
+        "state plus_state", _state("0.5 x 0.5 0", "0.5 0 0.5 0")
+    ),
+    "matrix_no_rows": _edit("state plus_state", _state()),
+    "table_row_arity": _edit("    0.0 1\n", "    0.0 1 2\n", CLOCKED),
+    "table_row_not_numeric": _edit("    0.0 1\n", "    0.0 x\n", CLOCKED),
+    # semantic issues
+    "missing_system": "kernel {" + MINIMAL.split("kernel {", 1)[1],
+    "missing_kernel_and_observable": (
+        "system {\n  dimension 2\n  spectrum 0 1\n  state plus_state\n}\n"
+    ),
+    "system_needs_dimension": _edit("  dimension 2\n", ""),
+    "dimension_below_one": _edit("dimension 2", "dimension 0"),
+    "spectrum_and_hamiltonian": _edit(
+        "state plus_state", "state plus_state\n  " + _hamiltonian("0 0 0 0", "0 0 1 0")
+    ),
+    "spectrum_length": _edit("spectrum 0.0 1.0", "spectrum 0.0 1.0 2.0"),
+    "hamiltonian_shape": _edit("spectrum 0.0 1.0", _hamiltonian("0 0 1 0")),
+    "hamiltonian_ragged": _edit("spectrum 0.0 1.0", _hamiltonian("0 0 1 0", "1 0")),
+    "hamiltonian_not_hermitian": _edit(
+        "spectrum 0.0 1.0", _hamiltonian("0 0 1 0", "0 0 1 0")
+    ),
+    "needs_hamiltonian": _edit("  spectrum 0.0 1.0\n", ""),
+    "state_preset_and_block": _edit(
+        "state plus_state", "state plus_state\n  " + _state("1 0 0 0", "0 0 0 0")
+    ),
+    "basis_state_out_of_range": _edit("state plus_state", "state basis_state 5"),
+    "basis_state_without_index": _edit("state plus_state", "state basis_state"),
+    "basis_state_index_not_integer": _edit("state plus_state", "state basis_state one"),
+    "state_matrix_shape": _edit("state plus_state", _state("1 0")),
+    "state_matrix_trace": _edit("state plus_state", _state("0.45 0 0 0", "0 0 0.45 0")),
+    "needs_state": _edit("  state plus_state\n", ""),
+    "kernel_needs_kind": _edit("  kind gaussian\n", ""),
+    "delta_needs_t_b": _kernel("kind delta"),
+    "gaussian_needs_t_b": _kernel("kind gaussian\n  lambda 0.1"),
+    "uniform_needs_t_b": _kernel("kind uniform\n  half_width 0.5"),
+    "gaussian_needs_lambda": _kernel("kind gaussian\n  t_b 2.0"),
+    "uniform_needs_half_width": _kernel("kind uniform\n  t_b 2.0"),
+    "tabulated_needs_table": _kernel("kind tabulated"),
+    "lambda_meaningless": _kernel("kind delta\n  lambda 0.1\n  t_b 2.0"),
+    "half_width_meaningless": _kernel(
+        "kind gaussian\n  lambda 0.1\n  half_width 0.5\n  t_b 2.0"
+    ),
+    "table_meaningless": _kernel("kind delta\n  t_b 2.0\n  table {\n    0.0 1\n  }"),
+    "tabulated_t_b": _edit("kind tabulated", "kind tabulated\n  t_b 1.0", CLOCKED),
+    "kernel_lambda_not_positive": _edit("lambda 0.1", "lambda -1"),
+    "kernel_t_b_negative": _edit("t_b 2.0", "t_b -1"),
+    "kernel_half_width_not_positive": _kernel(
+        "kind uniform\n  half_width 0\n  t_b 2.0"
+    ),
+    "kernel_table_empty": _kernel("kind tabulated\n  table {\n  }"),
+    "kernel_table_negative_weight": _edit("    0.0 1\n", "    0.0 -1\n", CLOCKED),
+    "kernel_table_zero_weights": _kernel("kind tabulated\n  table {\n    0.0 0\n  }"),
+    "clock_needs_tick": _edit("  tick 0.4\n", "", CLOCKED),
+    "clock_dimension_below_two": _edit("dimension 8", "dimension 1", CLOCKED),
+    "clock_tick_not_positive": _edit("tick 0.4", "tick 0", CLOCKED),
+    "observable_preset_and_matrix": _edit(
+        "preset pauli_x", "preset pauli_x\n  " + _observable("1 0 0 0", "0 0 -1 0")
+    ),
+    "observable_preset_needs_qubit": _edit(
+        "spectrum 0.0 1.0", "spectrum 0.0 1.0 2.0", _edit("dimension 2", "dimension 3")
+    ),
+    "observable_matrix_shape": _edit("preset pauli_x", _observable("1 0")),
+    "observable_not_hermitian": _edit("preset pauli_x", _observable("0 0 1 0", "0 0 0 0")),
+    "observable_needs_preset_or_matrix": _edit("  preset pauli_x\n", ""),
+    "sweep_missing_keys": _edit("  start 0.1\n  stop 10.0\n", "", SWEPT),
+    "sweep_steps_below_one": _edit("steps 12", "steps 0", SWEPT),
+    "sweep_stop_below_start": _edit("stop 10.0", "stop 0.05", SWEPT),
+    "lambda_and_spectrum_together": _edit(
+        "spectrum 0.0 1.0", "spectrum 0.0 1.0 2.0", _edit("lambda 0.1", "lambda -1")
+    ),
+    # numbers that are not finite or do not fit
+    "dimension_overflow": _edit("dimension 2", "dimension 1e400"),
+    "dimension_nan": _edit("dimension 2", "dimension nan"),
+    "clock_dimension_overflow": _edit("dimension 8", "dimension 1e400", CLOCKED),
+    "steps_overflow": _edit("steps 12", "steps 1e400", SWEPT),
+    "steps_huge": _edit("steps 12", "steps 1e300", SWEPT),
+    "sweep_start_nan": _edit("start 0.1", "start nan", SWEPT),
+    "spectrum_infinite": _edit("spectrum 0.0 1.0", "spectrum 0 inf"),
+    "lambda_infinite": _edit("lambda 0.1", "lambda inf"),
+    "tick_infinite": _edit("tick 0.4", "tick inf", CLOCKED),
+    "table_entry_infinite": _edit("    0.0 1\n", "    0.0 inf\n", CLOCKED),
+    "matrix_entry_nan": _edit("state plus_state", _state("nan 0 0 0", "0 0 1 0")),
+    # trailing tokens and nested blocks
+    "junk_after_observable_preset": _edit("preset pauli_x", "preset pauli_x junk"),
+    "junk_after_kernel_kind": _edit("kind gaussian", "kind gaussian junk"),
+    "junk_after_sweep_variable": _edit("variable t_B", "variable t_B junk", SWEPT),
+    "junk_after_state_preset": _edit("state plus_state", "state plus_state junk"),
+    "junk_after_basis_state_index": _edit("state plus_state", "state basis_state 1 junk"),
+    "block_in_state_block": _edit(
+        "state plus_state", _state("1 0 0 0", "0 0 0 0").replace("  }", "    x {\n    }\n  }")
+    ),
+    "block_in_hamiltonian_block": _edit(
+        "spectrum 0.0 1.0",
+        _hamiltonian("0 0 0 0", "0 0 1 0").replace("  }", "    x {\n    }\n  }"),
+    ),
+    "block_in_matrix_block": _edit(
+        "preset pauli_x",
+        _observable("1 0 0 0", "0 0 -1 0").replace("  }", "    x {\n    }\n  }"),
+    ),
+    "block_in_table_block": _edit("    0.0 1\n", "    0.0 1\n    x {\n    }\n", CLOCKED),
+}
+
+
+def _outcome(text: str):
+    try:
+        return ("ok", parse_scenario(text).digest())
+    except ScenarioValidationError as exc:
+        return ("issues", exc.issues)
+    except Exception as exc:  # the type is part of what is pinned
+        return (type(exc).__name__, str(exc))
+PARSE_EXPECTED = {
+    "bundled_qubit_decoherence": ("ok", 'af7a5a43ee98794e'),
+    "bundled_clock_recovery": ("ok", '0358eca4fb907106'),
+    "bundled_pearle_compare": ("ok", '3c2bd0de945ad3de'),
+    "golden_dense_d8": ("ok", 'b68ac2114da49f47'),
+    "unmatched_brace": ("ScenarioParseError", "line 1: unmatched '}'"),
+    "block_header_two_names": (
+        "ScenarioParseError",
+        "line 15: block header must be a single name before '{', got 'two names {'",
+    ),
+    "unclosed_block": (
+        "ScenarioParseError",
+        "unclosed block 'system' opened at line 1",
+    ),
+    "top_level_key": (
+        "ScenarioParseError",
+        "line 1: top level allows only blocks ['system', 'kernel', 'clock', 'observable', 'sweep'], got key 'dimension'",
+    ),
+    "unknown_top_block": (
+        "ScenarioParseError",
+        "line 15: unknown block: 'plotting' is not one of ['system', 'kernel', 'clock', 'observable', 'sweep']",
+    ),
+    "duplicate_top_block": (
+        "ScenarioParseError",
+        "line 15: duplicate block 'observable'",
+    ),
+    "unknown_key_system": (
+        "ScenarioParseError",
+        "line 4: unknown key in 'system': 'dimensoin' is not one of ['dimension', 'spectrum', 'state']; did you mean 'dimension'?",
+    ),
+    "unknown_key_kernel": (
+        "ScenarioParseError",
+        "line 9: unknown key in 'kernel': 'lamda' is not one of ['kind', 'lambda', 't_b', 'half_width']; did you mean 'lambda'?",
+    ),
+    "unknown_key_clock": (
+        "ScenarioParseError",
+        "line 22: unknown key in 'clock': 'tock' is not one of ['dimension', 'tick']; did you mean 'tick'?",
+    ),
+    "unknown_key_observable": (
+        "ScenarioParseError",
+        "line 13: unknown key in 'observable': 'prest' is not one of ['preset']; did you mean 'preset'?",
+    ),
+    "unknown_key_sweep": (
+        "ScenarioParseError",
+        "line 20: unknown key in 'sweep': 'step' is not one of ['variable', 'start', 'stop', 'steps']; did you mean 'steps', 'stop'?",
+    ),
+    "unknown_block_system": (
+        "ScenarioParseError",
+        "line 6: unknown block in 'system': 'matrix' is not one of ['hamiltonian', 'state']",
+    ),
+    "unknown_block_kernel": (
+        "ScenarioParseError",
+        "line 11: unknown block in 'kernel': 'tabel' is not one of ['table']; did you mean 'table'?",
+    ),
+    "unknown_block_clock": (
+        "ScenarioParseError",
+        "line 23: unknown block in 'clock': 'pointer' is not one of ['<none>']",
+    ),
+    "unknown_block_observable": (
+        "ScenarioParseError",
+        "line 14: unknown block in 'observable': 'matrx' is not one of ['matrix']; did you mean 'matrix'?",
+    ),
+    "unknown_block_sweep": (
+        "ScenarioParseError",
+        "line 21: unknown block in 'sweep': 'window' is not one of ['<none>']",
+    ),
+    "duplicate_key": (
+        "ScenarioParseError",
+        "line 10: duplicate key 'lambda' in block 'kernel'",
+    ),
+    "duplicate_nested_block": (
+        "ScenarioParseError",
+        "line 17: duplicate block 'matrix' in 'observable'",
+    ),
+    "enum_needs_value": ("ScenarioParseError", "line 8: 'kind' needs a value"),
+    "unknown_kernel_kind": (
+        "ScenarioParseError",
+        "line 8: unknown kernel kind: 'gausian' is not one of ['delta', 'gaussian', 'uniform', 'tabulated']; did you mean 'gaussian'?",
+    ),
+    "unknown_state_preset": (
+        "ScenarioParseError",
+        "line 5: unknown state preset: 'plus' is not one of ['plus_state', 'basis_state', 'maximally_mixed', 'random_pure', 'random_mixed']",
+    ),
+    "unknown_observable_preset": (
+        "ScenarioParseError",
+        "line 13: unknown observable preset: 'pauli_y' is not one of ['pauli_x', 'pauli_z', 'number_op']; did you mean 'pauli_z', 'pauli_x'?",
+    ),
+    "unknown_sweep_variable": (
+        "ScenarioParseError",
+        "line 17: unknown sweep variable: 't_C' is not one of ['t_B', 't_A', 'lambda']; did you mean 't_B', 't_A'?",
+    ),
+    "not_a_number": (
+        "ScenarioParseError",
+        "line 3: 'dimension' expects numbers, got ['two']",
+    ),
+    "number_count": ("ScenarioParseError", "line 10: 't_b' expects 1 number(s), got 2"),
+    "not_an_integer": (
+        "ScenarioParseError",
+        "line 3: 'dimension' expects an integer, got 2.5",
+    ),
+    "matrix_line_not_row": (
+        "ScenarioParseError",
+        "line 6: matrix block 'state' expects 'row' lines, got 'rows'",
+    ),
+    "matrix_row_odd": (
+        "ScenarioParseError",
+        'line 6: matrix row needs an even number of values (re im pairs), got 3',
+    ),
+    "matrix_row_empty": (
+        "ScenarioParseError",
+        'line 6: matrix row needs an even number of values (re im pairs), got 0',
+    ),
+    "matrix_row_not_numeric": (
+        "ScenarioParseError",
+        "line 6: 'row' expects numbers, got ['0.5', 'x', '0.5', '0']",
+    ),
+    "matrix_no_rows": (
+        "ScenarioParseError",
+        "line 5: matrix block 'state' has no rows",
+    ),
+    "table_row_arity": (
+        "ScenarioParseError",
+        "line 10: table row expects 't weight', got '0.0 1 2'",
+    ),
+    "table_row_not_numeric": (
+        "ScenarioParseError",
+        "line 10: table row is not numeric: '0.0 x'",
+    ),
+    "missing_system": ("issues", ["missing required block 'system'"]),
+    "missing_kernel_and_observable": (
+        "issues",
+        [
+            "missing required block 'kernel'",
+            "missing required block 'observable'",
+        ],
+    ),
+    "system_needs_dimension": ("issues", ["system block needs 'dimension'"]),
+    "dimension_below_one": (
+        "issues",
+        [
+            'system dimension must be >= 1, got 0',
+            'system spectrum has 2 entries, expected 1',
+            'observable preset: 1 validation issue(s):\n  - pauli_x needs dimension 2',
+        ],
+    ),
+    "spectrum_and_hamiltonian": (
+        "issues",
+        [
+            "system: give 'spectrum' or a 'hamiltonian' block, not both",
+        ],
+    ),
+    "spectrum_length": ("issues", ['system spectrum has 3 entries, expected 2']),
+    "hamiltonian_shape": (
+        "issues",
+        [
+            'system hamiltonian: hamiltonian matrix is (1, 2), expected (2, 2)',
+        ],
+    ),
+    "hamiltonian_ragged": (
+        "issues",
+        [
+            'system hamiltonian: setting an array element with a sequence. The requested array has an inhomogeneous shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part.',
+        ],
+    ),
+    "hamiltonian_not_hermitian": (
+        "issues",
+        [
+            'system hamiltonian: Hamiltonian is not Hermitian: max |M - M^dag| = 1.000e+00',
+        ],
+    ),
+    "needs_hamiltonian": (
+        "issues",
+        [
+            "system block needs 'spectrum' or a 'hamiltonian' block",
+        ],
+    ),
+    "state_preset_and_block": (
+        "issues",
+        [
+            'system: give a state preset or a state block, not both',
+        ],
+    ),
+    "basis_state_out_of_range": (
+        "issues",
+        [
+            'system state preset: 1 validation issue(s):\n  - basis_state index 5 outside 0..1',
+        ],
+    ),
+    "basis_state_without_index": (
+        "issues",
+        [
+            'system state preset: 1 validation issue(s):\n  - basis_state preset needs an index',
+        ],
+    ),
+    "basis_state_index_not_integer": (
+        "issues",
+        [
+            "system state preset: invalid literal for int() with base 10: 'one'",
+        ],
+    ),
+    "state_matrix_shape": (
+        "issues",
+        [
+            'system state: state matrix is (1, 1), expected (2, 2)',
+        ],
+    ),
+    "state_matrix_trace": (
+        "issues",
+        [
+            'system state: density matrix trace is 0.9 (|trace - 1| = 1.000e-01), expected 1',
+        ],
+    ),
+    "needs_state": ("issues", ["system block needs a 'state' entry or block"]),
+    "kernel_needs_kind": ("issues", ["kernel block needs 'kind'"]),
+    "delta_needs_t_b": ("issues", ["delta kernel needs 't_b'"]),
+    "gaussian_needs_t_b": ("issues", ["gaussian kernel needs 't_b'"]),
+    "uniform_needs_t_b": ("issues", ["uniform kernel needs 't_b'"]),
+    "gaussian_needs_lambda": ("issues", ["gaussian kernel needs 'lambda'"]),
+    "uniform_needs_half_width": ("issues", ["uniform kernel needs 'half_width'"]),
+    "tabulated_needs_table": ("issues", ["tabulated kernel needs a 'table' block"]),
+    "lambda_meaningless": ("issues", ["'lambda' is meaningless for a delta kernel"]),
+    "half_width_meaningless": (
+        "issues",
+        [
+            "'half_width' is meaningless for a gaussian kernel",
+        ],
+    ),
+    "table_meaningless": (
+        "issues",
+        [
+            'a table block is meaningless for a delta kernel',
+        ],
+    ),
+    "tabulated_t_b": (
+        "issues",
+        [
+            "a tabulated kernel derives t_b from the table; drop 't_b'",
+        ],
+    ),
+    "kernel_lambda_not_positive": ("issues", ['kernel: lam must be > 0, got -1.0']),
+    "kernel_t_b_negative": ("issues", ['kernel: t_b must be >= 0, got -1.0']),
+    "kernel_half_width_not_positive": (
+        "issues",
+        [
+            'kernel: half_width must be > 0, got 0.0',
+        ],
+    ),
+    "kernel_table_empty": (
+        "issues",
+        [
+            'kernel: tabulated kernel needs at least one row',
+        ],
+    ),
+    "kernel_table_negative_weight": (
+        "issues",
+        [
+            'kernel: table weights must be nonnegative',
+        ],
+    ),
+    "kernel_table_zero_weights": ("issues", ['kernel: table weights sum to zero']),
+    "clock_needs_tick": ("issues", ["clock block needs 'dimension' and 'tick'"]),
+    "clock_dimension_below_two": (
+        "issues",
+        [
+            'clock: clock needs an integer dimension >= 2, got 1',
+        ],
+    ),
+    "clock_tick_not_positive": ("issues", ['clock: clock tick must be > 0, got 0.0']),
+    "observable_preset_and_matrix": (
+        "issues",
+        [
+            'observable: give a preset or a matrix block, not both',
+        ],
+    ),
+    "observable_preset_needs_qubit": (
+        "issues",
+        [
+            'observable preset: 1 validation issue(s):\n  - pauli_x needs dimension 2',
+        ],
+    ),
+    "observable_matrix_shape": (
+        "issues",
+        [
+            'observable: observable matrix is (1, 1), expected (2, 2)',
+        ],
+    ),
+    "observable_not_hermitian": (
+        "issues",
+        [
+            'observable: observable is not Hermitian: max |M - M^dag| = 1.000e+00',
+        ],
+    ),
+    "observable_needs_preset_or_matrix": (
+        "issues",
+        [
+            "observable block needs 'preset' or a 'matrix' block",
+        ],
+    ),
+    "sweep_missing_keys": ("issues", ["sweep block is missing ['start', 'stop']"]),
+    "sweep_steps_below_one": ("issues", ['sweep steps must be >= 1, got 0']),
+    "sweep_stop_below_start": ("issues", ['sweep stop 0.05 is below start 0.1']),
+    "lambda_and_spectrum_together": (
+        "issues",
+        [
+            'system spectrum has 3 entries, expected 2',
+            'kernel: lam must be > 0, got -1.0',
+        ],
+    ),
+    "dimension_overflow": ("OverflowError", 'cannot convert float infinity to integer'),
+    "dimension_nan": ("ValueError", 'cannot convert float NaN to integer'),
+    "clock_dimension_overflow": (
+        "OverflowError",
+        'cannot convert float infinity to integer',
+    ),
+    "steps_overflow": ("OverflowError", 'cannot convert float infinity to integer'),
+    "steps_huge": ("ok", 'ee2029d160fa996b'),
+    "sweep_start_nan": ("ok", '9381bdcdd2595f7f'),
+    "spectrum_infinite": ("QuantumStateError", 'matrix has non-finite entries'),
+    "lambda_infinite": ("ok", '55b06e44a5b08e31'),
+    "tick_infinite": ("issues", ['clock: matrix has non-finite entries']),
+    "table_entry_infinite": ("issues", ['kernel: table entries must be finite']),
+    "matrix_entry_nan": ("issues", ['system state: matrix has non-finite entries']),
+    "junk_after_observable_preset": ("ok", '236917655aa66ad5'),
+    "junk_after_kernel_kind": ("ok", '236917655aa66ad5'),
+    "junk_after_sweep_variable": ("ok", '34dd9cbc84b5aebc'),
+    "junk_after_state_preset": ("ok", 'e2a63c2ff4d5706f'),
+    "junk_after_basis_state_index": (
+        "issues",
+        [
+            'system state preset: 1 validation issue(s):\n  - basis_state preset needs an index',
+        ],
+    ),
+    "block_in_state_block": ("ok", 'a5865211ee0bca0e'),
+    "block_in_hamiltonian_block": ("ok", 'd2c7189bca3abf15'),
+    "block_in_matrix_block": ("ok", 'b15e691ae6dc4e3c'),
+    "block_in_table_block": ("ok", '0358eca4fb907106'),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSE_CASES))
+def test_parse_outcome_is_pinned(case):
+    assert _outcome(PARSE_CASES[case]) == PARSE_EXPECTED[case]
+
+
+def test_every_parse_case_is_pinned():
+    assert list(PARSE_CASES) == list(PARSE_EXPECTED)
