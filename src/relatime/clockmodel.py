@@ -32,6 +32,7 @@ from .errors import (
     NotPointerTimeError,
     ZeroProbabilityError,
 )
+from .evolution import _from_eigenbasis, _to_eigenbasis, _unitary_multiplier
 from .kernels import DeltaKernel, TabulatedKernel, TimeKernel
 from .qmat import (
     DensityMatrix,
@@ -249,14 +250,23 @@ def pointer_weights(kernel: TimeKernel, clock: ClockSystem) -> np.ndarray:
     return weights
 
 
+def _evolved(matrix: np.ndarray, hamiltonian: Hamiltonian, t: float) -> np.ndarray:
+    """Raw ``matrix`` after exact-time evolution for ``t``."""
+    phases = _unitary_multiplier(hamiltonian.spectrum, t)
+    return _from_eigenbasis(_to_eigenbasis(matrix, hamiltonian) * phases, hamiltonian)
+
+
 def _system_state_at(scenario: CompositeScenario, step: int) -> np.ndarray:
     """Raw system state after ``step`` ticks of exact-time evolution."""
-    h = scenario.system_hamiltonian
     t = scenario.clock.pointer_times[step]
-    phases = np.exp(-1j * h.spectrum * t)
-    rho_e = h.eigenbasis.conj().T @ scenario.system_state.matrix @ h.eigenbasis
-    rho_e = rho_e * np.outer(phases, phases.conj())
-    return h.eigenbasis @ rho_e @ h.eigenbasis.conj().T
+    return _evolved(scenario.system_state.matrix, scenario.system_hamiltonian, t)
+
+
+def _direct_value(
+    scenario: CompositeScenario, observable: Observable, step: int
+) -> float:
+    """The observable after ``step`` ticks, from the system state alone."""
+    return float(np.trace(observable.matrix @ _system_state_at(scenario, step)).real)
 
 
 def bob_state(scenario: CompositeScenario, kernel: TimeKernel) -> DensityMatrix:
@@ -317,16 +327,9 @@ def alice_conditional(
             f"{scenario.system_hamiltonian.dim}"
         )
     step = scenario.clock.pointer_index(t_a)
-    direct = float(
-        np.trace(observable.matrix @ _system_state_at(scenario, step)).real
-    )
-
-    h_q = scenario.hamiltonian
+    direct = _direct_value(scenario, observable, step)
     t = scenario.clock.pointer_times[step]
-    phases = np.exp(-1j * h_q.spectrum * t)
-    rho_e = h_q.eigenbasis.conj().T @ scenario.initial_state.matrix @ h_q.eigenbasis
-    rho_e = rho_e * np.outer(phases, phases.conj())
-    composite = h_q.eigenbasis @ rho_e @ h_q.eigenbasis.conj().T
+    composite = _evolved(scenario.initial_state.matrix, scenario.hamiltonian, t)
     conditioned = _conditional_value(
         composite, observable, scenario.clock, scenario.reading_index(step)
     )
@@ -393,9 +396,6 @@ def wall_clock_self_consistency(
     watch-averaged compound state, and conditions on the wall reading t.
     The two agree wherever the kernel gives the reading nonzero weight.
     """
-    step = scenario.clock.pointer_index(t)
-    direct = float(
-        np.trace(observable.matrix @ _system_state_at(scenario, step)).real
-    )
+    direct = _direct_value(scenario, observable, scenario.clock.pointer_index(t))
     via_compound = bob_conditional(scenario, kernel, observable, t)
     return WallClockComparison(direct=direct, via_compound=via_compound)

@@ -126,6 +126,11 @@ def _to_eigenbasis(matrix: np.ndarray, hamiltonian: Hamiltonian) -> np.ndarray:
     return basis.conj().T @ matrix @ basis
 
 
+def _from_eigenbasis(matrix: np.ndarray, hamiltonian: Hamiltonian) -> np.ndarray:
+    basis = hamiltonian.eigenbasis
+    return basis @ matrix @ basis.conj().T
+
+
 def _distinct_gap_mask(spectrum: np.ndarray) -> np.ndarray:
     """True at (i, j) where E_i and E_j differ by more than roundoff.
 
@@ -180,9 +185,8 @@ def _dephase(
 ) -> DensityMatrix:
     """The state rho0 with its energy-basis elements scaled by ``multiplier``."""
     _check_dims(rho0, hamiltonian)
-    basis = hamiltonian.eigenbasis
     rho_e = _to_eigenbasis(rho0.matrix, hamiltonian) * multiplier
-    return _finish_state(basis @ rho_e @ basis.conj().T, drift_budget)
+    return _finish_state(_from_eigenbasis(rho_e, hamiltonian), drift_budget)
 
 
 def evolve_unitary(

@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import difflib
 import hashlib
+import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,6 +78,7 @@ from .kernels import (
     UniformKernel,
     make_gaussian_kernel,
 )
+from .qmat import DIMENSION_CAP
 from .qmat import DensityMatrix, Hamiltonian, Observable, expectation, purity
 
 __all__ = [
@@ -89,26 +92,13 @@ __all__ = [
     "run_report",
 ]
 
-_TOP_BLOCKS = ("system", "kernel", "clock", "observable", "sweep")
-_KERNEL_KINDS = ("delta", "gaussian", "uniform", "tabulated")
-_STATE_PRESETS = (
-    "plus_state",
-    "basis_state",
-    "maximally_mixed",
-    "random_pure",
-    "random_mixed",
-)
-_OBSERVABLE_PRESETS = ("pauli_x", "pauli_z", "number_op")
-_SWEEP_VARIABLES = ("t_B", "t_A", "lambda")
-
-
 # ---------------------------------------------------------------------------
 # generic nested-block reader
 
 
 @dataclass
 class _Leaf:
-    key: str
+    name: str
     tokens: list[str]
     line: int
 
@@ -119,28 +109,6 @@ class _Block:
     line: int
     leaves: list[_Leaf] = field(default_factory=list)
     blocks: list["_Block"] = field(default_factory=list)
-
-    def leaf_map(self) -> dict[str, _Leaf]:
-        out: dict[str, _Leaf] = {}
-        for leaf in self.leaves:
-            if leaf.key in out:
-                raise ScenarioParseError(
-                    f"line {leaf.line}: duplicate key '{leaf.key}' in "
-                    f"block '{self.name}'"
-                )
-            out[leaf.key] = leaf
-        return out
-
-    def block_map(self) -> dict[str, "_Block"]:
-        out: dict[str, _Block] = {}
-        for blk in self.blocks:
-            if blk.name in out:
-                raise ScenarioParseError(
-                    f"line {blk.line}: duplicate block '{blk.name}' in "
-                    f"'{self.name}'"
-                )
-            out[blk.name] = blk
-        return out
 
 
 def _parse_blocks(text: str) -> _Block:
@@ -167,7 +135,7 @@ def _parse_blocks(text: str) -> _Block:
             stack.append(block)
             continue
         tokens = line.split()
-        stack[-1].leaves.append(_Leaf(key=tokens[0], tokens=tokens[1:], line=lineno))
+        stack[-1].leaves.append(_Leaf(name=tokens[0], tokens=tokens[1:], line=lineno))
     if len(stack) != 1:
         raise ScenarioParseError(
             f"unclosed block '{stack[-1].name}' opened at line {stack[-1].line}"
@@ -181,79 +149,98 @@ def _suggest(word: str, options) -> str:
     return f"{word!r} is not one of {list(options)}{hint}"
 
 
-def _enum(leaf: _Leaf, options, what: str) -> str:
-    if len(leaf.tokens) < 1:
-        raise ScenarioParseError(f"line {leaf.line}: '{leaf.key}' needs a value")
-    value = leaf.tokens[0]
-    if value not in options:
-        raise ScenarioParseError(
-            f"line {leaf.line}: unknown {what}: {_suggest(value, options)}"
-        )
-    return value
+def _index(nodes, allowed, noun: str, where: tuple[str, str] = ("", "")) -> dict:
+    """``nodes`` by name; a name outside ``allowed`` or given twice is an error.
+
+    ``where`` places the nodes in the unknown-name and duplicate messages.
+    """
+    out = {}
+    for node in nodes:
+        if node.name not in allowed:
+            raise ScenarioParseError(
+                f"line {node.line}: unknown {noun}{where[0]}: "
+                f"{_suggest(node.name, allowed or ('<none>',))}"
+            )
+        if node.name in out:
+            raise ScenarioParseError(
+                f"line {node.line}: duplicate {noun} '{node.name}'{where[1]}"
+            )
+        out[node.name] = node
+    return out
 
 
 def _floats(leaf: _Leaf, count: int | None = None) -> list[float]:
+    """The leaf's values as finite floats; the one place numbers are read."""
     try:
         values = [float(tok) for tok in leaf.tokens]
     except ValueError as exc:
         raise ScenarioParseError(
-            f"line {leaf.line}: '{leaf.key}' expects numbers, got "
-            f"{leaf.tokens!r}"
+            f"line {leaf.line}: '{leaf.name}' expects numbers, got {leaf.tokens!r}"
         ) from exc
+    if not all(map(math.isfinite, values)):
+        raise ScenarioParseError(
+            f"line {leaf.line}: '{leaf.name}' expects finite numbers, got "
+            f"{leaf.tokens!r}"
+        )
     if count is not None and len(values) != count:
         raise ScenarioParseError(
-            f"line {leaf.line}: '{leaf.key}' expects {count} number(s), "
+            f"line {leaf.line}: '{leaf.name}' expects {count} number(s), "
             f"got {len(values)}"
         )
     return values
 
 
-def _one_float(leaf: _Leaf) -> float:
-    return _floats(leaf, 1)[0]
-
-
-def _one_int(leaf: _Leaf) -> int:
-    value = _one_float(leaf)
+def _int(leaf: _Leaf) -> int:
+    value = _floats(leaf, 1)[0]
     if value != int(value):
         raise ScenarioParseError(
-            f"line {leaf.line}: '{leaf.key}' expects an integer, got {value}"
+            f"line {leaf.line}: '{leaf.name}' expects an integer, got {value}"
+        )
+    if abs(value) >= 2.0**63:
+        raise ScenarioParseError(
+            f"line {leaf.line}: '{leaf.name}' is beyond the 64-bit integer "
+            f"range, got {value:g}"
         )
     return int(value)
 
 
-def _reject_unknown(block: _Block, allowed_leaves, allowed_blocks=()):
-    for leaf in block.leaves:
-        if leaf.key not in allowed_leaves:
+def _choice(options: dict[str, int], what: str):
+    """Reader of a name from ``options`` and the number of values it takes."""
+
+    def read(leaf: _Leaf) -> str:
+        if not leaf.tokens:
+            raise ScenarioParseError(f"line {leaf.line}: '{leaf.name}' needs a value")
+        name, *values = leaf.tokens
+        if name not in options:
             raise ScenarioParseError(
-                f"line {leaf.line}: unknown key in '{block.name}': "
-                f"{_suggest(leaf.key, allowed_leaves)}"
+                f"line {leaf.line}: unknown {what}: {_suggest(name, options)}"
             )
-    for blk in block.blocks:
-        if blk.name not in allowed_blocks:
+        if len(values) != options[name]:
             raise ScenarioParseError(
-                f"line {blk.line}: unknown block in '{block.name}': "
-                f"{_suggest(blk.name, allowed_blocks or ('<none>',))}"
+                f"line {leaf.line}: {what} '{name}' takes {options[name]} "
+                f"value(s), got {values!r}"
             )
+        return " ".join(leaf.tokens)
+
+    return _Reader(read, str)
 
 
-def _matrix_rows(block: _Block) -> list[list[complex]]:
-    rows: list[list[complex]] = []
+def _matrix(block: _Block) -> list[np.ndarray]:
+    """'row re im re im ...' lines, each row as its flat array of floats."""
+    rows = []
     for leaf in block.leaves:
-        tokens = [leaf.key] + leaf.tokens
-        if leaf.key != "row":
+        if leaf.name != "row":
             raise ScenarioParseError(
                 f"line {leaf.line}: matrix block '{block.name}' expects "
-                f"'row' lines, got {tokens[0]!r}"
+                f"'row' lines, got {leaf.name!r}"
             )
-        values = _floats(_Leaf("row", leaf.tokens, leaf.line))
+        values = _floats(leaf)
         if len(values) % 2 != 0 or not values:
             raise ScenarioParseError(
                 f"line {leaf.line}: matrix row needs an even number of "
                 f"values (re im pairs), got {len(values)}"
             )
-        rows.append(
-            [complex(values[k], values[k + 1]) for k in range(0, len(values), 2)]
-        )
+        rows.append(np.array(values))
     if not rows:
         raise ScenarioParseError(
             f"line {block.line}: matrix block '{block.name}' has no rows"
@@ -261,56 +248,230 @@ def _matrix_rows(block: _Block) -> list[list[complex]]:
     return rows
 
 
-def _table_rows(block: _Block) -> tuple[list[float], list[float]]:
-    times: list[float] = []
-    weights: list[float] = []
+def _table(block: _Block) -> list[list[float]]:
+    """'t weight' lines."""
+    rows = []
     for leaf in block.leaves:
-        tokens = [leaf.key] + leaf.tokens
+        tokens = [leaf.name, *leaf.tokens]
         if len(tokens) != 2:
             raise ScenarioParseError(
                 f"line {leaf.line}: table row expects 't weight', got "
                 f"{' '.join(tokens)!r}"
             )
-        try:
-            times.append(float(tokens[0]))
-            weights.append(float(tokens[1]))
-        except ValueError as exc:
-            raise ScenarioParseError(
-                f"line {leaf.line}: table row is not numeric: "
-                f"{' '.join(tokens)!r}"
-            ) from exc
-    return times, weights
+        rows.append(_floats(_Leaf("table row", tokens, leaf.line)))
+    return rows
+
+
+def _join(values) -> str:
+    return " ".join(map(repr, values))
+
+
+class _Reader(NamedTuple):
+    """Leaf (or block of rows) to value, and value to canonical text."""
+
+    read: Callable
+    text: Callable
+    block: bool = False
+
+
+_INT = _Reader(_int, str)
+_FLOAT = _Reader(lambda leaf: _floats(leaf, 1)[0], repr)
+_FLOATS = _Reader(_floats, _join)
+_MATRIX = _Reader(
+    _matrix, lambda rows: ("row " + _join(row.tolist()) for row in rows), True
+)
+_TABLE = _Reader(_table, lambda rows: map(_join, rows), True)
 
 
 # ---------------------------------------------------------------------------
 # schema
 
 
+class _Entry(NamedTuple):
+    """One value of a block, written as a leaf, a block, or either (not both).
+
+    ``needs`` and ``unused`` are the issues for a wanted value that is
+    absent and for a kernel parameter the kind does not take; they may
+    name the ``{kind}`` and the ``{missing}`` entries of the block.
+    """
+
+    name: str
+    forms: tuple[tuple[str, _Reader], ...]
+    needs: str
+    unused: str = ""
+    limits: tuple[int | None, int | None] = (None, None)
+    both: str = ""
+
+
+def _key(name: str, reader: _Reader, needs: str, **kwargs) -> _Entry:
+    return _Entry(name, ((name, reader),), needs, **kwargs)
+
+
+class _Section(NamedTuple):
+    """A top-level block: its entries in canonical order, and for the
+    kernel the parameters each kind takes (every other one is refused)."""
+
+    name: str
+    required: bool
+    entries: tuple[_Entry, ...]
+    kinds: dict | None = None
+
+
+def _tabulated(rows: list[list[float]]) -> TabulatedKernel:
+    return TabulatedKernel([t for t, _ in rows], [w for _, w in rows])
+
+
+# Each kind's factory takes the parameters named here, in the block's order.
+_KERNEL_KINDS = {
+    "delta": (DeltaKernel, ("t_b",)),
+    "gaussian": (make_gaussian_kernel, ("lambda", "t_b")),
+    "uniform": (UniformKernel, ("half_width", "t_b")),
+    "tabulated": (_tabulated, ("table",)),
+}
+_KIND = _choice(dict.fromkeys(_KERNEL_KINDS, 0), "kernel kind")
+_STATE = _choice(
+    {"plus_state": 0, "basis_state": 1, "maximally_mixed": 0, "random_pure": 0,
+     "random_mixed": 0},
+    "state preset",
+)
+_PRESET = _choice(
+    dict.fromkeys(("pauli_x", "pauli_z", "number_op"), 0), "observable preset"
+)
+_VARIABLE = _choice(dict.fromkeys(("t_B", "t_A", "lambda"), 0), "sweep variable")
+_CLOCK_NEEDS = "clock block needs 'dimension' and 'tick'"
+_SWEEP_NEEDS = "sweep block is missing {missing}"
+
+_SCHEMA = (
+    _Section("system", True, (
+        _key("dimension", _INT, "system block needs 'dimension'",
+             limits=(1, DIMENSION_CAP)),
+        _Entry("hamiltonian", (("spectrum", _FLOATS), ("hamiltonian", _MATRIX)),
+               "system block needs 'spectrum' or a 'hamiltonian' block",
+               both="system: give 'spectrum' or a 'hamiltonian' block, not both"),
+        _Entry("state", (("state", _STATE), ("state", _MATRIX)),
+               "system block needs a 'state' entry or block",
+               both="system: give a state preset or a state block, not both"),
+    )),
+    _Section("kernel", True, (
+        _key("kind", _KIND, "kernel block needs 'kind'"),
+        _key("lambda", _FLOAT, "{kind} kernel needs 'lambda'",
+             unused="'lambda' is meaningless for a {kind} kernel"),
+        _key("half_width", _FLOAT, "{kind} kernel needs 'half_width'",
+             unused="'half_width' is meaningless for a {kind} kernel"),
+        _key("t_b", _FLOAT, "{kind} kernel needs 't_b'",
+             unused="a {kind} kernel derives t_b from the table; drop 't_b'"),
+        _key("table", _TABLE, "{kind} kernel needs a 'table' block",
+             unused="a table block is meaningless for a {kind} kernel"),
+    ), kinds=_KERNEL_KINDS),
+    _Section("clock", False, (
+        _key("dimension", _INT, _CLOCK_NEEDS, limits=(None, DIMENSION_CAP)),
+        _key("tick", _FLOAT, _CLOCK_NEEDS),
+    )),
+    _Section("observable", True, (
+        _Entry("observable", (("preset", _PRESET), ("matrix", _MATRIX)),
+               "observable block needs 'preset' or a 'matrix' block",
+               both="observable: give a preset or a matrix block, not both"),
+    )),
+    _Section("sweep", False, (
+        _key("variable", _VARIABLE, _SWEEP_NEEDS),
+        _key("start", _FLOAT, _SWEEP_NEEDS),
+        _key("stop", _FLOAT, _SWEEP_NEEDS),
+        _key("steps", _INT, _SWEEP_NEEDS, limits=(1, None)),
+    )),
+)
+_SECTIONS = {section.name: section for section in _SCHEMA}
+
+
+class _Field(NamedTuple):
+    """One value as read: the key it was written under and its reader."""
+
+    key: str
+    reader: _Reader
+    value: object
+
+
+def _read_section(section: _Section, block: _Block, issues: list[str]) -> dict:
+    """The block's values as ``_Field``s by entry name.
+
+    Semantic problems go to ``issues``; a value with one is left out.
+    """
+    forms = [form for entry in section.entries for form in entry.forms]
+    inside = f" in '{block.name}'"
+    nodes = {
+        False: _index(block.leaves, [k for k, r in forms if not r.block], "key",
+                      (inside, f" in block '{block.name}'")),
+        True: _index(block.blocks, [k for k, r in forms if r.block], "block",
+                     (inside, inside)),
+    }
+    for rows in nodes[True].values():  # blocks of rows nest nothing
+        _index(rows.blocks, (), "block", (f" in '{rows.name}'",) * 2)
+    fields: dict[str, _Field] = {}
+    absent = []
+    for entry in section.entries:
+        given = [
+            _Field(key, reader, reader.read(nodes[reader.block][key]))
+            for key, reader in entry.forms
+            if key in nodes[reader.block]
+        ]
+        if len(given) > 1:
+            issues.append(entry.both)
+        elif given:
+            fields[entry.name] = given[0]
+        else:
+            absent.append(entry)
+
+    kind = fields["kind"].value if "kind" in fields else None
+    allowed = {entry.name for entry in section.entries}
+    if section.kinds and kind:
+        allowed = {"kind", *section.kinds[kind][1]}
+    wanted = {"kind"} if section.kinds and not kind else allowed
+    missing = [entry for entry in absent if entry.name in wanted]
+    names = [entry.name for entry in missing]
+    issues.extend(
+        dict.fromkeys(e.needs.format(kind=kind, missing=names) for e in missing)
+    )
+    for entry in section.entries:
+        value = fields[entry.name].value if entry.name in fields else None
+        low, high = entry.limits
+        if value is None:
+            continue
+        if entry.name not in allowed:
+            issues.append(entry.unused.format(kind=kind))
+        elif low is not None and value < low:
+            issues.append(f"{section.name} {entry.name} must be >= {low}, got {value}")
+        elif high is not None and value > high:
+            issues.append(f"{section.name} {entry.name} must be <= {high}, got {value}")
+        else:
+            continue
+        del fields[entry.name]
+    return fields
+
+
 @dataclass(frozen=True)
 class KernelSpec:
+    """A kernel kind and the parameters it takes, by their scenario names."""
+
     kind: str
-    lam: float | None = None
-    t_b: float | None = None
-    half_width: float | None = None
-    table_times: tuple[float, ...] | None = None
-    table_weights: tuple[float, ...] | None = None
+    params: dict
+
+    @property
+    def lam(self) -> float | None:
+        return self.params.get("lambda")
+
+    @property
+    def t_b(self) -> float | None:
+        return self.params.get("t_b")
 
     def build(self, *, t_b: float | None = None, lam: float | None = None) -> TimeKernel:
         """Instantiate the kernel, optionally overriding swept parameters."""
-        if self.kind == "delta":
-            return DeltaKernel(self.t_b if t_b is None else t_b)
-        if self.kind == "gaussian":
-            return make_gaussian_kernel(
-                self.lam if lam is None else lam,
-                self.t_b if t_b is None else t_b,
-            )
-        if self.kind == "uniform":
-            return UniformKernel(self.half_width, self.t_b if t_b is None else t_b)
-        if t_b is not None or lam is not None:
+        if "t_b" not in self.params and (t_b, lam) != (None, None):
             raise ScenarioValidationError(
-                ["a tabulated kernel has no sweepable t_b/lambda parameter"]
+                [f"a {self.kind} kernel has no sweepable t_b/lambda parameter"]
             )
-        return TabulatedKernel(self.table_times, self.table_weights)
+        swept = {"t_b": t_b, "lambda": lam}
+        params = [value if swept.get(name) is None else swept[name]
+                  for name, value in self.params.items()]
+        return _KERNEL_KINDS[self.kind][0](*params)
 
 
 @dataclass(frozen=True)
@@ -326,7 +487,11 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """One fully validated scenario plus the primitives it came from."""
+    """One fully validated scenario plus the values it was read from.
+
+    ``source`` holds, per block in canonical order, each entry's ``_Field``;
+    ``emit_scenario`` writes it back.
+    """
 
     dimension: int
     system_hamiltonian: Hamiltonian
@@ -335,14 +500,7 @@ class ScenarioFile:
     observable: Observable
     clock: ClockSystem | None
     sweep: SweepSpec | None
-    # primitives preserved for canonical re-emission
-    spectrum: tuple[float, ...] | None
-    hamiltonian_rows: tuple[tuple[complex, ...], ...] | None
-    state_preset: tuple[str, ...] | None
-    state_rows: tuple[tuple[complex, ...], ...] | None
-    observable_preset: str | None
-    observable_rows: tuple[tuple[complex, ...], ...] | None
-    clock_params: tuple[int, float] | None
+    source: dict
 
     def kernel(self) -> TimeKernel:
         return self.kernel_spec.build()
@@ -354,83 +512,36 @@ class ScenarioFile:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
-def _f(x: float) -> str:
-    return repr(float(x))
-
-
-def _emit_matrix(name: str, rows, indent: str) -> list[str]:
-    lines = [f"{indent}{name} {{"]
-    for row in rows:
-        cells = " ".join(f"{_f(c.real)} {_f(c.imag)}" for c in row)
-        lines.append(f"{indent}  row {cells}")
-    lines.append(f"{indent}}}")
-    return lines
-
-
 def emit_scenario(scn: ScenarioFile) -> str:
     """Serialize to the canonical form (parse -> emit is idempotent)."""
-    lines: list[str] = ["system {"]
-    lines.append(f"  dimension {scn.dimension}")
-    if scn.spectrum is not None:
-        lines.append("  spectrum " + " ".join(_f(e) for e in scn.spectrum))
-    else:
-        lines.extend(_emit_matrix("hamiltonian", scn.hamiltonian_rows, "  "))
-    if scn.state_preset is not None:
-        lines.append("  state " + " ".join(scn.state_preset))
-    else:
-        lines.extend(_emit_matrix("state", scn.state_rows, "  "))
-    lines.append("}")
-
-    ks = scn.kernel_spec
-    lines.append("kernel {")
-    lines.append(f"  kind {ks.kind}")
-    if ks.kind == "gaussian":
-        lines.append(f"  lambda {_f(ks.lam)}")
-    if ks.kind == "uniform":
-        lines.append(f"  half_width {_f(ks.half_width)}")
-    if ks.kind in ("delta", "gaussian", "uniform"):
-        lines.append(f"  t_b {_f(ks.t_b)}")
-    if ks.kind == "tabulated":
-        lines.append("  table {")
-        for t, w in zip(ks.table_times, ks.table_weights):
-            lines.append(f"    {_f(t)} {_f(w)}")
-        lines.append("  }")
-    lines.append("}")
-
-    if scn.clock_params is not None:
-        d, tick = scn.clock_params
-        lines.append("clock {")
-        lines.append(f"  dimension {d}")
-        lines.append(f"  tick {_f(tick)}")
+    lines: list[str] = []
+    for name, fields in scn.source.items():
+        lines.append(f"{name} {{")
+        for key, reader, value in fields.values():
+            if reader.block:
+                lines.append(f"  {key} {{")
+                lines.extend(f"    {row}" for row in reader.text(value))
+                lines.append("  }")
+            else:
+                lines.append(f"  {key} {reader.text(value)}")
         lines.append("}")
-
-    lines.append("observable {")
-    if scn.observable_preset is not None:
-        lines.append(f"  preset {scn.observable_preset}")
-    else:
-        lines.extend(_emit_matrix("matrix", scn.observable_rows, "  "))
-    lines.append("}")
-
-    if scn.sweep is not None:
-        sw = scn.sweep
-        lines.append("sweep {")
-        lines.append(f"  variable {sw.variable}")
-        lines.append(f"  start {_f(sw.start)}")
-        lines.append(f"  stop {_f(sw.stop)}")
-        lines.append(f"  steps {sw.steps}")
-        lines.append("}")
-
     return "\n".join(lines) + "\n"
 
 
-def _state_from_preset(tokens: tuple[str, ...], dim: int, rng) -> np.ndarray:
-    name = tokens[0]
+def _spectrum(values: list[float], dim: int, rng) -> np.ndarray:
+    if len(values) != dim:
+        raise RelatimeError(
+            f"system spectrum has {len(values)} entries, expected {dim}"
+        )
+    return np.diag(np.array(values))
+
+
+def _state_from_preset(preset: str, dim: int, rng) -> np.ndarray:
+    name, *index = preset.split()
     if name == "plus_state":
         return np.full((dim, dim), 1.0 / dim, dtype=np.complex128)
     if name == "basis_state":
-        if len(tokens) != 2:
-            raise ScenarioValidationError(["basis_state preset needs an index"])
-        k = int(tokens[1])
+        k = int(index[0])
         if not 0 <= k < dim:
             raise ScenarioValidationError(
                 [f"basis_state index {k} outside 0..{dim - 1}"]
@@ -444,266 +555,136 @@ def _state_from_preset(tokens: tuple[str, ...], dim: int, rng) -> np.ndarray:
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         vec /= np.linalg.norm(vec)
         return np.outer(vec, vec.conj())
-    if name == "random_mixed":
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rho = a @ a.conj().T
-        return rho / np.trace(rho)
-    raise ScenarioValidationError([f"unknown state preset {name!r}"])
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
 
 
-def _observable_from_preset(name: str, dim: int) -> np.ndarray:
-    if name == "pauli_x":
-        if dim != 2:
-            raise ScenarioValidationError(["pauli_x needs dimension 2"])
-        return np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    if name == "pauli_z":
-        if dim != 2:
-            raise ScenarioValidationError(["pauli_z needs dimension 2"])
-        return np.array([[1, 0], [0, -1]], dtype=np.complex128)
+_PAULI = {"pauli_x": [[0, 1], [1, 0]], "pauli_z": [[1, 0], [0, -1]]}
+
+
+def _observable_from_preset(name: str, dim: int, rng) -> np.ndarray:
     if name == "number_op":
         return np.diag(np.arange(dim)).astype(np.complex128)
-    raise ScenarioValidationError([f"unknown observable preset {name!r}"])
+    if dim != 2:
+        raise ScenarioValidationError([f"{name} needs dimension 2"])
+    return np.array(_PAULI[name], dtype=np.complex128)
+
+
+# name: (block, type, preset builder, issue prefix for a preset, for a matrix)
+_OPERATORS = {
+    "hamiltonian": ("system", Hamiltonian, _spectrum, "", "system hamiltonian: "),
+    "state": (
+        "system", DensityMatrix, _state_from_preset,
+        "system state preset: ", "system state: ",
+    ),
+    "observable": (
+        "observable", Observable, _observable_from_preset,
+        "observable preset: ", "observable: ",
+    ),
+}
+
+
+def _operator(name: str, entry: _Field, dim: int, rng):
+    """The operator from its preset leaf or its matrix rows."""
+    _, make, preset, _, _ = _OPERATORS[name]
+    if not entry.reader.block:
+        return make(preset(entry.value, dim, rng))
+    matrix = np.array(entry.value).view(np.complex128)
+    if matrix.shape != (dim, dim):
+        raise RelatimeError(
+            f"{name} matrix is {matrix.shape}, expected ({dim}, {dim})"
+        )
+    return make(matrix)
+
+
+def _attempt(issues: list[str], prefix: str, build, *args):
+    """``build(*args)``, or None with its error appended to ``issues``."""
+    try:
+        return build(*args)
+    except (RelatimeError, ValueError) as exc:
+        issues.append(f"{prefix}{exc}")
+        return None
 
 
 def parse_scenario(text: str, *, seed: int = 0) -> ScenarioFile:
     """Parse and fully validate a scenario document.
 
     ``seed`` feeds the random state presets; everything else is
-    deterministic. Semantic problems are collected so one failed parse
-    reports every violation at once.
+    deterministic. A syntax error stops the parse at once, with its line
+    number; semantic problems are collected and reported together.
     """
     root = _parse_blocks(text)
     if root.leaves:
         stray = root.leaves[0]
         raise ScenarioParseError(
             f"line {stray.line}: top level allows only blocks "
-            f"{list(_TOP_BLOCKS)}, got key {stray.key!r}"
+            f"{list(_SECTIONS)}, got key {stray.name!r}"
         )
-    blocks = {}
-    for blk in root.blocks:
-        if blk.name not in _TOP_BLOCKS:
-            raise ScenarioParseError(
-                f"line {blk.line}: unknown block: {_suggest(blk.name, _TOP_BLOCKS)}"
-            )
-        if blk.name in blocks:
-            raise ScenarioParseError(f"line {blk.line}: duplicate block '{blk.name}'")
-        blocks[blk.name] = blk
+    blocks = _index(root.blocks, _SECTIONS, "block")
+    missing = [
+        f"missing required block '{name}'"
+        for name, section in _SECTIONS.items()
+        if section.required and name not in blocks
+    ]
+    if missing:
+        raise ScenarioValidationError(missing)
 
-    issues: list[str] = []
-    for required in ("system", "kernel", "observable"):
-        if required not in blocks:
-            issues.append(f"missing required block '{required}'")
-    if issues:
-        raise ScenarioValidationError(issues)
+    issues: dict[str, list[str]] = {name: [] for name in _SECTIONS}
+    source = {
+        name: _read_section(section, blocks[name], issues[name])
+        for name, section in _SECTIONS.items()
+        if name in blocks
+    }
+    values = {
+        name: {key: entry.value for key, entry in fields.items()}
+        for name, fields in source.items()
+    }
 
     rng = np.random.default_rng(int(seed))
-
-    # -- system -------------------------------------------------------
-    system = blocks["system"]
-    _reject_unknown(system, ("dimension", "spectrum", "state"), ("hamiltonian", "state"))
-    sys_leaves = system.leaf_map()
-    sys_blocks = system.block_map()
-    if "dimension" not in sys_leaves:
-        raise ScenarioValidationError(["system block needs 'dimension'"])
-    dim = _one_int(sys_leaves["dimension"])
-    if dim < 1:
-        issues.append(f"system dimension must be >= 1, got {dim}")
-        dim = 1
-
-    spectrum = None
-    ham_rows = None
-    hamiltonian = None
-    if "spectrum" in sys_leaves and "hamiltonian" in sys_blocks:
-        issues.append("system: give 'spectrum' or a 'hamiltonian' block, not both")
-    elif "spectrum" in sys_leaves:
-        spectrum = tuple(_floats(sys_leaves["spectrum"]))
-        if len(spectrum) != dim:
-            issues.append(
-                f"system spectrum has {len(spectrum)} entries, expected {dim}"
+    dim = values["system"].get("dimension")
+    operators = {}
+    for name, (block, _, _, preset_issue, matrix_issue) in _OPERATORS.items():
+        entry = source[block].get(name)
+        if dim is not None and entry is not None:
+            prefix = matrix_issue if entry.reader.block else preset_issue
+            operators[name] = _attempt(
+                issues[block], prefix, _operator, name, entry, dim, rng
             )
-        else:
-            hamiltonian = Hamiltonian(np.diag(np.array(spectrum)))
-    elif "hamiltonian" in sys_blocks:
-        ham_rows = tuple(tuple(r) for r in _matrix_rows(sys_blocks["hamiltonian"]))
-        try:
-            arr = np.array(ham_rows, dtype=np.complex128)
-            if arr.shape != (dim, dim):
-                raise RelatimeError(
-                    f"hamiltonian matrix is {arr.shape}, expected ({dim}, {dim})"
-                )
-            hamiltonian = Hamiltonian(arr)
-        except (RelatimeError, ValueError) as exc:
-            issues.append(f"system hamiltonian: {exc}")
-    else:
-        issues.append("system block needs 'spectrum' or a 'hamiltonian' block")
 
-    state_preset = None
-    state_rows = None
-    state = None
-    if "state" in sys_leaves and "state" in sys_blocks:
-        issues.append("system: give a state preset or a state block, not both")
-    elif "state" in sys_leaves:
-        leaf = sys_leaves["state"]
-        name = _enum(leaf, _STATE_PRESETS, "state preset")
-        state_preset = tuple([name] + leaf.tokens[1:])
-        try:
-            state = DensityMatrix(_state_from_preset(state_preset, dim, rng))
-        except (RelatimeError, ValueError) as exc:
-            issues.append(f"system state preset: {exc}")
-    elif "state" in sys_blocks:
-        state_rows = tuple(tuple(r) for r in _matrix_rows(sys_blocks["state"]))
-        try:
-            arr = np.array(state_rows, dtype=np.complex128)
-            if arr.shape != (dim, dim):
-                raise RelatimeError(
-                    f"state matrix is {arr.shape}, expected ({dim}, {dim})"
-                )
-            state = DensityMatrix(arr)
-        except (RelatimeError, ValueError) as exc:
-            issues.append(f"system state: {exc}")
-    else:
-        issues.append("system block needs a 'state' entry or block")
+    kernel_spec = None
+    if not issues["kernel"]:
+        params = values["kernel"]
+        kernel_spec = KernelSpec(params.pop("kind"), params)
+        _attempt(issues["kernel"], "kernel: ", kernel_spec.build)
 
-    # -- kernel -------------------------------------------------------
-    kernel_block = blocks["kernel"]
-    _reject_unknown(
-        kernel_block, ("kind", "lambda", "t_b", "half_width"), ("table",)
-    )
-    k_leaves = kernel_block.leaf_map()
-    k_blocks = kernel_block.block_map()
-    if "kind" not in k_leaves:
-        raise ScenarioValidationError(issues + ["kernel block needs 'kind'"])
-    kind = _enum(k_leaves["kind"], _KERNEL_KINDS, "kernel kind")
-
-    lam = _one_float(k_leaves["lambda"]) if "lambda" in k_leaves else None
-    t_b = _one_float(k_leaves["t_b"]) if "t_b" in k_leaves else None
-    half_width = (
-        _one_float(k_leaves["half_width"]) if "half_width" in k_leaves else None
-    )
-    table_times = table_weights = None
-    if "table" in k_blocks:
-        times, weights = _table_rows(k_blocks["table"])
-        table_times, table_weights = tuple(times), tuple(weights)
-
-    if kind in ("delta", "gaussian", "uniform") and t_b is None:
-        issues.append(f"{kind} kernel needs 't_b'")
-    if kind == "gaussian" and lam is None:
-        issues.append("gaussian kernel needs 'lambda'")
-    if kind == "uniform" and half_width is None:
-        issues.append("uniform kernel needs 'half_width'")
-    if kind == "tabulated" and table_times is None:
-        issues.append("tabulated kernel needs a 'table' block")
-    if kind != "gaussian" and lam is not None:
-        issues.append(f"'lambda' is meaningless for a {kind} kernel")
-    if kind != "uniform" and half_width is not None:
-        issues.append(f"'half_width' is meaningless for a {kind} kernel")
-    if kind != "tabulated" and table_times is not None:
-        issues.append(f"a table block is meaningless for a {kind} kernel")
-    if kind == "tabulated" and t_b is not None:
-        issues.append("a tabulated kernel derives t_b from the table; drop 't_b'")
-    kernel_spec = KernelSpec(
-        kind=kind,
-        lam=lam,
-        t_b=t_b,
-        half_width=half_width,
-        table_times=table_times,
-        table_weights=table_weights,
-    )
-    if not any(issue.startswith(kind) or "kernel" in issue for issue in issues):
-        try:
-            kernel_spec.build()
-        except (RelatimeError, ValueError) as exc:
-            issues.append(f"kernel: {exc}")
-
-    # -- clock (optional) ----------------------------------------------
     clock = None
-    clock_params = None
-    if "clock" in blocks:
-        clock_block = blocks["clock"]
-        _reject_unknown(clock_block, ("dimension", "tick"))
-        c_leaves = clock_block.leaf_map()
-        if "dimension" not in c_leaves or "tick" not in c_leaves:
-            issues.append("clock block needs 'dimension' and 'tick'")
-        else:
-            c_dim = _one_int(c_leaves["dimension"])
-            c_tick = _one_float(c_leaves["tick"])
-            clock_params = (c_dim, c_tick)
-            try:
-                clock = ClockSystem(c_dim, c_tick)
-            except (RelatimeError, ValueError) as exc:
-                issues.append(f"clock: {exc}")
-
-    # -- observable ------------------------------------------------------
-    obs_block = blocks["observable"]
-    _reject_unknown(obs_block, ("preset",), ("matrix",))
-    o_leaves = obs_block.leaf_map()
-    o_blocks = obs_block.block_map()
-    observable = None
-    observable_preset = None
-    observable_rows = None
-    if "preset" in o_leaves and "matrix" in o_blocks:
-        issues.append("observable: give a preset or a matrix block, not both")
-    elif "preset" in o_leaves:
-        observable_preset = _enum(
-            o_leaves["preset"], _OBSERVABLE_PRESETS, "observable preset"
+    if "clock" in values and not issues["clock"]:
+        clock = _attempt(
+            issues["clock"], "clock: ", ClockSystem,
+            values["clock"]["dimension"], values["clock"]["tick"],
         )
-        try:
-            observable = Observable(_observable_from_preset(observable_preset, dim))
-        except (RelatimeError, ValueError) as exc:
-            issues.append(f"observable preset: {exc}")
-    elif "matrix" in o_blocks:
-        observable_rows = tuple(tuple(r) for r in _matrix_rows(o_blocks["matrix"]))
-        try:
-            arr = np.array(observable_rows, dtype=np.complex128)
-            if arr.shape != (dim, dim):
-                raise RelatimeError(
-                    f"observable matrix is {arr.shape}, expected ({dim}, {dim})"
-                )
-            observable = Observable(arr)
-        except (RelatimeError, ValueError) as exc:
-            issues.append(f"observable: {exc}")
-    else:
-        issues.append("observable block needs 'preset' or a 'matrix' block")
 
-    # -- sweep (optional) -------------------------------------------------
     sweep = None
-    if "sweep" in blocks:
-        sweep_block = blocks["sweep"]
-        _reject_unknown(sweep_block, ("variable", "start", "stop", "steps"))
-        s_leaves = sweep_block.leaf_map()
-        missing = [k for k in ("variable", "start", "stop", "steps") if k not in s_leaves]
-        if missing:
-            issues.append(f"sweep block is missing {missing}")
-        else:
-            variable = _enum(s_leaves["variable"], _SWEEP_VARIABLES, "sweep variable")
-            start = _one_float(s_leaves["start"])
-            stop = _one_float(s_leaves["stop"])
-            steps = _one_int(s_leaves["steps"])
-            if steps < 1:
-                issues.append(f"sweep steps must be >= 1, got {steps}")
-            elif stop < start:
-                issues.append(f"sweep stop {stop} is below start {start}")
-            else:
-                sweep = SweepSpec(variable, start, stop, steps)
+    if "sweep" in values and not issues["sweep"]:
+        sweep = SweepSpec(**values["sweep"])
+        if sweep.stop < sweep.start:
+            issues["sweep"].append(
+                f"sweep stop {sweep.stop} is below start {sweep.start}"
+            )
 
-    if issues:
-        raise ScenarioValidationError(issues)
-
+    problems = [issue for group in issues.values() for issue in group]
+    if problems:
+        raise ScenarioValidationError(problems)
     return ScenarioFile(
         dimension=dim,
-        system_hamiltonian=hamiltonian,
-        initial_state=state,
+        system_hamiltonian=operators["hamiltonian"],
+        initial_state=operators["state"],
         kernel_spec=kernel_spec,
-        observable=observable,
+        observable=operators["observable"],
         clock=clock,
         sweep=sweep,
-        spectrum=spectrum,
-        hamiltonian_rows=ham_rows,
-        state_preset=state_preset,
-        state_rows=state_rows,
-        observable_preset=observable_preset,
-        observable_rows=observable_rows,
-        clock_params=clock_params,
+        source=source,
     )
 
 

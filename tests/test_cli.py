@@ -1,10 +1,14 @@
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from relatime.cli import main
 from conftest import SCENARIO_DIR
+from test_scenario import PARSE_CASES
 
 QUBIT = SCENARIO_DIR / "qubit_decoherence.scn"
 CLOCKED = SCENARIO_DIR / "clock_recovery.scn"
@@ -101,6 +105,93 @@ class TestRunners:
     def test_nodes_line_only_where_quadrature_ran(self, command, path, capsys):
         assert main([command, str(path), "--nodes", "16"]) == 0
         assert "# nodes:" not in capsys.readouterr().out
+
+
+def _validate(path) -> tuple[int, str]:
+    """Exit code and stderr of ``relatime validate path``."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["validate", str(path)])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "dimension_overflow",
+        "dimension_nan",
+        "clock_dimension_overflow",
+        "steps_overflow",
+        "sweep_start_nan",
+        "spectrum_infinite",
+        "junk_after_observable_preset",
+        "junk_after_kernel_kind",
+        "junk_after_sweep_variable",
+        "junk_after_state_preset",
+        "block_in_state_block",
+        "block_in_hamiltonian_block",
+        "block_in_matrix_block",
+        "block_in_table_block",
+        "dimension_over_cap",
+        "clock_dimension_far_over_cap",
+    ],
+)
+def test_defective_input_exits_2(case, tmp_path):
+    path = tmp_path / "bad.scn"
+    path.write_text(PARSE_CASES[case])
+    code, err = _validate(path)
+    assert code == 2
+    assert err.startswith(("E_PARSE: line ", "E_VALIDATION:")), err
+
+
+FUZZ_VALUES = ("inf", "-inf", "nan", "1e400", "-1", "0", "4097", "1000000000", "junk")
+FUZZ_BLOCKS = ("x", "table", "matrix", "state", "hamiltonian", "clock", "sweep")
+MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(["replace", "append"]), st.sampled_from(FUZZ_VALUES)),
+    st.tuples(st.just("insert"), st.sampled_from(FUZZ_BLOCKS)),
+)
+
+
+def _uncommented(path) -> list[str]:
+    lines = (line.split("#", 1)[0].rstrip() for line in path.read_text().splitlines())
+    return [line for line in lines if line.strip()]
+
+
+FUZZ_BASES = [_uncommented(path) for path in (QUBIT, CLOCKED, PEARLE)]
+
+
+def mutate(base: int, mutation, where: int, which: int) -> str:
+    """One bundled scenario with one token replaced, one token appended to
+    a line, or one empty block inserted before a line."""
+    kind, value = mutation
+    lines = list(FUZZ_BASES[base])
+    k = where % len(lines)
+    if kind == "replace":
+        tokens = lines[k].split()
+        tokens[which % len(tokens)] = value
+        lines[k] = " ".join(tokens)
+    elif kind == "append":
+        lines[k] += " " + value
+    else:
+        lines[k:k] = [value + " {", "}"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@example(base=0, mutation=("replace", "1e400"), where=1, which=1)
+@given(
+    base=st.integers(0, len(FUZZ_BASES) - 1),
+    mutation=MUTATIONS,
+    where=st.integers(0, 40),
+    which=st.integers(0, 3),
+)
+def test_mutated_scenarios_fail_cleanly(tmp_path_factory, base, mutation, where, which):
+    path = tmp_path_factory.getbasetemp() / "mutated.scn"
+    path.write_text(mutate(base, mutation, where, which))
+    code, err = _validate(path)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith(("E_PARSE:", "E_VALIDATION:")), err
 
 
 class TestEntryPoint:

@@ -736,6 +736,10 @@ PARSE_CASES = {
         _observable("1 0 0 0", "0 0 -1 0").replace("  }", "    x {\n    }\n  }"),
     ),
     "block_in_table_block": _edit("    0.0 1\n", "    0.0 1\n    x {\n    }\n", CLOCKED),
+    # dimensions above the cap are refused before anything is built
+    "dimension_over_cap": _edit("dimension 2", "dimension 4097"),
+    "clock_dimension_over_cap": _edit("dimension 8", "dimension 4097", CLOCKED),
+    "clock_dimension_far_over_cap": _edit("dimension 8", "dimension 1000000000", CLOCKED),
 }
 
 
@@ -778,7 +782,7 @@ PARSE_EXPECTED = {
     ),
     "unknown_key_kernel": (
         "ScenarioParseError",
-        "line 9: unknown key in 'kernel': 'lamda' is not one of ['kind', 'lambda', 't_b', 'half_width']; did you mean 'lambda'?",
+        "line 9: unknown key in 'kernel': 'lamda' is not one of ['kind', 'lambda', 'half_width', 't_b']; did you mean 'lambda'?",
     ),
     "unknown_key_clock": (
         "ScenarioParseError",
@@ -872,7 +876,7 @@ PARSE_EXPECTED = {
     ),
     "table_row_not_numeric": (
         "ScenarioParseError",
-        "line 10: table row is not numeric: '0.0 x'",
+        "line 10: 'table row' expects numbers, got ['0.0', 'x']",
     ),
     "missing_system": ("issues", ["missing required block 'system'"]),
     "missing_kernel_and_observable": (
@@ -883,14 +887,7 @@ PARSE_EXPECTED = {
         ],
     ),
     "system_needs_dimension": ("issues", ["system block needs 'dimension'"]),
-    "dimension_below_one": (
-        "issues",
-        [
-            'system dimension must be >= 1, got 0',
-            'system spectrum has 2 entries, expected 1',
-            'observable preset: 1 validation issue(s):\n  - pauli_x needs dimension 2',
-        ],
-    ),
+    "dimension_below_one": ("issues", ['system dimension must be >= 1, got 0']),
     "spectrum_and_hamiltonian": (
         "issues",
         [
@@ -935,10 +932,8 @@ PARSE_EXPECTED = {
         ],
     ),
     "basis_state_without_index": (
-        "issues",
-        [
-            'system state preset: 1 validation issue(s):\n  - basis_state preset needs an index',
-        ],
+        "ScenarioParseError",
+        "line 5: state preset 'basis_state' takes 1 value(s), got []",
     ),
     "basis_state_index_not_integer": (
         "issues",
@@ -1054,34 +1049,99 @@ PARSE_EXPECTED = {
             'kernel: lam must be > 0, got -1.0',
         ],
     ),
-    "dimension_overflow": ("OverflowError", 'cannot convert float infinity to integer'),
-    "dimension_nan": ("ValueError", 'cannot convert float NaN to integer'),
-    "clock_dimension_overflow": (
-        "OverflowError",
-        'cannot convert float infinity to integer',
+    "dimension_overflow": (
+        "ScenarioParseError",
+        "line 3: 'dimension' expects finite numbers, got ['1e400']",
     ),
-    "steps_overflow": ("OverflowError", 'cannot convert float infinity to integer'),
-    "steps_huge": ("ok", 'ee2029d160fa996b'),
-    "sweep_start_nan": ("ok", '9381bdcdd2595f7f'),
-    "spectrum_infinite": ("QuantumStateError", 'matrix has non-finite entries'),
-    "lambda_infinite": ("ok", '55b06e44a5b08e31'),
-    "tick_infinite": ("issues", ['clock: matrix has non-finite entries']),
-    "table_entry_infinite": ("issues", ['kernel: table entries must be finite']),
-    "matrix_entry_nan": ("issues", ['system state: matrix has non-finite entries']),
-    "junk_after_observable_preset": ("ok", '236917655aa66ad5'),
-    "junk_after_kernel_kind": ("ok", '236917655aa66ad5'),
-    "junk_after_sweep_variable": ("ok", '34dd9cbc84b5aebc'),
-    "junk_after_state_preset": ("ok", 'e2a63c2ff4d5706f'),
+    "dimension_nan": (
+        "ScenarioParseError",
+        "line 3: 'dimension' expects finite numbers, got ['nan']",
+    ),
+    "clock_dimension_overflow": (
+        "ScenarioParseError",
+        "line 21: 'dimension' expects finite numbers, got ['1e400']",
+    ),
+    "steps_overflow": (
+        "ScenarioParseError",
+        "line 20: 'steps' expects finite numbers, got ['1e400']",
+    ),
+    "steps_huge": (
+        "ScenarioParseError",
+        "line 20: 'steps' is beyond the 64-bit integer range, got 1e+300",
+    ),
+    "sweep_start_nan": (
+        "ScenarioParseError",
+        "line 18: 'start' expects finite numbers, got ['nan']",
+    ),
+    "spectrum_infinite": (
+        "ScenarioParseError",
+        "line 4: 'spectrum' expects finite numbers, got ['0', 'inf']",
+    ),
+    "lambda_infinite": (
+        "ScenarioParseError",
+        "line 9: 'lambda' expects finite numbers, got ['inf']",
+    ),
+    "tick_infinite": (
+        "ScenarioParseError",
+        "line 22: 'tick' expects finite numbers, got ['inf']",
+    ),
+    "table_entry_infinite": (
+        "ScenarioParseError",
+        "line 10: 'table row' expects finite numbers, got ['0.0', 'inf']",
+    ),
+    "matrix_entry_nan": (
+        "ScenarioParseError",
+        "line 6: 'row' expects finite numbers, got ['nan', '0', '0', '0']",
+    ),
+    "junk_after_observable_preset": (
+        "ScenarioParseError",
+        "line 13: observable preset 'pauli_x' takes 0 value(s), got ['junk']",
+    ),
+    "junk_after_kernel_kind": (
+        "ScenarioParseError",
+        "line 8: kernel kind 'gaussian' takes 0 value(s), got ['junk']",
+    ),
+    "junk_after_sweep_variable": (
+        "ScenarioParseError",
+        "line 17: sweep variable 't_B' takes 0 value(s), got ['junk']",
+    ),
+    "junk_after_state_preset": (
+        "ScenarioParseError",
+        "line 5: state preset 'plus_state' takes 0 value(s), got ['junk']",
+    ),
     "junk_after_basis_state_index": (
+        "ScenarioParseError",
+        "line 5: state preset 'basis_state' takes 1 value(s), got ['1', 'junk']",
+    ),
+    "block_in_state_block": (
+        "ScenarioParseError",
+        "line 8: unknown block in 'state': 'x' is not one of ['<none>']",
+    ),
+    "block_in_hamiltonian_block": (
+        "ScenarioParseError",
+        "line 7: unknown block in 'hamiltonian': 'x' is not one of ['<none>']",
+    ),
+    "block_in_matrix_block": (
+        "ScenarioParseError",
+        "line 16: unknown block in 'matrix': 'x' is not one of ['<none>']",
+    ),
+    "block_in_table_block": (
+        "ScenarioParseError",
+        "line 11: unknown block in 'table': 'x' is not one of ['<none>']",
+    ),
+    "dimension_over_cap": ("issues", ['system dimension must be <= 4096, got 4097']),
+    "clock_dimension_over_cap": (
         "issues",
         [
-            'system state preset: 1 validation issue(s):\n  - basis_state preset needs an index',
+            'clock dimension must be <= 4096, got 4097',
         ],
     ),
-    "block_in_state_block": ("ok", 'a5865211ee0bca0e'),
-    "block_in_hamiltonian_block": ("ok", 'd2c7189bca3abf15'),
-    "block_in_matrix_block": ("ok", 'b15e691ae6dc4e3c'),
-    "block_in_table_block": ("ok", '0358eca4fb907106'),
+    "clock_dimension_far_over_cap": (
+        "issues",
+        [
+            'clock dimension must be <= 4096, got 1000000000',
+        ],
+    ),
 }
 
 
