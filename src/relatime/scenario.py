@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import difflib
 import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -169,15 +168,15 @@ def _index(nodes, allowed, noun: str, where: tuple[str, str] = ("", "")) -> dict
     return out
 
 
-def _floats(leaf: _Leaf, count: int | None = None) -> list[float]:
+def _floats(leaf: _Leaf, count: int | None = None) -> np.ndarray:
     """The leaf's values as finite floats; the one place numbers are read."""
     try:
-        values = [float(tok) for tok in leaf.tokens]
+        values = np.array(leaf.tokens, dtype=float)
     except ValueError as exc:
         raise ScenarioParseError(
             f"line {leaf.line}: '{leaf.name}' expects numbers, got {leaf.tokens!r}"
         ) from exc
-    if not all(map(math.isfinite, values)):
+    if not np.isfinite(values).all():
         raise ScenarioParseError(
             f"line {leaf.line}: '{leaf.name}' expects finite numbers, got "
             f"{leaf.tokens!r}"
@@ -191,7 +190,7 @@ def _floats(leaf: _Leaf, count: int | None = None) -> list[float]:
 
 
 def _int(leaf: _Leaf) -> int:
-    value = _floats(leaf, 1)[0]
+    value = float(_floats(leaf, 1)[0])
     if value != int(value):
         raise ScenarioParseError(
             f"line {leaf.line}: '{leaf.name}' expects an integer, got {value}"
@@ -235,12 +234,12 @@ def _matrix(block: _Block) -> list[np.ndarray]:
                 f"'row' lines, got {leaf.name!r}"
             )
         values = _floats(leaf)
-        if len(values) % 2 != 0 or not values:
+        if len(values) % 2 != 0 or len(values) == 0:
             raise ScenarioParseError(
                 f"line {leaf.line}: matrix row needs an even number of "
                 f"values (re im pairs), got {len(values)}"
             )
-        rows.append(np.array(values))
+        rows.append(values)
     if not rows:
         raise ScenarioParseError(
             f"line {block.line}: matrix block '{block.name}' has no rows"
@@ -248,7 +247,7 @@ def _matrix(block: _Block) -> list[np.ndarray]:
     return rows
 
 
-def _table(block: _Block) -> list[list[float]]:
+def _table(block: _Block) -> list[np.ndarray]:
     """'t weight' lines."""
     rows = []
     for leaf in block.leaves:
@@ -262,8 +261,8 @@ def _table(block: _Block) -> list[list[float]]:
     return rows
 
 
-def _join(values) -> str:
-    return " ".join(map(repr, values))
+def _join(values: np.ndarray) -> str:
+    return " ".join(map(float.__repr__, values.tolist()))
 
 
 class _Reader(NamedTuple):
@@ -275,10 +274,10 @@ class _Reader(NamedTuple):
 
 
 _INT = _Reader(_int, str)
-_FLOAT = _Reader(lambda leaf: _floats(leaf, 1)[0], repr)
+_FLOAT = _Reader(lambda leaf: float(_floats(leaf, 1)[0]), repr)
 _FLOATS = _Reader(_floats, _join)
 _MATRIX = _Reader(
-    _matrix, lambda rows: ("row " + _join(row.tolist()) for row in rows), True
+    _matrix, lambda rows: ("row " + _join(row) for row in rows), True
 )
 _TABLE = _Reader(_table, lambda rows: map(_join, rows), True)
 
@@ -317,7 +316,7 @@ class _Section(NamedTuple):
     kinds: dict | None = None
 
 
-def _tabulated(rows: list[list[float]]) -> TabulatedKernel:
+def _tabulated(rows: list[np.ndarray]) -> TabulatedKernel:
     return TabulatedKernel([t for t, _ in rows], [w for _, w in rows])
 
 
@@ -528,12 +527,12 @@ def emit_scenario(scn: ScenarioFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spectrum(values: list[float], dim: int, rng) -> np.ndarray:
+def _spectrum(values: np.ndarray, dim: int, rng) -> np.ndarray:
     if len(values) != dim:
         raise RelatimeError(
             f"system spectrum has {len(values)} entries, expected {dim}"
         )
-    return np.diag(np.array(values))
+    return np.diag(values)
 
 
 def _state_from_preset(preset: str, dim: int, rng) -> np.ndarray:
