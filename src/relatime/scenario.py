@@ -426,14 +426,14 @@ def _read_section(section: _Section, block: _Block, issues: list[str]) -> dict:
     wanted = {"kind"} if section.kinds and not kind else allowed
     missing = [entry for entry in absent if entry.name in wanted]
     names = [entry.name for entry in missing]
+    # entries sharing one message (clock, sweep) report it once
     issues.extend(
         dict.fromkeys(e.needs.format(kind=kind, missing=names) for e in missing)
     )
     for entry in section.entries:
-        value = fields[entry.name].value if entry.name in fields else None
-        low, high = entry.limits
-        if value is None:
+        if entry.name not in fields:
             continue
+        value, (low, high) = fields[entry.name].value, entry.limits
         if entry.name not in allowed:
             issues.append(entry.unused.format(kind=kind))
         elif low is not None and value < low:
