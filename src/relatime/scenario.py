@@ -168,6 +168,14 @@ def _index(nodes, allowed, noun: str, where: tuple[str, str] = ("", "")) -> dict
     return out
 
 
+class _Reader(NamedTuple):
+    """Leaf (or block of rows) to value, and value to canonical text."""
+
+    read: Callable
+    text: Callable
+    block: bool = False
+
+
 def _floats(leaf: _Leaf, count: int | None = None) -> np.ndarray:
     """The leaf's values as finite floats; the one place numbers are read."""
     try:
@@ -263,14 +271,6 @@ def _table(block: _Block) -> list[np.ndarray]:
 
 def _join(values: np.ndarray) -> str:
     return " ".join(map(float.__repr__, values.tolist()))
-
-
-class _Reader(NamedTuple):
-    """Leaf (or block of rows) to value, and value to canonical text."""
-
-    read: Callable
-    text: Callable
-    block: bool = False
 
 
 _INT = _Reader(_int, str)
