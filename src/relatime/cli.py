@@ -1,10 +1,12 @@
 """Command-line front end: validate scenarios, run sweeps, emit CSV.
 
 Subcommands mirror the runners in ``scenario``: ``validate``, ``sweep``,
-``clock-recovery``, ``pearle-compare`` and ``report``. Output goes to
-stdout unless ``--out`` names a file. Failures print a machine-parsable
-prefix (E_PARSE / E_VALIDATION / E_NUMERIC) on stderr and exit 2 for
-parse or validation problems, 3 for numerical ones.
+``clock-recovery``, ``pearle-compare`` and ``report``. Every subcommand
+takes ``--seed``; ``pearle-compare`` also takes ``--nodes`` and ``report``
+``--threshold``. Output goes to stdout unless ``--out`` names a file.
+Failures print a machine-parsable prefix (E_PARSE / E_VALIDATION /
+E_NUMERIC) on stderr and exit 2 for parse or validation problems, 3 for
+numerical ones.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from .errors import (
     ScenarioParseError,
     ZeroProbabilityError,
 )
+from .evolution import DECOHERENCE_THRESHOLD
 from .scenario import (
+    PEARLE_NODES,
     parse_scenario,
     run_clock_recovery,
     run_decoherence_sweep,
@@ -48,22 +52,18 @@ _RUNNERS = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser, with_out: bool = True) -> None:
-    sub.add_argument("file", help="scenario file to read")
+def _subcommand(sub, name: str, help_text: str, with_out: bool = True):
+    """A subparser with the file argument, ``--seed`` and (unless told
+    otherwise) ``--out``; a subcommand's other options are the keyword
+    parameters of its runner."""
+    parser = sub.add_parser(name, help=help_text)
+    parser.add_argument("file", help="scenario file to read")
     if with_out:
-        sub.add_argument("--out", help="write CSV here instead of stdout")
-    sub.add_argument(
-        "--nodes", type=int, default=64, help="quadrature node count (default 64)"
-    )
-    sub.add_argument(
-        "--threshold",
-        type=float,
-        default=1e-6,
-        help="complete-decoherence cutoff on off-diagonal magnitude",
-    )
-    sub.add_argument(
+        parser.add_argument("--out", help="write CSV here instead of stdout")
+    parser.add_argument(
         "--seed", type=int, default=0, help="64-bit seed for randomized presets"
     )
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,22 +73,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("validate", help="parse and validate only"),
-                with_out=False)
-    _add_common(sub.add_parser("sweep", help="decoherence sweep over t_B or lambda"))
-    _add_common(
-        sub.add_parser(
-            "clock-recovery",
-            help="conditional readout over the pointer grid",
-        )
+    _subcommand(sub, "validate", "parse and validate only", with_out=False)
+    _subcommand(sub, "sweep", "decoherence sweep over t_B or lambda")
+    _subcommand(sub, "clock-recovery", "conditional readout over the pointer grid")
+    _subcommand(
+        sub, "pearle-compare", "collapse dynamics vs Gaussian relational state"
+    ).add_argument(
+        "--nodes",
+        type=int,
+        default=PEARLE_NODES,
+        help="Gauss-Hermite node count of the collapse engine (default %(default)s)",
     )
-    _add_common(
-        sub.add_parser(
-            "pearle-compare",
-            help="collapse dynamics vs Gaussian relational state",
-        )
+    _subcommand(sub, "report", "per-pair coherence report").add_argument(
+        "--threshold",
+        type=float,
+        default=DECOHERENCE_THRESHOLD,
+        help="complete-decoherence cutoff on off-diagonal magnitude "
+        "(default %(default)s)",
     )
-    _add_common(sub.add_parser("report", help="per-pair coherence report"))
     return parser
 
 
@@ -127,13 +129,9 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     runner = _RUNNERS[args.command]
+    options = {k: v for k, v in vars(args).items() if k in ("nodes", "threshold")}
     try:
-        table = runner(
-            scenario,
-            nodes=args.nodes,
-            threshold=args.threshold,
-            seed=args.seed,
-        )
+        table = runner(scenario, **options)
         csv_text = table.to_csv()
     except _NUMERIC_ERRORS as exc:
         return _fail("E_NUMERIC", exc, EXIT_NUMERIC)

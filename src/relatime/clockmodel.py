@@ -136,9 +136,7 @@ class ClockSystem:
         return f"ClockSystem(dim={self.dim}, tick={self.tick})"
 
 
-def make_ideal_clock(dim: int, tick: float) -> ClockSystem:
-    """Build a cyclic pointer clock (see ``ClockSystem``)."""
-    return ClockSystem(dim, tick)
+make_ideal_clock = ClockSystem  # a cyclic pointer clock
 
 
 class CompositeScenario:

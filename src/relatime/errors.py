@@ -1,8 +1,8 @@
 """Exception types raised across the package.
 
-Validation errors report which invariant failed and by how much, so a
-caller can distinguish a genuinely bad state from one that merely needs a
-looser tolerance.
+Validation errors report which invariant failed and by how much (the
+Hermiticity defect, the trace, the smallest eigenvalue), so a caller can
+see how far outside the fixed tolerances of ``qmat`` an input lies.
 """
 
 
@@ -45,7 +45,7 @@ class EigensolverError(RelatimeError):
 
 
 class DimensionOverflowError(RelatimeError, ValueError):
-    """A tensor product would exceed the configured dimension cap."""
+    """A tensor product would exceed ``qmat.DIMENSION_CAP``."""
 
 
 class DimensionMismatchError(RelatimeError, ValueError):

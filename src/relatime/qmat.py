@@ -5,7 +5,7 @@ arrays: ``DensityMatrix`` (Hermitian, unit trace, positive semidefinite),
 ``Hamiltonian`` (Hermitian with a cached spectral decomposition, energy
 units with hbar = 1) and ``Observable`` (Hermitian). Validation happens at
 construction: no instance can exist that violates its invariants beyond
-the stated tolerances.
+the fixed tolerances ``HERMITICITY_TOL``, ``TRACE_TOL`` and ``PSD_TOL``.
 
 Tensor index convention, shared by every module: in a bipartite product
 the slow subsystem S is the LEFT (row-major outer) factor and the clock C
@@ -42,8 +42,8 @@ __all__ = [
     "purity",
 ]
 
-# Default numerical budgets. The mathematics is exact; these absorb the
-# roundoff of float64 arithmetic. All constructors accept overrides.
+# Numerical budgets. The mathematics is exact; these absorb the roundoff
+# of float64 arithmetic.
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -91,24 +91,17 @@ class DensityMatrix:
 
     __slots__ = ("dim", "matrix")
 
-    def __init__(
-        self,
-        matrix,
-        *,
-        herm_tol: float = HERMITICITY_TOL,
-        trace_tol: float = TRACE_TOL,
-        psd_tol: float = PSD_TOL,
-    ):
+    def __init__(self, matrix):
         arr = _as_matrix(matrix)
         dim = _require_square(arr)
         defect = _hermiticity_defect(arr)
-        if defect > herm_tol:
+        if defect > HERMITICITY_TOL:
             raise NotHermitianError(defect, what="density matrix")
         tr = complex(np.trace(arr))
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise TraceNotOneError(tr)
         smallest = float(np.linalg.eigvalsh(arr)[0])
-        if smallest < -psd_tol:
+        if smallest < -PSD_TOL:
             raise NotPositiveError(smallest)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", _frozen(arr))
@@ -132,11 +125,11 @@ class Hamiltonian:
 
     __slots__ = ("dim", "matrix", "spectrum", "eigenbasis")
 
-    def __init__(self, matrix, *, herm_tol: float = HERMITICITY_TOL):
+    def __init__(self, matrix):
         arr = _as_matrix(matrix)
         dim = _require_square(arr)
         defect = _hermiticity_defect(arr)
-        if defect > herm_tol:
+        if defect > HERMITICITY_TOL:
             raise NotHermitianError(defect, what="Hamiltonian")
         try:
             energies, basis = np.linalg.eigh(arr)
@@ -200,11 +193,11 @@ class Observable:
 
     __slots__ = ("dim", "matrix")
 
-    def __init__(self, matrix, *, herm_tol: float = HERMITICITY_TOL):
+    def __init__(self, matrix):
         arr = _as_matrix(matrix)
         dim = _require_square(arr)
         defect = _hermiticity_defect(arr)
-        if defect > herm_tol:
+        if defect > HERMITICITY_TOL:
             raise NotHermitianError(defect, what="observable")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", _frozen(arr))
@@ -216,24 +209,19 @@ class Observable:
         return f"Observable(dim={self.dim})"
 
 
-def make_density(matrix, **tolerances) -> DensityMatrix:
-    """Validate a matrix as a density matrix (see ``DensityMatrix``)."""
-    return DensityMatrix(matrix, **tolerances)
+# Validate a matrix as a density matrix; diagonalize a Hermitian one.
+make_density = DensityMatrix
+spectral_decompose = Hamiltonian
 
 
-def spectral_decompose(matrix, *, herm_tol: float = HERMITICITY_TOL) -> Hamiltonian:
-    """Diagonalize a Hermitian matrix into a ``Hamiltonian``."""
-    return Hamiltonian(matrix, herm_tol=herm_tol)
-
-
-def tensor(a, b, *, cap: int = DIMENSION_CAP) -> np.ndarray:
+def tensor(a, b) -> np.ndarray:
     """Kronecker product with the S-left / C-right index convention."""
     am = _as_matrix(a)
     bm = _as_matrix(b)
     product_dim = am.shape[0] * bm.shape[0]
-    if product_dim > cap:
+    if product_dim > DIMENSION_CAP:
         raise DimensionOverflowError(
-            f"tensor product dimension {product_dim} exceeds cap {cap}"
+            f"tensor product dimension {product_dim} exceeds cap {DIMENSION_CAP}"
         )
     return np.kron(am, bm)
 

@@ -32,14 +32,16 @@ syntax problems raise ``ScenarioParseError`` with a line number, semantic
 problems are collected and raised together as ``ScenarioValidationError``.
 
 Runners produce ``ResultTable`` objects that serialize to plain CSV with
-a '#'-prefixed metadata header (scenario hash, version, threshold, seed,
-quadrature nodes if used), so identical inputs give byte-identical files.
+a '#'-prefixed metadata header (version, scenario hash, ``nodes`` for the
+collapse comparison, ``threshold`` for the report, the scenario's seed),
+so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import difflib
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -60,6 +62,7 @@ from .errors import (
 )
 # bench/traced_job.py wraps every engine here, evolve_unitary included.
 from .evolution import (  # noqa: F401
+    DECOHERENCE_THRESHOLD,
     _distinct_gap_mask,
     _finish_state,
     _kernel_multiplier,
@@ -375,7 +378,7 @@ _SCHEMA = (
         _key("variable", _VARIABLE, _SWEEP_NEEDS),
         _key("start", _FLOAT, _SWEEP_NEEDS),
         _key("stop", _FLOAT, _SWEEP_NEEDS),
-        _key("steps", _INT, _SWEEP_NEEDS, limits=(1, None)),
+        _key("steps", _INT, _SWEEP_NEEDS, limits=(1, DIMENSION_CAP)),
     )),
 )
 _SECTIONS = {section.name: section for section in _SCHEMA}
@@ -489,7 +492,8 @@ class ScenarioFile:
     """One fully validated scenario plus the values it was read from.
 
     ``source`` holds, per block in canonical order, each entry's ``_Field``;
-    ``emit_scenario`` writes it back.
+    ``emit_scenario`` writes it back. ``seed`` is the one the random state
+    presets were drawn with.
     """
 
     dimension: int
@@ -500,6 +504,7 @@ class ScenarioFile:
     clock: ClockSystem | None
     sweep: SweepSpec | None
     source: dict
+    seed: int
 
     def kernel(self) -> TimeKernel:
         return self.kernel_spec.build()
@@ -542,9 +547,7 @@ def _state_from_preset(preset: str, dim: int, rng) -> np.ndarray:
     if name == "basis_state":
         k = int(index[0])
         if not 0 <= k < dim:
-            raise ScenarioValidationError(
-                [f"basis_state index {k} outside 0..{dim - 1}"]
-            )
+            raise RelatimeError(f"basis_state index {k} outside 0..{dim - 1}")
         out = np.zeros((dim, dim), dtype=np.complex128)
         out[k, k] = 1.0
         return out
@@ -566,7 +569,7 @@ def _observable_from_preset(name: str, dim: int, rng) -> np.ndarray:
     if name == "number_op":
         return np.diag(np.arange(dim)).astype(np.complex128)
     if dim != 2:
-        raise ScenarioValidationError([f"{name} needs dimension 2"])
+        raise RelatimeError(f"{name} needs dimension 2")
     return np.array(_PAULI[name], dtype=np.complex128)
 
 
@@ -684,6 +687,7 @@ def parse_scenario(text: str, *, seed: int = 0) -> ScenarioFile:
         clock=clock,
         sweep=sweep,
         source=source,
+        seed=int(seed),
     )
 
 
@@ -726,13 +730,25 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
 
-def _base_metadata(scn: ScenarioFile, threshold: float, seed: int, nodes=None):
-    """Provenance lines; ``nodes`` only for runners that ran quadrature."""
+def _base_metadata(scn: ScenarioFile, *, nodes=None, threshold=None) -> dict:
+    """Provenance lines; ``nodes`` and ``threshold`` only where they were used."""
     meta = {"generator": f"relatime {__version__}", "scenario-sha256": scn.digest()}
     if nodes is not None:
         meta["nodes"] = str(int(nodes))
-    meta.update(threshold=repr(float(threshold)), seed=str(int(seed)))
+    if threshold is not None:
+        meta["threshold"] = repr(float(threshold))
+    meta["seed"] = str(scn.seed)
     return meta
+
+
+@contextmanager
+def _at(point: str):
+    """Prefix a library error raised inside with the point it arose at."""
+    try:
+        yield
+    except RelatimeError as exc:
+        exc.args = (f"at {point}: {exc}",)
+        raise
 
 
 def _distinct_gaps(hamiltonian: Hamiltonian) -> np.ndarray:
@@ -741,19 +757,16 @@ def _distinct_gaps(hamiltonian: Hamiltonian) -> np.ndarray:
     return np.unique(np.round(gaps[_distinct_gap_mask(energies)], 12))
 
 
-def _max_offdiag(state: DensityMatrix, hamiltonian: Hamiltonian) -> float:
-    rho_e = _to_eigenbasis(state.matrix, hamiltonian)
-    off = np.abs(rho_e - np.diag(np.diag(rho_e)))
-    return float(np.max(off, initial=0.0))
+def _max_offdiag(rho_e: np.ndarray, distinct: np.ndarray) -> float:
+    """Largest energy-basis magnitude where ``distinct`` (the spectrum's
+    ``_distinct_gap_mask``) holds: averaging cannot touch the rest."""
+    return float(np.max(np.abs(rho_e[distinct]), initial=0.0))
 
 
-def run_decoherence_sweep(
-    scn: ScenarioFile,
-    *,
-    nodes: int = 64,
-    threshold: float = 1e-6,
-    seed: int = 0,
-) -> ResultTable:
+PEARLE_NODES = 64  # Gauss-Hermite nodes of the collapse comparison
+
+
+def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
     """Sweep t_B or lambda; one row per point with both observers' values.
 
     The exact-time column evolves to the nominal reading; the averaged
@@ -762,7 +775,7 @@ def run_decoherence_sweep(
 
     The state and observable go to the energy basis once. Each point
     scales that state by the unitary and kernel multipliers and validates
-    both results as density matrices there. ``nodes`` is unused.
+    both results as density matrices there.
     """
     if scn.sweep is None or scn.sweep.variable not in ("t_B", "lambda"):
         raise ScenarioValidationError(
@@ -793,33 +806,22 @@ def run_decoherence_sweep(
         else:
             kernel = scn.kernel_spec.build(lam=x)
             t_alice = scn.kernel_spec.t_b
-        try:
+        with _at(f"sweep point {variable} = {x!r}"):
             rho_a = _finish_state(rho_e * _unitary_multiplier(spectrum, t_alice))
             rho_b = _finish_state(rho_e * _kernel_multiplier(spectrum, kernel))
-        except RelatimeError as exc:
-            exc.args = (f"at sweep point {variable} = {x!r}: {exc}",)
-            raise
         columns[variable].append(x)
         columns["expect_A"].append(expectation(observable_e, rho_a))
         columns["expect_B"].append(expectation(observable_e, rho_b))
         columns["purity_A"].append(purity(rho_a))
         columns["purity_B"].append(purity(rho_b))
-        columns["max_offdiag"].append(
-            float(np.max(np.abs(rho_b.matrix[distinct]), initial=0.0))
-        )
+        columns["max_offdiag"].append(_max_offdiag(rho_b.matrix, distinct))
         for name, factor in zip(gap_names, np.abs(kernel._chi(gaps)).tolist()):
             columns[name].append(factor)
 
-    return ResultTable(columns=columns, metadata=_base_metadata(scn, threshold, seed))
+    return ResultTable(columns=columns, metadata=_base_metadata(scn))
 
 
-def run_clock_recovery(
-    scn: ScenarioFile,
-    *,
-    nodes: int = 64,
-    threshold: float = 1e-6,
-    seed: int = 0,
-) -> ResultTable:
+def run_clock_recovery(scn: ScenarioFile) -> ResultTable:
     """Exact-time vs through-the-watch conditional values on the pointer grid.
 
     Rows cover every pointer time the kernel supports (optionally windowed
@@ -858,29 +860,25 @@ def run_clock_recovery(
         "abs_difference": [],
     }
     for t in times:
-        a = alice_conditional(composite, scn.observable, t)
-        b = bob_conditional(composite, kernel, scn.observable, t)
+        with _at(f"readout t = {t!r}"):
+            a = alice_conditional(composite, scn.observable, t)
+            b = bob_conditional(composite, kernel, scn.observable, t)
         columns["t"].append(t)
         columns["alice_value"].append(a)
         columns["bob_value"].append(b)
         columns["abs_difference"].append(abs(a - b))
 
-    table = ResultTable(columns=columns, metadata=_base_metadata(scn, threshold, seed))
+    table = ResultTable(columns=columns, metadata=_base_metadata(scn))
     table.footer["max_abs_difference"] = repr(max(columns["abs_difference"]))
     return table
 
 
-def run_pearle_compare(
-    scn: ScenarioFile,
-    *,
-    nodes: int = 64,
-    threshold: float = 1e-6,
-    seed: int = 0,
-) -> ResultTable:
+def run_pearle_compare(scn: ScenarioFile, *, nodes: int = PEARLE_NODES) -> ResultTable:
     """Collapse-dynamics state vs Gaussian-kernel relational state per t.
 
     The two are the same integral in different variables, so the distance
-    column is pure quadrature error.
+    column is pure quadrature error; ``nodes`` is the collapse engine's
+    Gauss-Hermite node count.
     """
     if scn.kernel_spec.kind != "gaussian":
         raise ScenarioValidationError(["pearle comparison needs a gaussian kernel"])
@@ -894,6 +892,7 @@ def run_pearle_compare(
     hamiltonian = scn.system_hamiltonian
     rho0 = scn.initial_state
     lam = scn.kernel_spec.lam
+    distinct = _distinct_gap_mask(hamiltonian.spectrum)
     columns: dict[str, list] = {
         "t": [],
         "maxnorm_distance": [],
@@ -902,33 +901,32 @@ def run_pearle_compare(
     }
     for t in scn.sweep.values():
         t = float(t)
-        try:
+        with _at(f"sweep point t = {t!r}"):
             collapsed = evolve_pearle(rho0, hamiltonian, lam, t, nodes).state
             relational = evolve_relational_dephasing(
                 rho0, hamiltonian, make_gaussian_kernel(lam, t)
             ).state
-        except RelatimeError as exc:
-            exc.args = (f"at sweep point t = {t!r}: {exc}",)
-            raise
         distance = float(np.max(np.abs(collapsed.matrix - relational.matrix)))
         columns["t"].append(t)
         columns["maxnorm_distance"].append(distance)
-        columns["offdiag_pearle"].append(_max_offdiag(collapsed, hamiltonian))
-        columns["offdiag_relational"].append(_max_offdiag(relational, hamiltonian))
+        columns["offdiag_pearle"].append(
+            _max_offdiag(_to_eigenbasis(collapsed.matrix, hamiltonian), distinct)
+        )
+        columns["offdiag_relational"].append(
+            _max_offdiag(_to_eigenbasis(relational.matrix, hamiltonian), distinct)
+        )
 
-    return ResultTable(
-        columns=columns, metadata=_base_metadata(scn, threshold, seed, nodes)
-    )
+    return ResultTable(columns=columns, metadata=_base_metadata(scn, nodes=nodes))
 
 
 def run_report(
-    scn: ScenarioFile,
-    *,
-    nodes: int = 64,
-    threshold: float = 1e-6,
-    seed: int = 0,
+    scn: ScenarioFile, *, threshold: float = DECOHERENCE_THRESHOLD
 ) -> ResultTable:
-    """Energy-basis coherence magnitudes before/after averaging, as rows."""
+    """Energy-basis coherence magnitudes before/after averaging, as rows.
+
+    ``complete_decoherence`` in the footer compares the largest averaged
+    magnitude with ``threshold``.
+    """
     report = coherence_report(
         scn.initial_state, scn.system_hamiltonian, scn.kernel(), threshold=threshold
     )
@@ -940,7 +938,9 @@ def run_report(
         "magnitude_A": report.magnitude_exact.tolist(),
         "magnitude_B": report.magnitude_averaged.tolist(),
     }
-    table = ResultTable(columns=columns, metadata=_base_metadata(scn, threshold, seed))
+    table = ResultTable(
+        columns=columns, metadata=_base_metadata(scn, threshold=threshold)
+    )
     table.footer["max_offdiag_B"] = repr(report.max_offdiag_averaged)
     table.footer["complete_decoherence"] = str(report.complete_decoherence).lower()
     return table

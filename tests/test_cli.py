@@ -1,3 +1,4 @@
+import inspect
 import io
 import subprocess
 import sys
@@ -6,9 +7,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relatime.cli import main
+from relatime.cli import _RUNNERS, build_parser, main
 from conftest import SCENARIO_DIR
-from test_scenario import PARSE_CASES
+from test_scenario import PARSE_CASES, PARSE_EXPECTED
 
 QUBIT = SCENARIO_DIR / "qubit_decoherence.scn"
 CLOCKED = SCENARIO_DIR / "clock_recovery.scn"
@@ -94,6 +95,13 @@ class TestRunners:
         assert main(["clock-recovery", str(bad)]) == 3
         assert capsys.readouterr().err.startswith("E_NUMERIC:")
 
+    def test_numeric_failure_names_its_readout(self, tmp_path, capsys):
+        bad = tmp_path / "starved.scn"
+        bad.write_text(CLOCKED.read_text().replace("0.4 2", "0.4 1e-13"))
+        assert main(["clock-recovery", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("E_NUMERIC: at readout t = 0.4: clock reading index 1 ")
+
     def test_nodes_flag_respected(self, capsys):
         assert main(["pearle-compare", str(PEARLE), "--nodes", "16"]) == 0
         assert "# nodes: 16" in capsys.readouterr().out
@@ -103,8 +111,51 @@ class TestRunners:
         [("sweep", QUBIT), ("clock-recovery", CLOCKED), ("report", QUBIT)],
     )
     def test_nodes_line_only_where_quadrature_ran(self, command, path, capsys):
-        assert main([command, str(path), "--nodes", "16"]) == 0
+        assert main([command, str(path)]) == 0
         assert "# nodes:" not in capsys.readouterr().out
+
+
+COMMAND_FILES = {
+    "validate": QUBIT,
+    "sweep": QUBIT,
+    "clock-recovery": CLOCKED,
+    "pearle-compare": PEARLE,
+    "report": QUBIT,
+}
+OPTION_ARGS = {"nodes": ["--nodes", "16"], "threshold": ["--threshold", "0.3"]}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FILES))
+def test_options_are_the_runner_keywords(command, capsys):
+    subparsers = next(
+        a for a in build_parser()._actions if a.dest == "command"
+    ).choices
+    options = {
+        a.dest for a in subparsers[command]._actions
+        if a.option_strings and a.dest not in ("help", "seed", "out")
+    }
+    runner = _RUNNERS.get(command, lambda scn: None)  # validate runs nothing
+    keywords = {
+        name for name, p in inspect.signature(runner).parameters.items()
+        if p.kind is p.KEYWORD_ONLY
+    }
+    assert options == keywords
+    path = str(COMMAND_FILES[command])
+    for name, args in OPTION_ARGS.items():
+        if name not in options:
+            with pytest.raises(SystemExit) as exc:
+                main([command, path, *args])
+            assert exc.value.code == 2
+    assert main([command, path]) == 0
+    has_threshold = "# threshold: 1e-06" in capsys.readouterr().out
+    assert has_threshold == (command == "report")
+
+
+def test_report_threshold_reaches_output(capsys):
+    assert main(["report", str(QUBIT), "--threshold", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert "# threshold: 0.5" in out
+    assert "# complete_decoherence: true" in out
 
 
 def _validate(path) -> tuple[int, str]:
@@ -134,6 +185,7 @@ def _validate(path) -> tuple[int, str]:
         "block_in_table_block",
         "dimension_over_cap",
         "clock_dimension_far_over_cap",
+        "steps_far_over_cap",
     ],
 )
 def test_defective_input_exits_2(case, tmp_path):
@@ -142,6 +194,19 @@ def test_defective_input_exits_2(case, tmp_path):
     code, err = _validate(path)
     assert code == 2
     assert err.startswith(("E_PARSE: line ", "E_VALIDATION:")), err
+
+
+@pytest.mark.parametrize(
+    "case", [case for case, outcome in PARSE_EXPECTED.items() if outcome[0] == "issues"]
+)
+def test_issue_count_matches_bullets(case, tmp_path):
+    path = tmp_path / "bad.scn"
+    path.write_text(PARSE_CASES[case])
+    code, err = _validate(path)
+    header, *bullets = err.splitlines()
+    assert code == 2
+    assert header == f"E_VALIDATION: {len(bullets)} validation issue(s):"
+    assert all(line.startswith("  - ") for line in bullets)
 
 
 FUZZ_VALUES = ("inf", "-inf", "nan", "1e400", "-1", "0", "4097", "1000000000", "junk")

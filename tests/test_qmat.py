@@ -51,9 +51,14 @@ class TestMakeDensity:
         with pytest.raises(DimensionMismatchError):
             make_density(np.ones((2, 3)) / 6)
 
-    def test_tolerance_override(self):
-        loose = make_density([[0.6, 0], [0, 0.6]], trace_tol=0.5)
-        assert loose.dim == 2
+    def test_tolerances_are_fixed(self):
+        with pytest.raises(TraceNotOneError):
+            make_density([[0.6, 0], [0, 0.6]])
+        with pytest.raises(TypeError):
+            make_density([[0.6, 0], [0, 0.6]], trace_tol=0.5)
+        for make in (Hamiltonian, Observable):
+            with pytest.raises(TypeError):
+                make([[0, 1], [0, 0]], herm_tol=2.0)
 
     def test_immutable(self):
         rho = make_density([[1, 0], [0, 0]])
@@ -129,9 +134,13 @@ class TestTensor:
         rhs = np.trace(a) * np.trace(b)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionOverflowError):
-            tensor(np.eye(3), np.eye(3), cap=8)
+    def test_dimension_cap(self, monkeypatch):
+        def kron(a, b):
+            raise AssertionError("allocated a product above the cap")
+
+        monkeypatch.setattr(np, "kron", kron)
+        with pytest.raises(DimensionOverflowError, match="4160 exceeds cap 4096"):
+            tensor(np.eye(65), np.eye(64))
 
 
 def naive_partial_trace(matrix, d_s, d_c, keep):

@@ -460,6 +460,24 @@ class TestPearleCompare:
             atol=1e-8,
         )
 
+    def test_degenerate_pair_is_not_an_offdiagonal(self):
+        # E_0 = E_1: averaging never touches their element, so like the
+        # sweep's max_offdiag the offdiag_* columns leave it out and read
+        # the (0, 2) and (1, 2) elements, 1/3 times |chi(1)| = exp(-lam t / 2).
+        text = (
+            MINIMAL.replace("dimension 2", "dimension 3")
+            .replace("spectrum 0.0 1.0", "spectrum 0.0 0.0 1.0")
+            .replace("preset pauli_x", "preset number_op")
+        ) + SWEEP_BLOCK
+        scn = parse_scenario(text)
+        table = run_pearle_compare(scn)
+        expected = np.exp(-0.1 * np.array(table.columns["t"]) / 2) / 3
+        np.testing.assert_allclose(table.columns["offdiag_relational"], expected, rtol=1e-9)
+        np.testing.assert_allclose(table.columns["offdiag_pearle"], expected, rtol=1e-8)
+        np.testing.assert_allclose(
+            run_decoherence_sweep(scn).columns["max_offdiag"], expected, rtol=1e-9
+        )
+
     def test_requires_gaussian_kernel_and_sweep(self):
         with pytest.raises(ScenarioValidationError, match="sweep"):
             run_pearle_compare(parse_scenario(MINIMAL))
@@ -740,6 +758,8 @@ PARSE_CASES = {
     "dimension_over_cap": _edit("dimension 2", "dimension 4097"),
     "clock_dimension_over_cap": _edit("dimension 8", "dimension 4097", CLOCKED),
     "clock_dimension_far_over_cap": _edit("dimension 8", "dimension 1000000000", CLOCKED),
+    "steps_over_cap": _edit("steps 12", "steps 4097", SWEPT),
+    "steps_far_over_cap": _edit("steps 12", "steps 1e12", SWEPT),
 }
 
 
@@ -928,7 +948,7 @@ PARSE_EXPECTED = {
     "basis_state_out_of_range": (
         "issues",
         [
-            'system state preset: 1 validation issue(s):\n  - basis_state index 5 outside 0..1',
+            'system state preset: basis_state index 5 outside 0..1',
         ],
     ),
     "basis_state_without_index": (
@@ -1018,7 +1038,7 @@ PARSE_EXPECTED = {
     "observable_preset_needs_qubit": (
         "issues",
         [
-            'observable preset: 1 validation issue(s):\n  - pauli_x needs dimension 2',
+            'observable preset: pauli_x needs dimension 2',
         ],
     ),
     "observable_matrix_shape": (
@@ -1140,6 +1160,13 @@ PARSE_EXPECTED = {
         "issues",
         [
             'clock dimension must be <= 4096, got 1000000000',
+        ],
+    ),
+    "steps_over_cap": ("issues", ['sweep steps must be <= 4096, got 4097']),
+    "steps_far_over_cap": (
+        "issues",
+        [
+            'sweep steps must be <= 4096, got 1000000000000',
         ],
     ),
 }
