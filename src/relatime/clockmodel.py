@@ -16,6 +16,13 @@ exact-time expectation value at t, no matter how broad the watch-error
 kernel is. The two readout routes (``alice_conditional`` for a known
 time, ``bob_conditional`` through the averaged state) exist separately so
 each can check the other.
+
+Readout uses the Kronecker-sum structure and forms nothing D x D
+(D = d_S * d_C, still capped by arithmetic in ``CompositeScenario``). The
+averaged state is block-diagonal in the pointer basis, kept as one block
+per reading and validated once (a batched ``eigvalsh`` in place of a D x D
+one); the product start state is valid because rho_S is, and U_S, shared
+by both alice routes, is checked when its ``Hamiltonian`` is built.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ from .qmat import (
     DensityMatrix,
     Hamiltonian,
     Observable,
+    _check_product_dim,
+    _check_state,
     expectation,
     tensor,
 )
@@ -145,17 +154,10 @@ class CompositeScenario:
     The composite generator is H_S (x) I + I (x) H_C (system left, clock
     right) and the initial state is the product of the system state with
     the clock pointing at ``initial_pointer`` (default 0, i.e. the clock
-    starts in agreement with the wall time).
+    starts in agreement with the wall time); both are built when read.
     """
 
-    __slots__ = (
-        "system_hamiltonian",
-        "system_state",
-        "clock",
-        "initial_pointer",
-        "hamiltonian",
-        "initial_state",
-    )
+    __slots__ = ("system_hamiltonian", "system_state", "clock", "initial_pointer")
 
     def __init__(
         self,
@@ -173,26 +175,27 @@ class CompositeScenario:
             raise InvalidDimensionError(
                 f"initial pointer {initial_pointer} outside 0..{clock.dim - 1}"
             )
-        eye_s = np.eye(system_hamiltonian.dim)
-        eye_c = np.eye(clock.dim)
-        composite = tensor(system_hamiltonian.matrix, eye_c) + tensor(
-            eye_s, clock.hamiltonian.matrix
-        )
+        _check_product_dim(system_hamiltonian.dim, clock.dim)
         object.__setattr__(self, "system_hamiltonian", system_hamiltonian)
         object.__setattr__(self, "system_state", system_state)
         object.__setattr__(self, "clock", clock)
         object.__setattr__(self, "initial_pointer", int(initial_pointer))
-        object.__setattr__(self, "hamiltonian", Hamiltonian(composite))
-        object.__setattr__(
-            self,
-            "initial_state",
-            DensityMatrix(
-                tensor(system_state.matrix, clock.projector(int(initial_pointer)))
-            ),
-        )
 
     def __setattr__(self, name, value):
         raise AttributeError("CompositeScenario is immutable")
+
+    @property
+    def hamiltonian(self) -> Hamiltonian:
+        """The dense composite generator, diagonalized."""
+        d_s, d_c = self.dims
+        h_s, h_c = self.system_hamiltonian.matrix, self.clock.hamiltonian.matrix
+        return Hamiltonian(tensor(h_s, np.eye(d_c)) + tensor(np.eye(d_s), h_c))
+
+    @property
+    def initial_state(self) -> DensityMatrix:
+        """The dense product start state."""
+        pointer = self.clock.projector(self.initial_pointer)
+        return DensityMatrix(tensor(self.system_state.matrix, pointer))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -248,16 +251,12 @@ def pointer_weights(kernel: TimeKernel, clock: ClockSystem) -> np.ndarray:
     return weights
 
 
-def _evolved(matrix: np.ndarray, hamiltonian: Hamiltonian, t: float) -> np.ndarray:
-    """Raw ``matrix`` after exact-time evolution for ``t``."""
-    phases = _unitary_multiplier(hamiltonian.spectrum, t)
-    return _from_eigenbasis(_to_eigenbasis(matrix, hamiltonian) * phases, hamiltonian)
-
-
-def _system_state_at(scenario: CompositeScenario, step: int) -> np.ndarray:
-    """Raw system state after ``step`` ticks of exact-time evolution."""
-    t = scenario.clock.pointer_times[step]
-    return _evolved(scenario.system_state.matrix, scenario.system_hamiltonian, t)
+def _system_state_at(scenario: CompositeScenario, step) -> np.ndarray:
+    """Raw system state(s) after ``step`` ticks of exact-time evolution."""
+    system = scenario.system_hamiltonian
+    phases = _unitary_multiplier(system.spectrum, scenario.clock.pointer_times[step])
+    rho_e = _to_eigenbasis(scenario.system_state.matrix, system)
+    return _from_eigenbasis(rho_e * phases, system)
 
 
 def _direct_value(
@@ -267,6 +266,53 @@ def _direct_value(
     return float(np.trace(observable.matrix @ _system_state_at(scenario, step)).real)
 
 
+def _bob_blocks(scenario: CompositeScenario, kernel: TimeKernel) -> np.ndarray:
+    """The kernel-averaged composite state as its ``(d_C, d_S, d_S)`` stack
+    of pointer-basis blocks: block r is sum over the times t_m showing
+    reading r of w_m rho_S(t_m), normalized and validated as a whole."""
+    weights = pointer_weights(kernel, scenario.clock)
+    steps = np.flatnonzero(weights)
+    d_s, d_c = scenario.dims
+    blocks = np.zeros((d_c, d_s, d_s), dtype=np.complex128)
+    blocks[scenario.reading_index(steps)] = (
+        weights[steps, None, None] * _system_state_at(scenario, steps)
+    )
+    blocks /= np.sum(np.trace(blocks, axis1=1, axis2=2)).real
+    blocks = 0.5 * (blocks + blocks.conj().swapaxes(1, 2))
+    _check_state(blocks)
+    return blocks
+
+
+def _alice_block(scenario: CompositeScenario, step: int) -> np.ndarray:
+    """Clock block (r, r) of the composite state after ``step`` ticks, r the
+    reading then: the product state evolved in the eigenbasis U_S (x) F with
+    phases exp(-i (E_i + omega_j) t), the clock factor summed into one amplitude
+    per system level."""
+    system, clock = scenario.system_hamiltonian, scenario.clock
+    t = clock.pointer_times[step]
+    fourier = clock.hamiltonian.eigenbasis
+    phases = np.exp(-1j * np.add.outer(system.spectrum, clock.hamiltonian.spectrum) * t)
+    reading = scenario.reading_index(step)
+    amplitude = phases @ (fourier[reading] * fourier[scenario.initial_pointer].conj())
+    rho_e = _to_eigenbasis(scenario.system_state.matrix, system)
+    return _from_eigenbasis(rho_e * np.outer(amplitude, amplitude.conj()), system)
+
+
+def _condition(block: np.ndarray, observable: Observable, reading: int) -> float:
+    """Tr[N B_r] / Tr[B_r]: the observable given reading r, from block B_r."""
+    if observable.dim != len(block):
+        raise DimensionMismatchError(
+            f"observable dim {observable.dim} != system dim {len(block)}"
+        )
+    denominator = float(np.trace(block).real)
+    if denominator < _ZERO_PROBABILITY:
+        raise ZeroProbabilityError(
+            f"clock reading index {reading} has probability "
+            f"{denominator:.3e}; conditioning is undefined there"
+        )
+    return float(np.sum(observable.matrix * block.T).real) / denominator
+
+
 def bob_state(scenario: CompositeScenario, kernel: TimeKernel) -> DensityMatrix:
     """Kernel-averaged composite state (discrete mixture over pointer times).
 
@@ -274,39 +320,11 @@ def bob_state(scenario: CompositeScenario, kernel: TimeKernel) -> DensityMatrix:
     the clock reading shown at that time, weighted by the kernel. This is
     what an observer who consulted only the inaccurate watch assigns; the
     system-clock correlation it carries is what conditional readout
-    exploits.
+    exploits. The dense D x D matrix is assembled from ``_bob_blocks``.
     """
-    weights = pointer_weights(kernel, scenario.clock)
     d_s, d_c = scenario.dims
-    acc = np.zeros((d_s * d_c, d_s * d_c), dtype=np.complex128)
-    for step, w in enumerate(weights):
-        if w == 0.0:
-            continue
-        branch = _system_state_at(scenario, step)
-        reading = scenario.reading_index(step)
-        acc += w * tensor(branch, scenario.clock.projector(reading))
-    acc /= complex(np.trace(acc)).real
-    acc = 0.5 * (acc + acc.conj().T)
-    return DensityMatrix(acc)
-
-
-def _conditional_value(
-    composite: np.ndarray,
-    observable: Observable,
-    clock: ClockSystem,
-    reading: int,
-) -> float:
-    d_s = observable.dim
-    proj = tensor(np.eye(d_s), clock.projector(reading))
-    denominator = float(np.trace(proj @ composite).real)
-    if denominator < _ZERO_PROBABILITY:
-        raise ZeroProbabilityError(
-            f"clock reading index {reading} has probability "
-            f"{denominator:.3e}; conditioning is undefined there"
-        )
-    hat_n = tensor(observable.matrix, np.eye(clock.dim))
-    numerator = float(np.trace(hat_n @ proj @ composite).real)
-    return numerator / denominator
+    dense = np.einsum("rab,rs->arbs", _bob_blocks(scenario, kernel), np.eye(d_c))
+    return DensityMatrix(dense.reshape(d_s * d_c, d_s * d_c))
 
 
 def alice_conditional(
@@ -319,19 +337,11 @@ def alice_conditional(
     shown at ``t_a`` - and cross-checked before returning. ``t_a`` must be
     a pointer time within the first clock period.
     """
-    if observable.dim != scenario.system_hamiltonian.dim:
-        raise DimensionMismatchError(
-            f"observable dim {observable.dim} != system dim "
-            f"{scenario.system_hamiltonian.dim}"
-        )
     step = scenario.clock.pointer_index(t_a)
-    direct = _direct_value(scenario, observable, step)
-    t = scenario.clock.pointer_times[step]
-    composite = _evolved(scenario.initial_state.matrix, scenario.hamiltonian, t)
-    conditioned = _conditional_value(
-        composite, observable, scenario.clock, scenario.reading_index(step)
+    conditioned = _condition(
+        _alice_block(scenario, step), observable, scenario.reading_index(step)
     )
-
+    direct = _direct_value(scenario, observable, step)
     if abs(direct - conditioned) > _PATH_AGREEMENT_TOL:
         raise ConsistencyError(
             f"direct ({direct!r}) and projectively conditioned "
@@ -354,25 +364,16 @@ def bob_conditional(
     internal clock undoes the watch's ignorance. Raises
     ``ZeroProbabilityError`` for readings the kernel excludes.
     """
-    if observable.dim != scenario.system_hamiltonian.dim:
-        raise DimensionMismatchError(
-            f"observable dim {observable.dim} != system dim "
-            f"{scenario.system_hamiltonian.dim}"
-        )
-    step = scenario.clock.pointer_index(t)
-    averaged = bob_state(scenario, kernel)
-    return _conditional_value(
-        averaged.matrix, observable, scenario.clock, scenario.reading_index(step)
-    )
+    reading = scenario.reading_index(scenario.clock.pointer_index(t))
+    return _condition(_bob_blocks(scenario, kernel)[reading], observable, reading)
 
 
 def unconditioned_expectation(
     scenario: CompositeScenario, kernel: TimeKernel, observable: Observable
 ) -> float:
-    """Tr[(N (x) I) rho_averaged]: the watch-only answer, no readout."""
-    averaged = bob_state(scenario, kernel)
-    hat_n = Observable(tensor(observable.matrix, np.eye(scenario.clock.dim)))
-    return expectation(hat_n, averaged)
+    """Tr[(N (x) I) rho_averaged] = sum_r Tr[N B_r]: the watch-only answer."""
+    reduced = DensityMatrix(np.sum(_bob_blocks(scenario, kernel), axis=0))
+    return expectation(observable, reduced)
 
 
 class WallClockComparison(NamedTuple):

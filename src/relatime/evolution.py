@@ -159,9 +159,10 @@ def _finish_state(raw: np.ndarray, drift_budget: float | None = None) -> Density
     return DensityMatrix(out)
 
 
-def _unitary_multiplier(spectrum: np.ndarray, t: float) -> np.ndarray:
-    phases = np.exp(-1j * spectrum * t)
-    return np.outer(phases, phases.conj())
+def _unitary_multiplier(spectrum: np.ndarray, t) -> np.ndarray:
+    # outer(p, p*) with p = exp(-i E t); one leading axis per axis of t.
+    phases = np.exp(-1j * np.multiply.outer(t, spectrum))
+    return phases[..., :, None] * phases[..., None, :].conj()
 
 
 def _kernel_multiplier(spectrum: np.ndarray, kernel: TimeKernel) -> np.ndarray:

@@ -48,7 +48,7 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
-# Largest composite dimension tensor() will produce.
+# Largest composite dimension tensor() or a CompositeScenario may have.
 DIMENSION_CAP = 4096
 
 _EIGENBASIS_TOL = 1e-9  # unitarity and reconstruction budget
@@ -72,8 +72,30 @@ def _require_square(arr: np.ndarray) -> int:
     return arr.shape[0]
 
 
-def _hermiticity_defect(arr: np.ndarray) -> float:
-    return float(np.max(np.abs(arr - arr.conj().T), initial=0.0))
+def _check_hermitian(arr: np.ndarray, what: str) -> None:
+    defect = float(np.max(np.abs(arr - np.swapaxes(arr, -1, -2).conj()), initial=0.0))
+    if defect > HERMITICITY_TOL:
+        raise NotHermitianError(defect, what=what)
+
+
+def _check_state(arr: np.ndarray) -> None:
+    """Raise unless ``arr`` is a density matrix, or the ``(..., d, d)`` stack
+    of its diagonal blocks (whose spectra together are its spectrum)."""
+    _check_hermitian(arr, "density matrix")
+    tr = complex(np.sum(np.trace(arr, axis1=-2, axis2=-1)))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise TraceNotOneError(tr)
+    smallest = float(np.min(np.linalg.eigvalsh(arr)))
+    if smallest < -PSD_TOL:
+        raise NotPositiveError(smallest)
+
+
+def _check_product_dim(d_a: int, d_b: int) -> None:
+    """Refuse a bipartite dimension above ``DIMENSION_CAP`` before allocating."""
+    if d_a * d_b > DIMENSION_CAP:
+        raise DimensionOverflowError(
+            f"tensor product dimension {d_a * d_b} exceeds cap {DIMENSION_CAP}"
+        )
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -94,15 +116,7 @@ class DensityMatrix:
     def __init__(self, matrix):
         arr = _as_matrix(matrix)
         dim = _require_square(arr)
-        defect = _hermiticity_defect(arr)
-        if defect > HERMITICITY_TOL:
-            raise NotHermitianError(defect, what="density matrix")
-        tr = complex(np.trace(arr))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise TraceNotOneError(tr)
-        smallest = float(np.linalg.eigvalsh(arr)[0])
-        if smallest < -PSD_TOL:
-            raise NotPositiveError(smallest)
+        _check_state(arr)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", _frozen(arr))
 
@@ -128,9 +142,7 @@ class Hamiltonian:
     def __init__(self, matrix):
         arr = _as_matrix(matrix)
         dim = _require_square(arr)
-        defect = _hermiticity_defect(arr)
-        if defect > HERMITICITY_TOL:
-            raise NotHermitianError(defect, what="Hamiltonian")
+        _check_hermitian(arr, "Hamiltonian")
         try:
             energies, basis = np.linalg.eigh(arr)
         except np.linalg.LinAlgError as exc:
@@ -196,9 +208,7 @@ class Observable:
     def __init__(self, matrix):
         arr = _as_matrix(matrix)
         dim = _require_square(arr)
-        defect = _hermiticity_defect(arr)
-        if defect > HERMITICITY_TOL:
-            raise NotHermitianError(defect, what="observable")
+        _check_hermitian(arr, "observable")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", _frozen(arr))
 
@@ -218,11 +228,7 @@ def tensor(a, b) -> np.ndarray:
     """Kronecker product with the S-left / C-right index convention."""
     am = _as_matrix(a)
     bm = _as_matrix(b)
-    product_dim = am.shape[0] * bm.shape[0]
-    if product_dim > DIMENSION_CAP:
-        raise DimensionOverflowError(
-            f"tensor product dimension {product_dim} exceeds cap {DIMENSION_CAP}"
-        )
+    _check_product_dim(am.shape[0], bm.shape[0])
     return np.kron(am, bm)
 
 

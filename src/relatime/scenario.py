@@ -48,9 +48,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .clockmodel import (
+# bench/traced_job.py wraps bob_conditional here; the runner does not call it.
+from .clockmodel import (  # noqa: F401
     ClockSystem,
     CompositeScenario,
+    _bob_blocks,
+    _condition,
     alice_conditional,
     bob_conditional,
     pointer_weights,
@@ -592,6 +595,9 @@ def _operator(name: str, entry: _Field, dim: int, rng):
     _, make, preset, _, _ = _OPERATORS[name]
     if not entry.reader.block:
         return make(preset(entry.value, dim, rng))
+    lengths = [len(row) // 2 for row in entry.value]
+    if len(set(lengths)) > 1:
+        raise RelatimeError(f"{name} matrix rows have unequal lengths {lengths}")
     matrix = np.array(entry.value).view(np.complex128)
     if matrix.shape != (dim, dim):
         raise RelatimeError(
@@ -826,7 +832,8 @@ def run_clock_recovery(scn: ScenarioFile) -> ResultTable:
 
     Rows cover every pointer time the kernel supports (optionally windowed
     by a ``variable t_A`` sweep block); the footer reports the largest
-    absolute difference, which the central identity makes vanish.
+    absolute difference, which the central identity makes vanish. Bob's
+    values all read one block stack.
     """
     if scn.clock is None:
         raise ScenarioValidationError(["clock recovery needs a clock block"])
@@ -839,30 +846,24 @@ def run_clock_recovery(scn: ScenarioFile) -> ResultTable:
     kernel = scn.kernel()
     weights = pointer_weights(kernel, scn.clock)
 
-    times = []
-    for index, t in enumerate(scn.clock.pointer_times):
-        if weights[index] <= 0:
-            continue
-        if scn.sweep is not None and not (
-            scn.sweep.start <= t <= scn.sweep.stop
-        ):
-            continue
-        times.append(float(t))
-    if not times:
+    times = scn.clock.pointer_times
+    readout = weights > 0
+    if scn.sweep is not None:
+        readout &= (scn.sweep.start <= times) & (times <= scn.sweep.stop)
+    if not readout.any():
         raise ScenarioValidationError(
             ["kernel supports no pointer time inside the readout window"]
         )
 
-    columns: dict[str, list] = {
-        "t": [],
-        "alice_value": [],
-        "bob_value": [],
-        "abs_difference": [],
-    }
-    for t in times:
+    blocks = _bob_blocks(composite, kernel)
+    names = ("t", "alice_value", "bob_value", "abs_difference")
+    columns: dict[str, list] = {name: [] for name in names}
+    for step in np.flatnonzero(readout):
+        t = float(times[step])
         with _at(f"readout t = {t!r}"):
             a = alice_conditional(composite, scn.observable, t)
-            b = bob_conditional(composite, kernel, scn.observable, t)
+            reading = composite.reading_index(step)
+            b = _condition(blocks[reading], scn.observable, reading)
         columns["t"].append(t)
         columns["alice_value"].append(a)
         columns["bob_value"].append(b)

@@ -102,6 +102,21 @@ class TestRunners:
         err = capsys.readouterr().err
         assert err.startswith("E_NUMERIC: at readout t = 0.4: clock reading index 1 ")
 
+    def test_composite_over_cap_exits_2(self, tmp_path, capsys):
+        # each factor is within the cap; their product 65 * 64 is not
+        spectrum = " ".join(str(k) for k in range(65))
+        text = CLOCKED.read_text().replace("dimension 2", "dimension 65")
+        text = text.replace("spectrum 0.0 1.0", f"spectrum {spectrum}")
+        text = text.replace("dimension 8", "dimension 64")
+        bad = tmp_path / "over_cap.scn"
+        bad.write_text(text.replace("preset pauli_x", "preset number_op"))
+        assert main(["validate", str(bad)]) == 0
+        capsys.readouterr()
+        assert main(["clock-recovery", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_VALIDATION: ")
+        assert "4160 exceeds cap 4096" in err
+
     def test_nodes_flag_respected(self, capsys):
         assert main(["pearle-compare", str(PEARLE), "--nodes", "16"]) == 0
         assert "# nodes: 16" in capsys.readouterr().out

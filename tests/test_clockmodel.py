@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relatime import (
+    ConsistencyError,
     CompositeScenario,
     DeltaKernel,
     DensityMatrix,
     DimensionMismatchError,
+    DimensionOverflowError,
     InvalidDimensionError,
     KernelOffGridError,
     NotPointerTimeError,
+    NotPositiveError,
     Observable,
     TabulatedKernel,
     UniformKernel,
@@ -21,12 +25,21 @@ from relatime import (
     evolve_unitary,
     make_gaussian_kernel,
     make_ideal_clock,
+    parse_scenario,
     pointer_weights,
+    run_clock_recovery,
     spectral_decompose,
     unconditioned_expectation,
     wall_clock_self_consistency,
 )
-from conftest import plus_density, random_density, random_hamiltonian
+from relatime import clockmodel
+from conftest import (
+    SCENARIO_DIR,
+    plus_density,
+    random_density,
+    random_hamiltonian,
+    random_hermitian,
+)
 
 PAULI_X = Observable([[0, 1], [1, 0]])
 
@@ -140,6 +153,20 @@ class TestCompositeScenario:
         h = spectral_decompose(np.diag([0.0, 1.0]))
         with pytest.raises(InvalidDimensionError):
             CompositeScenario(h, plus_density(), make_ideal_clock(4, 0.5), 4)
+
+    def test_dimension_cap_checked_before_allocating(self, monkeypatch):
+        def no_kron(*args):
+            raise AssertionError("np.kron called")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        clock = make_ideal_clock(64, 0.1)
+        h = spectral_decompose(np.diag(np.arange(65.0)))
+        with pytest.raises(DimensionOverflowError, match="4160 exceeds cap 4096"):
+            CompositeScenario(h, DensityMatrix(np.eye(65) / 65), clock)
+        h = spectral_decompose(np.diag(np.arange(64.0)))
+        assert CompositeScenario(h, DensityMatrix(np.eye(64) / 64), clock).dims == (
+            64, 64
+        )
 
     def test_reading_index_with_offset(self):
         h = spectral_decompose(np.diag([0.0, 1.0]))
@@ -272,6 +299,20 @@ class TestBobConditional:
         ).state
         assert np.max(np.abs(mixture.matrix - engine.matrix)) <= 1e-10
 
+    def test_invalid_averaged_state_rejected(self, monkeypatch):
+        # branches with trace 1 but a negative eigenvalue make a stack
+        # that is not a state; conditioning must not read it
+        scenario = precession_scenario()
+        kernel = TabulatedKernel(scenario.clock.pointer_times, np.ones(8))
+        original = clockmodel._system_state_at
+        monkeypatch.setattr(
+            clockmodel,
+            "_system_state_at",
+            lambda scenario, step: original(scenario, step) + np.diag([2.0, -2.0]),
+        )
+        with pytest.raises(NotPositiveError):
+            bob_conditional(scenario, kernel, PAULI_X, 0.4)
+
     def test_offset_scenario_recovery(self):
         h_s = spectral_decompose(np.diag([0.0, 1.0]))
         scenario = CompositeScenario(
@@ -282,6 +323,153 @@ class TestBobConditional:
             t = m * 0.4
             got = bob_conditional(scenario, kernel, PAULI_X, t)
             assert got == pytest.approx(np.cos(t), abs=1e-8)
+
+
+def dense_readout(scenario, observable, weights):
+    """Alice and bob values per pointer time by the dense D x D route.
+
+    Diagonalizes the Kronecker sum H_S (x) I + I (x) H_C, evolves the
+    product start state, mixes the evolved states with ``weights`` and
+    conditions with I (x) |r><r|. Bob's value is None where the weight is 0.
+    """
+    d_s, d_c = scenario.dims
+    eye_s, eye_c = np.eye(d_s), np.eye(d_c)
+    h = np.kron(scenario.system_hamiltonian.matrix, eye_c) + np.kron(
+        eye_s, scenario.clock.hamiltonian.matrix
+    )
+    energies, basis = np.linalg.eigh(h)
+    rho0 = np.kron(
+        scenario.system_state.matrix,
+        scenario.clock.projector(scenario.initial_pointer),
+    )
+    n_hat = np.kron(observable.matrix, eye_c)
+
+    def evolved(t):
+        u = (basis * np.exp(-1j * energies * t)) @ basis.conj().T
+        return u @ rho0 @ u.conj().T
+
+    def condition(rho, reading):
+        proj = np.kron(eye_s, scenario.clock.projector(reading))
+        return (
+            np.trace(n_hat @ proj @ rho).real / np.trace(proj @ rho).real
+        )
+
+    states = [evolved(t) for t in scenario.clock.pointer_times]
+    mixture = sum(w * rho for w, rho in zip(weights, states)) / np.sum(weights)
+    readings = [scenario.reading_index(m) for m in range(d_c)]
+    alice = [condition(rho, r) for rho, r in zip(states, readings)]
+    bob = [
+        condition(mixture, r) if w > 0 else None for w, r in zip(weights, readings)
+    ]
+    return alice, bob
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d_s=st.integers(1, 4),
+    d_c=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_bob_equals_alice_on_random_clocks_and_kernels(d_s, d_c, seed, data):
+    rng = np.random.default_rng(seed)
+    tick = data.draw(st.floats(0.05, 1.0), label="tick")
+    pointer = data.draw(st.integers(0, d_c - 1), label="initial_pointer")
+    weights = np.array(
+        data.draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+                min_size=d_c,
+                max_size=d_c,
+            ).filter(any),
+            label="weights",
+        )
+    )
+    clock = make_ideal_clock(d_c, tick)
+    scenario = CompositeScenario(
+        random_hamiltonian(rng, d_s, scale=2.0),
+        random_density(rng, d_s),
+        clock,
+        initial_pointer=pointer,
+    )
+    n = Observable(random_hermitian(rng, d_s))
+    kernel = TabulatedKernel(clock.pointer_times, weights)
+    want_alice, want_bob = dense_readout(scenario, n, weights)
+    for m, t in enumerate(clock.pointer_times):
+        alice = alice_conditional(scenario, n, t)
+        assert abs(alice - want_alice[m]) <= 1e-10
+        if weights[m] == 0.0:
+            with pytest.raises(ZeroProbabilityError):
+                bob_conditional(scenario, kernel, n, t)
+            continue
+        bob = bob_conditional(scenario, kernel, n, t)
+        assert abs(bob - want_bob[m]) <= 1e-10
+        assert abs(bob - alice) <= 1e-8
+
+
+def test_alice_cross_check_fires_on_wrong_phases(monkeypatch):
+    # pauli_y precesses as sin t, odd in t, so time-reversed (conjugated)
+    # system phases move the direct value but not the composite one
+    text = (SCENARIO_DIR / "clock_recovery.scn").read_text().replace(
+        "preset pauli_x", "matrix {\n    row 0 0 0 -1\n    row 0 1 0 0\n  }"
+    )
+    scn = parse_scenario(text)
+    original = clockmodel._unitary_multiplier
+    monkeypatch.setattr(
+        clockmodel,
+        "_unitary_multiplier",
+        lambda spectrum, t: original(spectrum, t).conj(),
+    )
+    with pytest.raises(ConsistencyError, match="^at readout t = 0.4: direct"):
+        run_clock_recovery(scn)
+
+
+def _matrix_lines(matrix):
+    return [
+        "    row " + " ".join(f"{z.real!r} {z.imag!r}" for z in row.tolist())
+        for row in matrix
+    ]
+
+
+def test_recovery_at_the_dimension_cap_builds_no_composite(rng, monkeypatch):
+    d_s = d_c = 64  # D = 4096, the cap
+    tick = 3.0 / d_c
+    h = random_hermitian(rng, d_s, scale=2.0)
+    weights = rng.uniform(0.5, 1.5, d_c).tolist()
+    table = [f"    {m * tick!r} {w!r}" for m, w in enumerate(weights)]
+    text = "\n".join(
+        [
+            "system {",
+            f"  dimension {d_s}",
+            "  hamiltonian {",
+            *_matrix_lines(h),
+            "  }",
+            "  state random_mixed",
+            "}",
+            "kernel {",
+            "  kind tabulated",
+            "  table {",
+            *table,
+            "  }",
+            "}",
+            "clock {",
+            f"  dimension {d_c}",
+            f"  tick {tick!r}",
+            "}",
+            "observable {",
+            "  preset number_op",
+            "}",
+        ]
+    )
+    scn = parse_scenario(text)
+
+    def no_kron(*args):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    table = run_clock_recovery(scn)
+    assert len(table.columns["t"]) == d_c
+    assert float(table.footer["max_abs_difference"]) <= 1e-9
 
 
 class TestCompleteDecoherenceStory:

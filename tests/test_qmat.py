@@ -18,6 +18,7 @@ from relatime import (
     spectral_decompose,
     tensor,
 )
+from relatime.qmat import _check_state
 from conftest import plus_density, random_density, random_hermitian
 
 
@@ -66,6 +67,40 @@ class TestMakeDensity:
             rho.matrix[0, 0] = 0.5
         with pytest.raises(AttributeError):
             rho.dim = 3
+
+
+def _block_diagonal(blocks):
+    d = blocks.shape[1]
+    dense = np.zeros((len(blocks) * d,) * 2, dtype=complex)
+    for k, block in enumerate(blocks):
+        dense[k * d:(k + 1) * d, k * d:(k + 1) * d] = block
+    return dense
+
+
+@pytest.mark.parametrize(
+    "shift, error",
+    [
+        (np.zeros((2, 2)), None),
+        (np.diag([0.4, -0.4]), NotPositiveError),
+        (np.array([[0, 1e-3], [0, 0]]), NotHermitianError),
+        (np.diag([1e-3, 0.0]), TraceNotOneError),
+    ],
+    ids=["valid", "not_positive", "not_hermitian", "trace_not_one"],
+)
+def test_block_stack_check_matches_dense_check(rng, shift, error):
+    # the stack of diagonal blocks passes exactly when the block-diagonal
+    # matrix they form is a valid density matrix
+    blocks = np.stack([random_density(rng, 2).matrix / 3 for _ in range(3)])
+    blocks[1] = blocks[1] + shift
+    dense = _block_diagonal(blocks)
+    if error is None:
+        _check_state(blocks)
+        DensityMatrix(dense)
+        return
+    with pytest.raises(error):
+        _check_state(blocks)
+    with pytest.raises(error):
+        DensityMatrix(dense)
 
 
 class TestSpectralDecompose:

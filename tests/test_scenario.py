@@ -924,7 +924,7 @@ PARSE_EXPECTED = {
     "hamiltonian_ragged": (
         "issues",
         [
-            'system hamiltonian: setting an array element with a sequence. The requested array has an inhomogeneous shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part.',
+            'system hamiltonian: hamiltonian matrix rows have unequal lengths [2, 1]',
         ],
     ),
     "hamiltonian_not_hermitian": (
