@@ -395,6 +395,6 @@ def wall_clock_self_consistency(
     watch-averaged compound state, and conditions on the wall reading t.
     The two agree wherever the kernel gives the reading nonzero weight.
     """
-    direct = _direct_value(scenario, observable, scenario.clock.pointer_index(t))
     via_compound = bob_conditional(scenario, kernel, observable, t)
+    direct = _direct_value(scenario, observable, scenario.clock.pointer_index(t))
     return WallClockComparison(direct=direct, via_compound=via_compound)

@@ -60,6 +60,11 @@ def expm_series(matrix):
     return acc
 
 
+def no_kron(*args):
+    """Stands in for np.kron where no D x D product may be formed."""
+    raise AssertionError("np.kron called")
+
+
 def precession_scenario(omega=1.0, dim=8, tick=0.4):
     """Qubit with gap omega, |+> start: <pauli_x>(t) = cos(omega t)."""
     h_s = spectral_decompose(np.diag([0.0, omega]))
@@ -155,9 +160,6 @@ class TestCompositeScenario:
             CompositeScenario(h, plus_density(), make_ideal_clock(4, 0.5), 4)
 
     def test_dimension_cap_checked_before_allocating(self, monkeypatch):
-        def no_kron(*args):
-            raise AssertionError("np.kron called")
-
         monkeypatch.setattr(np, "kron", no_kron)
         clock = make_ideal_clock(64, 0.1)
         h = spectral_decompose(np.diag(np.arange(65.0)))
@@ -462,14 +464,10 @@ def test_recovery_at_the_dimension_cap_builds_no_composite(rng, monkeypatch):
         ]
     )
     scn = parse_scenario(text)
-
-    def no_kron(*args):
-        raise AssertionError("np.kron called")
-
     monkeypatch.setattr(np, "kron", no_kron)
-    table = run_clock_recovery(scn)
-    assert len(table.columns["t"]) == d_c
-    assert float(table.footer["max_abs_difference"]) <= 1e-9
+    result = run_clock_recovery(scn)
+    assert len(result.columns["t"]) == d_c
+    assert float(result.footer["max_abs_difference"]) <= 1e-9
 
 
 class TestCompleteDecoherenceStory:
@@ -560,6 +558,12 @@ class TestWallClockSelfConsistency:
             result = wall_clock_self_consistency(scenario, kernel, PAULI_X, t)
             assert result.direct == pytest.approx(np.cos(t), abs=1e-9)
             assert abs(result.direct - result.via_compound) <= 1e-8
+
+    def test_rejects_wrong_observable_dimension(self):
+        scenario = precession_scenario()
+        kernel = TabulatedKernel(scenario.clock.pointer_times, np.ones(8))
+        with pytest.raises(DimensionMismatchError):
+            wall_clock_self_consistency(scenario, kernel, Observable(np.eye(3)), 0.4)
 
     def test_identity_observable(self):
         scenario = precession_scenario()
