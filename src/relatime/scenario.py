@@ -703,35 +703,32 @@ def parse_scenario(text: str, *, seed: int = 0) -> ScenarioFile:
 
 @dataclass
 class ResultTable:
-    """Ordered named columns plus '#'-comment metadata and footer lines."""
+    """Ordered named 1-d columns plus '#'-comment metadata and footer lines.
 
-    columns: dict[str, list]
+    A column's dtype sets its cell text: ``str`` for integers, ``repr``
+    (shortest round trip) for floats. Lists go through ``np.asarray``.
+    """
+
+    columns: dict[str, np.ndarray]
     metadata: dict[str, str] = field(default_factory=dict)
     footer: dict[str, str] = field(default_factory=dict)
 
-    def _validate(self):
-        lengths = {name: len(col) for name, col in self.columns.items()}
-        if len(set(lengths.values())) > 1:
-            raise RelatimeError(f"ragged result table: {lengths}")
-        for name, col in self.columns.items():
-            for v in col:
-                if isinstance(v, (float, np.floating)) and not np.isfinite(v):
-                    raise RelatimeError(f"non-finite value in column {name!r}")
-
-    @staticmethod
-    def _cell(value) -> str:
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        return repr(float(value))
-
     def to_csv(self) -> str:
-        self._validate()
+        columns = {name: np.asarray(col) for name, col in self.columns.items()}
+        length = len(next(iter(columns.values()), ()))
+        ragged = {name: len(col) for name, col in columns.items() if len(col) != length}
+        if ragged:
+            raise RelatimeError(
+                f"ragged result table: {length} rows expected, got {ragged}"
+            )
+        cells = []
+        for name, col in columns.items():
+            if col.dtype.kind == "f" and not np.isfinite(col).all():
+                raise RelatimeError(f"non-finite value in column {name!r}")
+            cells.append(map(str if col.dtype.kind in "iu" else repr, col.tolist()))
         lines = [f"# {key}: {val}" for key, val in self.metadata.items()]
-        names = list(self.columns)
-        lines.append(",".join(names))
-        length = len(self.columns[names[0]]) if names else 0
-        for k in range(length):
-            lines.append(",".join(self._cell(self.columns[n][k]) for n in names))
+        lines.append(",".join(columns))
+        lines.extend(map(",".join, zip(*cells)))
         lines.extend(f"# {key}: {val}" for key, val in self.footer.items())
         return "\n".join(lines) + "\n"
 
@@ -798,14 +795,12 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
     observable_e = Observable(_to_eigenbasis(scn.observable.matrix, hamiltonian))
     distinct = _distinct_gap_mask(spectrum)
     gaps = _distinct_gaps(hamiltonian)
-    gap_names = [f"dephase_gap_{g:.6g}" for g in gaps]
 
     variable = scn.sweep.variable
-    names = [variable, "expect_A", "expect_B", "purity_A", "purity_B", "max_offdiag"]
-    columns: dict[str, list] = {name: [] for name in names + gap_names}
-
-    for x in scn.sweep.values():
-        x = float(x)
+    points = scn.sweep.values()
+    rows = []
+    factors = np.empty((len(points), len(gaps)))
+    for k, x in enumerate(points.tolist()):
         if variable == "t_B":
             kernel = scn.kernel_spec.build(t_b=x)
             t_alice = x
@@ -815,15 +810,15 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
         with _at(f"sweep point {variable} = {x!r}"):
             rho_a = _finish_state(rho_e * _unitary_multiplier(spectrum, t_alice))
             rho_b = _finish_state(rho_e * _kernel_multiplier(spectrum, kernel))
-        columns[variable].append(x)
-        columns["expect_A"].append(expectation(observable_e, rho_a))
-        columns["expect_B"].append(expectation(observable_e, rho_b))
-        columns["purity_A"].append(purity(rho_a))
-        columns["purity_B"].append(purity(rho_b))
-        columns["max_offdiag"].append(_max_offdiag(rho_b.matrix, distinct))
-        for name, factor in zip(gap_names, np.abs(kernel._chi(gaps)).tolist()):
-            columns[name].append(factor)
+        rows.append((
+            expectation(observable_e, rho_a), expectation(observable_e, rho_b),
+            purity(rho_a), purity(rho_b), _max_offdiag(rho_b.matrix, distinct),
+        ))
+        factors[k] = np.abs(kernel._chi(gaps))
 
+    names = (variable, "expect_A", "expect_B", "purity_A", "purity_B", "max_offdiag")
+    columns = dict(zip(names, (points, *np.transpose(rows))))
+    columns.update(zip([f"dephase_gap_{g:.6g}" for g in gaps.tolist()], factors.T))
     return ResultTable(columns=columns, metadata=_base_metadata(scn))
 
 
@@ -856,22 +851,21 @@ def run_clock_recovery(scn: ScenarioFile) -> ResultTable:
         )
 
     blocks = _bob_blocks(composite, kernel)
-    names = ("t", "alice_value", "bob_value", "abs_difference")
-    columns: dict[str, list] = {name: [] for name in names}
+    rows = []
     for step in np.flatnonzero(readout):
         t = float(times[step])
         with _at(f"readout t = {t!r}"):
             a = alice_conditional(composite, scn.observable, t)
             reading = composite.reading_index(step)
             b = _condition(blocks[reading], scn.observable, reading)
-        columns["t"].append(t)
-        columns["alice_value"].append(a)
-        columns["bob_value"].append(b)
-        columns["abs_difference"].append(abs(a - b))
+        rows.append((t, a, b))
 
-    table = ResultTable(columns=columns, metadata=_base_metadata(scn))
-    table.footer["max_abs_difference"] = repr(max(columns["abs_difference"]))
-    return table
+    t, alice, bob = np.transpose(rows)
+    difference = np.abs(alice - bob)
+    return ResultTable(
+        {"t": t, "alice_value": alice, "bob_value": bob, "abs_difference": difference},
+        _base_metadata(scn), {"max_abs_difference": repr(float(difference.max()))},
+    )
 
 
 def run_pearle_compare(scn: ScenarioFile, *, nodes: int = PEARLE_NODES) -> ResultTable:
@@ -894,29 +888,22 @@ def run_pearle_compare(scn: ScenarioFile, *, nodes: int = PEARLE_NODES) -> Resul
     rho0 = scn.initial_state
     lam = scn.kernel_spec.lam
     distinct = _distinct_gap_mask(hamiltonian.spectrum)
-    columns: dict[str, list] = {
-        "t": [],
-        "maxnorm_distance": [],
-        "offdiag_pearle": [],
-        "offdiag_relational": [],
-    }
-    for t in scn.sweep.values():
-        t = float(t)
+    points = scn.sweep.values()
+    rows = []
+    for t in points.tolist():
         with _at(f"sweep point t = {t!r}"):
             collapsed = evolve_pearle(rho0, hamiltonian, lam, t, nodes).state
             relational = evolve_relational_dephasing(
                 rho0, hamiltonian, make_gaussian_kernel(lam, t)
             ).state
-        distance = float(np.max(np.abs(collapsed.matrix - relational.matrix)))
-        columns["t"].append(t)
-        columns["maxnorm_distance"].append(distance)
-        columns["offdiag_pearle"].append(
-            _max_offdiag(_to_eigenbasis(collapsed.matrix, hamiltonian), distinct)
-        )
-        columns["offdiag_relational"].append(
-            _max_offdiag(_to_eigenbasis(relational.matrix, hamiltonian), distinct)
-        )
+        rows.append((
+            float(np.max(np.abs(collapsed.matrix - relational.matrix))),
+            _max_offdiag(_to_eigenbasis(collapsed.matrix, hamiltonian), distinct),
+            _max_offdiag(_to_eigenbasis(relational.matrix, hamiltonian), distinct),
+        ))
 
+    names = ("t", "maxnorm_distance", "offdiag_pearle", "offdiag_relational")
+    columns = dict(zip(names, (points, *np.transpose(rows))))
     return ResultTable(columns=columns, metadata=_base_metadata(scn, nodes=nodes))
 
 
@@ -931,17 +918,15 @@ def run_report(
     report = coherence_report(
         scn.initial_state, scn.system_hamiltonian, scn.kernel(), threshold=threshold
     )
-    columns: dict[str, list] = {
-        "i": report.i.tolist(),
-        "j": report.j.tolist(),
-        "energy_i": report.energy_i.tolist(),
-        "energy_j": report.energy_j.tolist(),
-        "magnitude_A": report.magnitude_exact.tolist(),
-        "magnitude_B": report.magnitude_averaged.tolist(),
+    columns = {
+        "i": report.i,
+        "j": report.j,
+        "energy_i": report.energy_i,
+        "energy_j": report.energy_j,
+        "magnitude_A": report.magnitude_exact,
+        "magnitude_B": report.magnitude_averaged,
     }
-    table = ResultTable(
-        columns=columns, metadata=_base_metadata(scn, threshold=threshold)
-    )
-    table.footer["max_offdiag_B"] = repr(report.max_offdiag_averaged)
-    table.footer["complete_decoherence"] = str(report.complete_decoherence).lower()
-    return table
+    return ResultTable(columns, _base_metadata(scn, threshold=threshold), {
+        "max_offdiag_B": repr(report.max_offdiag_averaged),
+        "complete_decoherence": str(report.complete_decoherence).lower(),
+    })
