@@ -31,16 +31,18 @@ hbar = 1 (energies and inverse times share one unit). Parsing is strict:
 syntax problems raise ``ScenarioParseError`` with a line number, semantic
 problems are collected and raised together as ``ScenarioValidationError``.
 
-Runners produce ``ResultTable`` objects that serialize to plain CSV with
-a '#'-prefixed metadata header (version, scenario hash, ``nodes`` for the
-collapse comparison, ``threshold`` for the report, the scenario's seed),
-so identical inputs give byte-identical files.
+Runners produce ``ResultTable`` objects: named 1-d numpy columns, each
+written as CSV in the text its dtype sets, under a '#'-prefixed metadata
+header (version, scenario hash, ``nodes`` for the collapse comparison,
+``threshold`` for the report, the scenario's seed). Identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import difflib
 import hashlib
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -715,12 +717,10 @@ class ResultTable:
 
     def to_csv(self) -> str:
         columns = {name: np.asarray(col) for name, col in self.columns.items()}
-        length = len(next(iter(columns.values()), ()))
-        ragged = {name: len(col) for name, col in columns.items() if len(col) != length}
+        rows = len(next(iter(columns.values()), ()))
+        ragged = {name: len(col) for name, col in columns.items() if len(col) != rows}
         if ragged:
-            raise RelatimeError(
-                f"ragged result table: {length} rows expected, got {ragged}"
-            )
+            raise RelatimeError(f"ragged result table: {ragged} rows, expected {rows}")
         cells = []
         for name, col in columns.items():
             if col.dtype.kind == "f" and not np.isfinite(col).all():
@@ -767,6 +767,16 @@ def _max_offdiag(rho_e: np.ndarray, distinct: np.ndarray) -> float:
 
 
 PEARLE_NODES = 64  # Gauss-Hermite nodes of the collapse comparison
+SWEEP_CELL_CAP = 2**24  # most cells, steps x (6 + gaps), a sweep table may have
+
+
+def _gap_names(gaps: np.ndarray) -> list[str]:
+    """``dephase_gap_{g:.6g}``, widened to ``{g!r}`` for gaps sharing that text:
+    a gap's repr can match another's ``.6g`` text only if the two share it."""
+    short = [f"{g:.6g}" for g in gaps.tolist()]
+    count = Counter(short)
+    return [f"dephase_gap_{s if count[s] == 1 else repr(g)}"
+            for s, g in zip(short, gaps.tolist())]
 
 
 def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
@@ -774,7 +784,7 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
 
     The exact-time column evolves to the nominal reading; the averaged
     column uses the closed-form dephasing law. Per-gap columns hold the
-    dephasing factor magnitude at each distinct energy gap.
+    dephasing factor magnitude at each distinct energy gap (``_gap_names``).
 
     The state and observable go to the energy basis once. Each point
     scales that state by the unitary and kernel multipliers and validates
@@ -791,10 +801,16 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
 
     hamiltonian = scn.system_hamiltonian
     spectrum = hamiltonian.spectrum
+    gaps = _distinct_gaps(hamiltonian)
+    cells = scn.sweep.steps * (6 + len(gaps))
+    if cells > SWEEP_CELL_CAP:
+        raise ScenarioValidationError([
+            f"sweep table of {cells} cells ({scn.sweep.steps} steps x (6 + "
+            f"{len(gaps)} gaps)) exceeds the limit of {SWEEP_CELL_CAP}"
+        ])
     rho_e = _to_eigenbasis(scn.initial_state.matrix, hamiltonian)
     observable_e = Observable(_to_eigenbasis(scn.observable.matrix, hamiltonian))
     distinct = _distinct_gap_mask(spectrum)
-    gaps = _distinct_gaps(hamiltonian)
 
     variable = scn.sweep.variable
     points = scn.sweep.values()
@@ -818,7 +834,7 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
 
     names = (variable, "expect_A", "expect_B", "purity_A", "purity_B", "max_offdiag")
     columns = dict(zip(names, (points, *np.transpose(rows))))
-    columns.update(zip([f"dephase_gap_{g:.6g}" for g in gaps.tolist()], factors.T))
+    columns.update(zip(_gap_names(gaps), factors.T))
     return ResultTable(columns=columns, metadata=_base_metadata(scn))
 
 
@@ -857,8 +873,7 @@ def run_clock_recovery(scn: ScenarioFile) -> ResultTable:
         with _at(f"readout t = {t!r}"):
             a = alice_conditional(composite, scn.observable, t)
             reading = composite.reading_index(step)
-            b = _condition(blocks[reading], scn.observable, reading)
-        rows.append((t, a, b))
+            rows.append((t, a, _condition(blocks[reading], scn.observable, reading)))
 
     t, alice, bob = np.transpose(rows)
     difference = np.abs(alice - bob)

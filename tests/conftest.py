@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,17 @@ import pytest
 from relatime import DensityMatrix, Hamiltonian, spectral_decompose
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(autouse=True, scope="session")
+def subprocesses_import_this_checkout():
+    """``python -m relatime`` run by a test imports the package under test,
+    installed or not."""
+    path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", path)
+        yield
 
 
 def random_hermitian(rng, dim: int, scale: float = 1.0) -> np.ndarray:

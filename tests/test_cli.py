@@ -4,12 +4,14 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from relatime import scenario as scenario_module
 from relatime.cli import _RUNNERS, build_parser, main
 from conftest import SCENARIO_DIR
-from test_scenario import PARSE_CASES, PARSE_EXPECTED
+from test_scenario import MINIMAL, PARSE_CASES, PARSE_EXPECTED, SWEEP_BLOCK, wide_sweep
 
 QUBIT = SCENARIO_DIR / "qubit_decoherence.scn"
 CLOCKED = SCENARIO_DIR / "clock_recovery.scn"
@@ -116,6 +118,35 @@ class TestRunners:
         err = capsys.readouterr().err
         assert err.startswith("E_VALIDATION: ")
         assert "4160 exceeds cap 4096" in err
+
+    def test_gaps_alike_to_six_digits_get_their_own_columns(self, tmp_path, capsys):
+        text = (MINIMAL + SWEEP_BLOCK).replace("dimension 2", "dimension 3")
+        text = text.replace("spectrum 0.0 1.0", "spectrum 0.0 1.0 2.0000001")
+        path = tmp_path / "alike.scn"
+        path.write_text(text.replace("preset pauli_x", "preset number_op"))
+        assert main(["sweep", str(path)]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        header = lines[0].split(",")
+        gaps = {"dephase_gap_1.0": 1.0, "dephase_gap_1.0000001": 1.0000001,
+                "dephase_gap_2": 2.0000001}
+        assert header[6:] == list(gaps)
+        table = np.array([row.split(",") for row in lines[1:]], dtype=float)
+        for k, gap in enumerate(gaps.values()):
+            np.testing.assert_allclose(
+                table[:, 6 + k], np.exp(-0.1 * table[:, 0] * gap**2 / 2), atol=1e-12
+            )
+
+    def test_oversized_sweep_exits_2_before_any_point(self, tmp_path, capsys, monkeypatch):
+        def no_point(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(scenario_module, "_finish_state", no_point)
+        path = tmp_path / "wide.scn"
+        path.write_text(wide_sweep())
+        assert main(["sweep", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_VALIDATION: ")
+        assert "17970600 cells" in err and "limit of 16777216" in err
 
     def test_nodes_flag_respected(self, capsys):
         assert main(["pearle-compare", str(PEARLE), "--nodes", "16"]) == 0

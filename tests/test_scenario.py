@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from relatime import (
     GaussianKernel,
+    Hamiltonian,
     NotPositiveError,
     RelatimeError,
     ResultTable,
@@ -24,7 +25,8 @@ from relatime import (
     run_pearle_compare,
     run_report,
 )
-from relatime.scenario import _distinct_gaps
+from relatime import scenario as scenario_module
+from relatime.scenario import _distinct_gaps, _gap_names
 from conftest import SCENARIO_DIR
 
 MINIMAL = """
@@ -398,6 +400,48 @@ class TestDecoherenceSweep:
         with pytest.raises(NotPositiveError, match=r"^at sweep point t_B = 0\.1: "):
             run_decoherence_sweep(parse_scenario(text))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bases=st.lists(st.floats(-50, 50), min_size=1, max_size=4),
+        offsets=st.lists(
+            st.tuples(st.integers(1, 9), st.integers(5, 11)), min_size=1, max_size=4
+        ),
+    )
+    def test_gap_names_unique_on_near_degenerate_spectra(self, bases, offsets):
+        # clusters of levels a few 1e-5..1e-11 apart give gaps that print
+        # alike to 6 digits; only those names widen, to the gap's repr
+        levels = [b + k * 10.0**-e for b in bases for k, e in [(0, 0), *offsets]]
+        spectrum = np.unique(levels)
+        gaps = _distinct_gaps(Hamiltonian(np.diag(spectrum)))
+        names = _gap_names(gaps)
+        assert len(set(names)) == len(names) == gaps.size
+        short = [f"dephase_gap_{g:.6g}" for g in gaps.tolist()]
+        for name, plain, gap in zip(names, short, gaps.tolist()):
+            if short.count(plain) == 1:
+                assert name == plain
+            else:
+                assert name == f"dephase_gap_{gap!r}"
+
+    def test_oversized_table_refused_before_any_point(self, monkeypatch):
+        def no_point(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(scenario_module, "_finish_state", no_point)
+        with pytest.raises(
+            ScenarioValidationError,
+            match=r"sweep table of 17970600 cells \(100 steps x \(6 \+ 179700 "
+            r"gaps\)\) exceeds the limit of 16777216",
+        ):
+            run_decoherence_sweep(parse_scenario(wide_sweep()))
+        # the limit itself is allowed: 12 steps x (6 + 1 gap) = 84 cells
+        monkeypatch.undo()
+        small = parse_scenario(MINIMAL + SWEEP_BLOCK)
+        monkeypatch.setattr(scenario_module, "SWEEP_CELL_CAP", 83)
+        with pytest.raises(ScenarioValidationError, match="84 cells"):
+            run_decoherence_sweep(small)
+        monkeypatch.setattr(scenario_module, "SWEEP_CELL_CAP", 84)
+        assert len(run_decoherence_sweep(small).columns["t_B"]) == 12
+
     def test_lambda_sweep_needs_gaussian(self):
         text = MINIMAL.replace(
             "kind gaussian\n  lambda 0.1\n  t_b 2.0", "kind delta\n  t_b 2.0"
@@ -564,16 +608,49 @@ class TestResultTable:
         table = ResultTable(columns={"a": [1.0], "b": []})
         with pytest.raises(RelatimeError, match="ragged"):
             table.to_csv()
+        # only the columns whose length differs from the first are named
+        columns = {f"c{k}": np.zeros(3) for k in range(1000)}
+        columns.update(c7=np.zeros(2), c9=np.zeros(5))
+        with pytest.raises(RelatimeError) as err:
+            ResultTable(columns=columns).to_csv()
+        assert str(err.value) == (
+            "ragged result table: {'c7': 2, 'c9': 5} rows, expected 3"
+        )
 
     def test_non_finite_rejected(self):
         table = ResultTable(columns={"a": [float("nan")]})
         with pytest.raises(RelatimeError, match="non-finite"):
             table.to_csv()
+        table = ResultTable(columns={"i": np.arange(2), "a": np.array([0.5, np.nan])})
+        with pytest.raises(RelatimeError, match="^non-finite value in column 'a'$"):
+            table.to_csv()
+
+    def test_cell_text_follows_column_dtype(self):
+        ints = [0, 7, -3, 2**40, 12]
+        floats = [-0.0, 5e-324, 0.1, 123456.0, 1e16]
+        table = ResultTable(
+            columns={"i": np.array(ints, dtype=np.int64), "x": np.array(floats)}
+        )
+        lines = table.to_csv().splitlines()
+        assert lines == ["i,x", *(f"{k},{x!r}" for k, x in zip(ints, floats))]
+        assert lines[1:3] == ["0,-0.0", "7,5e-324"]
+        as_lists = ResultTable(columns={"i": ints, "x": floats})
+        assert as_lists.to_csv() == table.to_csv()
 
     def test_integer_cells_stay_integers(self):
         table = run_report(parse_scenario(MINIMAL))
         lines = [l for l in table.to_csv().splitlines() if not l.startswith("#")]
         assert lines[1].split(",")[0] == "0"
+
+
+def wide_sweep(size: int = 600, steps: int = 100) -> str:
+    """A sweep over ``size`` random levels: size(size - 1)/2 gap columns."""
+    spectrum = np.random.default_rng(7).uniform(-1.0, 1.0, size)
+    text = MINIMAL.replace("dimension 2", f"dimension {size}")
+    levels = " ".join(map(repr, spectrum.tolist()))
+    text = text.replace("spectrum 0.0 1.0", f"spectrum {levels}")
+    text = text.replace("preset pauli_x", "preset number_op")
+    return text + SWEEP_BLOCK.replace("steps 12", f"steps {steps}")
 
 
 # ---------------------------------------------------------------------------
