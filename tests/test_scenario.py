@@ -643,14 +643,14 @@ class TestResultTable:
         assert lines[1].split(",")[0] == "0"
 
 
-def wide_sweep(size: int = 600, steps: int = 100) -> str:
-    """A sweep over ``size`` random levels: size(size - 1)/2 gap columns."""
-    spectrum = np.random.default_rng(7).uniform(-1.0, 1.0, size)
-    text = MINIMAL.replace("dimension 2", f"dimension {size}")
+def wide_sweep() -> str:
+    """100 sweep points over 600 random levels: 179,700 gap columns."""
+    spectrum = np.random.default_rng(7).uniform(-1.0, 1.0, 600)
+    text = MINIMAL.replace("dimension 2", "dimension 600")
     levels = " ".join(map(repr, spectrum.tolist()))
     text = text.replace("spectrum 0.0 1.0", f"spectrum {levels}")
     text = text.replace("preset pauli_x", "preset number_op")
-    return text + SWEEP_BLOCK.replace("steps 12", f"steps {steps}")
+    return text + SWEEP_BLOCK.replace("steps 12", "steps 100")
 
 
 # ---------------------------------------------------------------------------
