@@ -45,6 +45,7 @@ from .qmat import (
     DensityMatrix,
     Hamiltonian,
     Observable,
+    _check_hermitian,
     _check_product_dim,
     _check_state,
     expectation,
@@ -278,6 +279,7 @@ def _bob_blocks(scenario: CompositeScenario, kernel: TimeKernel) -> np.ndarray:
         weights[steps, None, None] * _system_state_at(scenario, steps)
     )
     blocks /= np.sum(np.trace(blocks, axis1=1, axis2=2)).real
+    _check_hermitian(blocks, "kernel-averaged state")  # before symmetrizing hides it
     blocks = 0.5 * (blocks + blocks.conj().swapaxes(1, 2))
     _check_state(blocks)
     return blocks

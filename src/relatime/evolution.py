@@ -33,7 +33,7 @@ from .errors import (
     QuadratureDriftError,
 )
 from .kernels import QuadratureRule, TimeKernel, _hermgauss, quadrature_for
-from .qmat import DensityMatrix, Hamiltonian
+from .qmat import DensityMatrix, Hamiltonian, _check_hermitian
 
 __all__ = [
     "METHOD_UNITARY",
@@ -142,12 +142,13 @@ def _distinct_gap_mask(spectrum: np.ndarray) -> np.ndarray:
 
 
 def _finish_state(raw: np.ndarray, drift_budget: float | None = None) -> DensityMatrix:
-    """Validate engine output: check trace drift, then remove roundoff.
+    """Validate engine output: check Hermiticity and trace drift, then remove roundoff.
 
     Renormalization is only allowed inside the drift budget; a larger
     deviation means the quadrature rule was inadequate and is reported as
     an error instead of being papered over.
     """
+    _check_hermitian(raw, "engine output")  # symmetrizing below would hide it
     tr = complex(np.trace(raw)).real
     if drift_budget is not None and abs(tr - 1.0) > drift_budget:
         raise QuadratureDriftError(
@@ -159,9 +160,14 @@ def _finish_state(raw: np.ndarray, drift_budget: float | None = None) -> Density
     return DensityMatrix(out)
 
 
+def _phases(spectrum: np.ndarray, t) -> np.ndarray:
+    # p = exp(-i E t); one leading axis per axis of t.
+    return np.exp(-1j * np.multiply.outer(t, spectrum))
+
+
 def _unitary_multiplier(spectrum: np.ndarray, t) -> np.ndarray:
-    # outer(p, p*) with p = exp(-i E t); one leading axis per axis of t.
-    phases = np.exp(-1j * np.multiply.outer(t, spectrum))
+    # outer(p, p*): rho * outer(p, p*) = D rho D* keeps rho's spectrum.
+    phases = _phases(spectrum, t)
     return phases[..., :, None] * phases[..., None, :].conj()
 
 
@@ -176,6 +182,12 @@ def _rule_multiplier(spectrum: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     # sum of the node phases.
     phases = np.exp(-1j * np.multiply.outer(rule.nodes, spectrum))
     return phases.T @ (rule.weights[:, None] * phases.conj())
+
+
+def _pearle_multiplier(spectrum: np.ndarray, lam: float, t: float, nodes: int):
+    x, w = _hermgauss(nodes)
+    rule = QuadratureRule(t - np.sqrt(2.0 * lam * t) * x, w / w.sum())
+    return _rule_multiplier(spectrum, rule)
 
 
 def _dephase(
@@ -252,12 +264,9 @@ def evolve_pearle(
         raise ValueError(f"collapse evolution needs t >= 0, got {t}")
     if t == 0:
         return EvolutionResult(rho0, 0.0, METHOD_PEARLE_COLLAPSE, 0)
-    x, w = _hermgauss(int(nodes))
-    taus = t - np.sqrt(2.0 * lam * t) * x
-    rule = QuadratureRule(taus, w / w.sum())
-    multiplier = _rule_multiplier(hamiltonian.spectrum, rule)
+    multiplier = _pearle_multiplier(hamiltonian.spectrum, lam, t, int(nodes))
     state = _dephase(rho0, hamiltonian, multiplier, _TRACE_DRIFT_BUDGET)
-    return EvolutionResult(state, float(t), METHOD_PEARLE_COLLAPSE, rule.node_count)
+    return EvolutionResult(state, float(t), METHOD_PEARLE_COLLAPSE, int(nodes))
 
 
 def coherence_report(

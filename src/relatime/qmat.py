@@ -6,6 +6,8 @@ arrays: ``DensityMatrix`` (Hermitian, unit trace, positive semidefinite),
 units with hbar = 1) and ``Observable`` (Hermitian). Validation happens at
 construction: no instance can exist that violates its invariants beyond
 the fixed tolerances ``HERMITICITY_TOL``, ``TRACE_TOL`` and ``PSD_TOL``.
+PSD is proved by a Cholesky factor; ``eigvalsh`` runs only to judge and
+name a failure (``_check_state``): an eigenvalue test's verdict, to roundoff.
 
 Tensor index convention, shared by every module: in a bipartite product
 the slow subsystem S is the LEFT (row-major outer) factor and the clock C
@@ -80,14 +82,21 @@ def _check_hermitian(arr: np.ndarray, what: str) -> None:
 
 def _check_state(arr: np.ndarray) -> None:
     """Raise unless ``arr`` is a density matrix, or the ``(..., d, d)`` stack
-    of its diagonal blocks (whose spectra together are its spectrum)."""
+    of its diagonal blocks (whose spectra together are its spectrum). A
+    Cholesky factor of arr + PSD_TOL/2 I certifies lambda_min > -PSD_TOL up to
+    O(d eps |arr|) backward error; only without one does eigvalsh decide."""
+    if not np.isfinite(arr).all():
+        raise QuantumStateError("density matrix has non-finite entries")
     _check_hermitian(arr, "density matrix")
     tr = complex(np.sum(np.trace(arr, axis1=-2, axis2=-1)))
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOneError(tr)
-    smallest = float(np.min(np.linalg.eigvalsh(arr)))
-    if smallest < -PSD_TOL:
-        raise NotPositiveError(smallest)
+    try:
+        np.linalg.cholesky(arr + 0.5 * PSD_TOL * np.eye(arr.shape[-1]))
+    except np.linalg.LinAlgError:
+        smallest = float(np.min(np.linalg.eigvalsh(arr)))
+        if smallest < -PSD_TOL:
+            raise NotPositiveError(smallest) from None
 
 
 def _check_product_dim(d_a: int, d_b: int) -> None:

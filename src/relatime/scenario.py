@@ -61,18 +61,22 @@ from .clockmodel import (  # noqa: F401
     pointer_weights,
 )
 from .errors import (
+    QuantumStateError,
     RelatimeError,
     ScenarioParseError,
     ScenarioValidationError,
 )
-# bench/traced_job.py wraps every engine here, evolve_unitary included.
+# bench/traced_job.py wraps every engine here; runners call only coherence_report.
 from .evolution import (  # noqa: F401
+    _TRACE_DRIFT_BUDGET,
     DECOHERENCE_THRESHOLD,
     _distinct_gap_mask,
     _finish_state,
+    _from_eigenbasis,
     _kernel_multiplier,
+    _pearle_multiplier,
+    _phases,
     _to_eigenbasis,
-    _unitary_multiplier,
     coherence_report,
     evolve_pearle,
     evolve_relational_dephasing,
@@ -768,6 +772,7 @@ def _max_offdiag(rho_e: np.ndarray, distinct: np.ndarray) -> float:
 
 PEARLE_NODES = 64  # Gauss-Hermite nodes of the collapse comparison
 SWEEP_CELL_CAP = 2**24  # most cells, steps x (6 + gaps), a sweep table may have
+_PHASE_TOL = 1e-12  # largest | |p_i| - 1 | a sweep point's phases may have
 
 
 def _gap_names(gaps: np.ndarray) -> list[str]:
@@ -786,9 +791,9 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
     column uses the closed-form dephasing law. Per-gap columns hold the
     dephasing factor magnitude at each distinct energy gap (``_gap_names``).
 
-    The state and observable go to the energy basis once. Each point
-    scales that state by the unitary and kernel multipliers and validates
-    both results as density matrices there.
+    The state (validated there once) and observable go to the energy basis.
+    Alice's state D rho_e D*, D = diag(exp(-i E t)), has rho_e's spectrum while
+    every |D_ii| = 1, its one check per point; Bob's is validated at each point.
     """
     if scn.sweep is None or scn.sweep.variable not in ("t_B", "lambda"):
         raise ScenarioValidationError(
@@ -809,7 +814,11 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
             f"{len(gaps)} gaps)) exceeds the limit of {SWEEP_CELL_CAP}"
         ])
     rho_e = _to_eigenbasis(scn.initial_state.matrix, hamiltonian)
+    state_e = _finish_state(rho_e)
     observable_e = Observable(_to_eigenbasis(scn.observable.matrix, hamiltonian))
+    # Tr[N (rho_e * outer(p, p*))] = p^T (rho_e * N^T) p*
+    alice_e, purity_a = state_e.matrix * observable_e.matrix.T, purity(state_e)
+    del state_e  # one d x d array fewer held through the loop, at peak RSS
     distinct = _distinct_gap_mask(spectrum)
 
     variable = scn.sweep.variable
@@ -824,11 +833,14 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
             kernel = scn.kernel_spec.build(lam=x)
             t_alice = scn.kernel_spec.t_b
         with _at(f"sweep point {variable} = {x!r}"):
-            rho_a = _finish_state(rho_e * _unitary_multiplier(spectrum, t_alice))
+            p = _phases(spectrum, t_alice)
+            off = float(np.max(np.abs(np.abs(p) - 1.0), initial=0.0))
+            if not off <= _PHASE_TOL:  # NaN fails too
+                raise QuantumStateError(f"phases off the unit circle by {off:.1e}")
             rho_b = _finish_state(rho_e * _kernel_multiplier(spectrum, kernel))
         rows.append((
-            expectation(observable_e, rho_a), expectation(observable_e, rho_b),
-            purity(rho_a), purity(rho_b), _max_offdiag(rho_b.matrix, distinct),
+            (p @ alice_e @ p.conj()).real, expectation(observable_e, rho_b),
+            purity_a, purity(rho_b), _max_offdiag(rho_b.matrix, distinct),
         ))
         factors[k] = np.abs(kernel._chi(gaps))
 
@@ -888,7 +900,7 @@ def run_pearle_compare(scn: ScenarioFile, *, nodes: int = PEARLE_NODES) -> Resul
 
     The two are the same integral in different variables, so the distance
     column is pure quadrature error; ``nodes`` is the collapse engine's
-    Gauss-Hermite node count.
+    Gauss-Hermite node count. Both are validated in the energy basis.
     """
     if scn.kernel_spec.kind != "gaussian":
         raise ScenarioValidationError(["pearle comparison needs a gaussian kernel"])
@@ -900,21 +912,24 @@ def run_pearle_compare(scn: ScenarioFile, *, nodes: int = PEARLE_NODES) -> Resul
         raise ScenarioValidationError(["collapse evolution needs t >= 0"])
 
     hamiltonian = scn.system_hamiltonian
-    rho0 = scn.initial_state
+    spectrum = hamiltonian.spectrum
+    rho_e = _to_eigenbasis(scn.initial_state.matrix, hamiltonian)
     lam = scn.kernel_spec.lam
-    distinct = _distinct_gap_mask(hamiltonian.spectrum)
+    distinct = _distinct_gap_mask(spectrum)
     points = scn.sweep.values()
     rows = []
     for t in points.tolist():
         with _at(f"sweep point t = {t!r}"):
-            collapsed = evolve_pearle(rho0, hamiltonian, lam, t, nodes).state
-            relational = evolve_relational_dephasing(
-                rho0, hamiltonian, make_gaussian_kernel(lam, t)
-            ).state
+            chi = _kernel_multiplier(spectrum, make_gaussian_kernel(lam, t))
+            relational = _finish_state(rho_e * chi)
+            collapsed = relational if t == 0 else _finish_state(  # t = 0: both rho0
+                rho_e * _pearle_multiplier(spectrum, lam, t, nodes), _TRACE_DRIFT_BUDGET
+            )
+        difference = _from_eigenbasis(collapsed.matrix - relational.matrix, hamiltonian)
         rows.append((
-            float(np.max(np.abs(collapsed.matrix - relational.matrix))),
-            _max_offdiag(_to_eigenbasis(collapsed.matrix, hamiltonian), distinct),
-            _max_offdiag(_to_eigenbasis(relational.matrix, hamiltonian), distinct),
+            float(np.max(np.abs(difference))),
+            _max_offdiag(collapsed.matrix, distinct),
+            _max_offdiag(relational.matrix, distinct),
         ))
 
     names = ("t", "maxnorm_distance", "offdiag_pearle", "offdiag_relational")

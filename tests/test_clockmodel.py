@@ -12,6 +12,7 @@ from relatime import (
     InvalidDimensionError,
     KernelOffGridError,
     NotPointerTimeError,
+    NotHermitianError,
     NotPositiveError,
     Observable,
     TabulatedKernel,
@@ -313,6 +314,21 @@ class TestBobConditional:
             lambda scenario, step: original(scenario, step) + np.diag([2.0, -2.0]),
         )
         with pytest.raises(NotPositiveError):
+            bob_conditional(scenario, kernel, PAULI_X, 0.4)
+
+    def test_non_hermitian_averaged_state_rejected(self, monkeypatch):
+        # the stack is symmetrized before it is validated, so the defect
+        # must be read off the raw mixture
+        scenario = precession_scenario()
+        kernel = TabulatedKernel(scenario.clock.pointer_times, np.ones(8))
+        original = clockmodel._system_state_at
+        skew = np.array([[0.0, 1e-4], [0.0, 0.0]])
+        monkeypatch.setattr(
+            clockmodel,
+            "_system_state_at",
+            lambda scenario, step: original(scenario, step) + skew,
+        )
+        with pytest.raises(NotHermitianError, match="kernel-averaged state"):
             bob_conditional(scenario, kernel, PAULI_X, 0.4)
 
     def test_offset_scenario_recovery(self):

@@ -8,6 +8,7 @@ from relatime import (
     DimensionMismatchError,
     Hamiltonian,
     NonPositiveLambdaError,
+    NotHermitianError,
     QuadratureDriftError,
     QuadratureRule,
     TabulatedKernel,
@@ -28,6 +29,7 @@ from relatime.evolution import (
     METHOD_RELATIONAL_DEPHASING,
     METHOD_RELATIONAL_QUADRATURE,
     METHOD_UNITARY,
+    _finish_state,
     _kernel_multiplier,
     _rule_multiplier,
     _unitary_multiplier,
@@ -174,6 +176,15 @@ class TestRelationalQuadrature:
             evolve_relational_quadrature(
                 random_density(rng, 2), QUBIT_GAP, LeakyKernel(0.5), 4
             )
+
+
+def test_finish_state_checks_hermiticity_before_symmetrizing(rng):
+    # symmetrizing first would leave the state check nothing to see
+    raw = random_density(rng, 3).matrix + np.triu(np.full((3, 3), 1e-4), 1)
+    with pytest.raises(NotHermitianError, match="engine output") as caught:
+        _finish_state(raw)
+    assert caught.value.violation == pytest.approx(1e-4)
+    _finish_state(raw - np.triu(np.full((3, 3), 1e-4 - 1e-11), 1))  # inside budget
 
 
 class TestRelationalDephasing:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from relatime import (
     DensityMatrix,
@@ -18,7 +19,7 @@ from relatime import (
     spectral_decompose,
     tensor,
 )
-from relatime.qmat import _check_state
+from relatime.qmat import PSD_TOL, _check_state
 from conftest import plus_density, random_density, random_hermitian
 
 
@@ -101,6 +102,100 @@ def test_block_stack_check_matches_dense_check(rng, shift, error):
         _check_state(blocks)
     with pytest.raises(error):
         DensityMatrix(dense)
+
+
+def _state_with_smallest(rng, dim: int, smallest: float, trace: float = 1.0):
+    """A Hermitian matrix of the given trace whose lowest eigenvalue is
+    ``smallest``, in a random eigenbasis."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(a)
+    rest = rng.uniform(0.5, 1.5, dim - 1)
+    eigenvalues = np.concatenate([[smallest], rest * (trace - smallest) / rest.sum()])
+    matrix = (q * eigenvalues) @ q.conj().T
+    return 0.5 * (matrix + matrix.conj().T)
+
+
+def _block_stack(rng, smallest: float):
+    """Three 4x4 blocks of trace 1/3; the middle one has lowest eigenvalue
+    ``smallest``."""
+    blocks = [_state_with_smallest(rng, 4, 0.05, 1 / 3) for _ in range(3)]
+    blocks[1] = _state_with_smallest(rng, 4, smallest, 1 / 3)
+    return np.stack(blocks)
+
+
+class TestPositivityCertificate:
+    """The Cholesky factor of rho + PSD_TOL/2 I proves lambda_min > -PSD_TOL;
+    without one, eigvalsh decides, so the verdict is eigvalsh's."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counted(arr, *args, **kwargs):
+            calls.append(arr.shape)
+            return original(arr, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["matrix", "stack"])
+    @pytest.mark.parametrize(
+        "factor, eigensolves, passes",
+        [(0.25, 0, True), (0.5, None, True), (0.75, 1, True), (2.0, 1, False)],
+    )
+    def test_boundary(self, rng, eigvalsh_calls, stack, factor, eigensolves, passes):
+        # factor 0.75 fails the Cholesky test (rho + PSD_TOL/2 I still has a
+        # negative eigenvalue) and passes on eigvalsh; at 0.5 the shifted
+        # matrix is singular, so either path may decide
+        smallest = -factor * PSD_TOL
+        if stack:
+            arr = _block_stack(rng, smallest)
+        else:
+            arr = _state_with_smallest(rng, 6, smallest)
+        if passes:
+            _check_state(arr)
+        else:
+            with pytest.raises(NotPositiveError) as caught:
+                _check_state(arr)
+            assert caught.value.min_eigenvalue == pytest.approx(smallest, rel=1e-4)
+            assert str(caught.value).startswith(
+                "density matrix is not positive semidefinite: smallest eigenvalue"
+            )
+        if eigensolves is not None:
+            assert len(eigvalsh_calls) == eigensolves
+
+    def test_non_finite_stack_rejected(self):
+        # every comparison with NaN is False, and Cholesky returns a NaN
+        # factor without raising, so only an explicit test refuses these
+        with pytest.raises(QuantumStateError, match="non-finite"):
+            _check_state(np.full((3, 2, 2), np.nan))
+        inf = np.diag([np.inf, 0.5]).astype(complex)
+        with pytest.raises(QuantumStateError, match="non-finite"):
+            _check_state(inf)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 9),
+        factor=st.floats(-3.0, 3.0),
+        stack=st.booleans(),
+    )
+    def test_agrees_with_eigvalsh(self, seed, dim, factor, stack):
+        rng = np.random.default_rng(seed)
+        if stack:
+            blocks = [_state_with_smallest(rng, dim, 0.05, 0.5)]
+            blocks.append(_state_with_smallest(rng, dim, factor * PSD_TOL, 0.5))
+            arr = np.stack(blocks)
+        else:
+            arr = _state_with_smallest(rng, dim, factor * PSD_TOL)
+        smallest = float(np.min(np.linalg.eigvalsh(arr)))
+        assume(abs(smallest + PSD_TOL) > 1e-12)
+        if smallest < -PSD_TOL:
+            with pytest.raises(NotPositiveError):
+                _check_state(arr)
+        else:
+            _check_state(arr)
 
 
 class TestSpectralDecompose:

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from relatime import (
     GaussianKernel,
     Hamiltonian,
+    NotHermitianError,
     NotPositiveError,
+    QuantumStateError,
     RelatimeError,
     ResultTable,
     ScenarioParseError,
@@ -15,9 +17,11 @@ from relatime import (
     characteristic,
     coherence_report,
     emit_scenario,
+    evolve_pearle,
     evolve_relational_dephasing,
     evolve_unitary,
     expectation,
+    make_gaussian_kernel,
     parse_scenario,
     purity,
     run_clock_recovery,
@@ -25,6 +29,7 @@ from relatime import (
     run_pearle_compare,
     run_report,
 )
+from relatime import qmat
 from relatime import scenario as scenario_module
 from relatime.scenario import _distinct_gaps, _gap_names
 from conftest import SCENARIO_DIR
@@ -400,6 +405,57 @@ class TestDecoherenceSweep:
         with pytest.raises(NotPositiveError, match=r"^at sweep point t_B = 0\.1: "):
             run_decoherence_sweep(parse_scenario(text))
 
+    def test_non_hermitian_multiplier_fails_at_its_point(self, monkeypatch):
+        # the state is symmetrized before it is validated, so the defect
+        # must be read off the raw output
+        original = scenario_module._kernel_multiplier
+
+        def skewed(spectrum, kernel):
+            multiplier = original(spectrum, kernel)
+            return multiplier + np.triu(np.full(multiplier.shape, 1e-4), 1)
+
+        monkeypatch.setattr(scenario_module, "_kernel_multiplier", skewed)
+        scn = parse_scenario((SCENARIO_DIR / "qubit_decoherence.scn").read_text())
+        with pytest.raises(NotHermitianError, match=r"^at sweep point t_B = 0\.1: "):
+            run_decoherence_sweep(scn)
+
+    @pytest.mark.parametrize(
+        "scale, message",
+        [(1 + 1e-9, "unit circle by 1.0e-09"), (np.nan, "unit circle by nan")],
+        ids=["off_circle", "nan"],
+    )
+    def test_alice_phases_are_certified_at_each_point(
+        self, monkeypatch, scale, message
+    ):
+        # Alice's state is rho_e scaled by outer(p, p*); it has rho_e's
+        # spectrum only while every |p_i| = 1, which each point checks
+        scn = parse_scenario(MINIMAL + SWEEP_BLOCK)
+        original = scenario_module._phases
+        monkeypatch.setattr(
+            scenario_module, "_phases", lambda *args: original(*args) * (1 + 1e-13)
+        )
+        run_decoherence_sweep(scn)  # inside the 1e-12 budget
+        monkeypatch.setattr(
+            scenario_module, "_phases", lambda *args: original(*args) * scale
+        )
+        with pytest.raises(QuantumStateError, match=r"^at sweep point t_B = 0\.1: "):
+            run_decoherence_sweep(scn)
+        with pytest.raises(QuantumStateError, match=message):
+            run_decoherence_sweep(scn)
+
+    def test_validates_the_initial_state_once_and_bob_per_point(self, monkeypatch):
+        # Alice's states are certified by their phases, not validated: a
+        # sweep of n points checks 1 + n states, not 1 + 2n
+        checked = []
+        original = qmat._check_state
+        monkeypatch.setattr(
+            qmat, "_check_state", lambda arr: checked.append(arr.shape) or original(arr)
+        )
+        scn = parse_scenario((SCENARIO_DIR / "qubit_decoherence.scn").read_text())
+        checked.clear()
+        run_decoherence_sweep(scn)
+        assert len(checked) == 1 + scn.sweep.steps == 26
+
     @settings(max_examples=60, deadline=None)
     @given(
         bases=st.lists(st.floats(-50, 50), min_size=1, max_size=4),
@@ -521,6 +577,32 @@ class TestPearleCompare:
         np.testing.assert_allclose(
             run_decoherence_sweep(scn).columns["max_offdiag"], expected, rtol=1e-9
         )
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6))
+    def test_columns_match_reference_engines(self, seed, dim):
+        # the runner works in the energy basis; the engines go there and back
+        rng = np.random.default_rng(seed)
+        scn = parse_scenario(dense_scenario(rng, dim, "gaussian", "t_B"))
+        h, rho0, lam = scn.system_hamiltonian, scn.initial_state, scn.kernel_spec.lam
+        table = run_pearle_compare(scn, nodes=32)
+        distinct = scenario_module._distinct_gap_mask(h.spectrum)
+        for k, t in enumerate(table.columns["t"].tolist()):
+            collapsed = evolve_pearle(rho0, h, lam, t, 32).state.matrix
+            relational = evolve_relational_dephasing(
+                rho0, h, make_gaussian_kernel(lam, t)
+            ).state.matrix
+            expected = {
+                "maxnorm_distance": np.max(np.abs(collapsed - relational)),
+                "offdiag_pearle": scenario_module._max_offdiag(
+                    scenario_module._to_eigenbasis(collapsed, h), distinct
+                ),
+                "offdiag_relational": scenario_module._max_offdiag(
+                    scenario_module._to_eigenbasis(relational, h), distinct
+                ),
+            }
+            for name, value in expected.items():
+                assert table.columns[name][k] == pytest.approx(value, rel=0, abs=1e-12)
 
     def test_requires_gaussian_kernel_and_sweep(self):
         with pytest.raises(ScenarioValidationError, match="sweep"):
