@@ -172,6 +172,8 @@ class Hamiltonian:
             raise DimensionMismatchError(
                 f"eigensystem shapes {energies.shape} / {basis.shape} do not match"
             )
+        if not (np.isfinite(energies).all() and np.isfinite(basis).all()):
+            raise QuantumStateError("eigensystem has non-finite entries")
         if np.any(np.diff(energies) < 0):
             raise QuantumStateError("eigenvalues must be sorted ascending")
         arr = (basis * energies) @ basis.conj().T
@@ -184,13 +186,13 @@ class Hamiltonian:
         unitarity = float(
             np.max(np.abs(basis.conj().T @ basis - np.eye(dim)), initial=0.0)
         )
-        if unitarity > _EIGENBASIS_TOL:
+        if not unitarity <= _EIGENBASIS_TOL:
             raise EigensolverError(
                 f"eigenbasis is not unitary: max |U^dag U - I| = {unitarity:.3e}"
             )
         rebuilt = (basis * energies) @ basis.conj().T
         recon = float(np.max(np.abs(rebuilt - arr), initial=0.0))
-        if recon > _EIGENBASIS_TOL:
+        if not recon <= _EIGENBASIS_TOL:
             raise EigensolverError(
                 f"spectral reconstruction error {recon:.3e} exceeds budget"
             )

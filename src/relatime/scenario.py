@@ -31,11 +31,11 @@ hbar = 1 (energies and inverse times share one unit). Parsing is strict:
 syntax problems raise ``ScenarioParseError`` with a line number, semantic
 problems are collected and raised together as ``ScenarioValidationError``.
 
-Runners produce ``ResultTable`` objects: named 1-d numpy columns, each
-written as CSV in the text its dtype sets, under a '#'-prefixed metadata
-header (version, scenario hash, ``nodes`` for the collapse comparison,
-``threshold`` for the report, the scenario's seed). Identical inputs give
-byte-identical files.
+Runners produce ``ResultTable`` objects: named 1-d numpy columns, written as
+CSV in the text each dtype sets, under a '#'-prefixed metadata header: version,
+scenario hash (of the names and float64 values, no longer of the canonical text),
+``nodes`` for the collapse comparison, ``threshold`` for the report, the seed.
+Identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -522,7 +522,20 @@ class ScenarioFile:
         return emit_scenario(self)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
+        """First 16 hex digits of SHA-256 over ``source`` in canonical order: text
+        as UTF-8, floats as little-endian float64, each part behind its length.
+        Equal exactly when ``canonical_text()`` is (earlier builds hashed it)."""
+        h = hashlib.sha256()
+        for name, fields in self.source.items():
+            parts = [name, len(fields)]
+            for key, reader, value in fields.values():
+                head, rows = (f"{key} {{", value) if reader.block else (key, [value])
+                parts += [head, len(rows), *rows]
+            for part in parts:
+                text = isinstance(part, (str, int))
+                data = str(part).encode() if text else np.asarray(part, "<f8").tobytes()
+                h.update(len(data).to_bytes(8, "little") + data)
+        return h.hexdigest()[:16]
 
 
 def emit_scenario(scn: ScenarioFile) -> str:

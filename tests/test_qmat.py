@@ -243,6 +243,24 @@ class TestSpectralDecompose:
         with pytest.raises(EigensolverError, match="unitary"):
             Hamiltonian.from_eigensystem([0.0, 1.0], np.ones((2, 2)))
 
+    @pytest.mark.parametrize("energies, basis", [
+        ([0.0, np.nan], np.eye(2)),
+        ([0.0, np.inf], np.eye(2)),
+        ([0.0, 1.0], [[1.0, 0.0], [0.0, np.nan]]),
+        ([0.0, 1.0], [[1.0, 0.0], [0.0, complex(1.0, np.nan)]]),
+    ])
+    def test_from_eigensystem_rejects_non_finite(self, energies, basis):
+        with pytest.raises(QuantumStateError, match="non-finite"):
+            Hamiltonian.from_eigensystem(energies, basis)
+
+    def test_overflowing_spectrum_fails_reconstruction(self):
+        """eigh returns an infinite eigenvalue for entries near the float
+        maximum; the NaN reconstruction error that follows must fail."""
+        from relatime import EigensolverError
+
+        with np.errstate(all="ignore"), pytest.raises(EigensolverError, match="nan"):
+            Hamiltonian([[1e308, 1e308], [1e308, 1e308]])
+
 
 class TestTensor:
     def test_identity_product(self):
