@@ -4,7 +4,9 @@ A ``TimeKernel`` is a normalized probability density P(t | t_B) for the
 actual elapsed time t given a watch reading t_B. Each kind supplies a
 quadrature rule for integrating against itself and a characteristic
 function chi(omega) = integral P(t|t_B) exp(-i omega t) dt, which is the
-per-energy-gap dephasing multiplier used by the closed-form engine.
+per-energy-gap dephasing multiplier used by the closed-form engine. chi is
+phase x envelope: exp(-i omega t_B) times phi(omega), the characteristic
+function of the watch error t - t_B, real for delta, gaussian and uniform.
 
 Units: hbar = 1 throughout, so times carry inverse-energy units and the
 Gaussian rate parameter ``lam`` has time units (variance lam * t_B).
@@ -112,13 +114,18 @@ class CharacteristicValue:
 
 
 class TimeKernel:
-    """Base class; concrete kinds implement ``_chi`` and ``quadrature``."""
+    """Base class; concrete kinds implement ``_envelope`` and ``quadrature``."""
 
     kind: str = "abstract"
     t_b: float
 
     def _chi(self, omega: np.ndarray) -> np.ndarray:
-        """Vectorized characteristic function (closed form where one exists)."""
+        """Vectorized characteristic function: phase x envelope."""
+        omega = np.asarray(omega, dtype=float)
+        return np.exp(-1j * omega * self.t_b) * self._envelope(omega)
+
+    def _envelope(self, omega: np.ndarray) -> np.ndarray:
+        """phi at a float array: the characteristic function of t - t_b."""
         raise NotImplementedError
 
     def quadrature(self, node_count: int) -> QuadratureRule:
@@ -136,8 +143,8 @@ class DeltaKernel(TimeKernel):
     def __init__(self, t_b: float):
         self.t_b = float(t_b)
 
-    def _chi(self, omega):
-        return np.exp(-1j * np.asarray(omega, dtype=float) * self.t_b)
+    def _envelope(self, omega):
+        return np.ones_like(omega)
 
     def quadrature(self, node_count: int) -> QuadratureRule:
         # Point mass: the node count is irrelevant.
@@ -177,11 +184,8 @@ class GaussianKernel(TimeKernel):
             2.0 * np.pi * var
         )
 
-    def _chi(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        return np.exp(-1j * omega * self.t_b) * np.exp(
-            -0.5 * self.variance * omega**2
-        )
+    def _envelope(self, omega):
+        return np.exp(-0.5 * self.variance * omega**2)
 
     def quadrature(self, node_count: int) -> QuadratureRule:
         x, w = _hermgauss(int(node_count))
@@ -206,13 +210,11 @@ class UniformKernel(TimeKernel):
         inside = np.abs(t - self.t_b) <= self.half_width
         return np.where(inside, 0.5 / self.half_width, 0.0)
 
-    def _chi(self, omega):
-        omega = np.asarray(omega, dtype=float)
+    def _envelope(self, omega):
         x = omega * self.half_width
         small = np.abs(x) < _SINC_SERIES_CUTOFF
         safe = np.where(small, 1.0, x)
-        sinc = np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
-        return np.exp(-1j * omega * self.t_b) * sinc
+        return np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
 
     def quadrature(self, node_count: int) -> QuadratureRule:
         n = int(node_count)
@@ -257,9 +259,8 @@ class TabulatedKernel(TimeKernel):
         self.weights.setflags(write=False)
         self.t_b = float(self.weights @ self.times)
 
-    def _chi(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        phases = np.exp(-1j * np.multiply.outer(omega, self.times))
+    def _envelope(self, omega):
+        phases = np.exp(-1j * np.multiply.outer(omega, self.times - self.t_b))
         return phases @ self.weights
 
     def quadrature(self, node_count: int) -> QuadratureRule:

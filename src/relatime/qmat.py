@@ -156,6 +156,10 @@ class Hamiltonian:
             energies, basis = np.linalg.eigh(arr)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
+        if not np.isfinite(energies).all():  # finite entries can still overflow
+            raise EigensolverError(
+                f"spectrum is not finite: [{energies.min():g}..{energies.max():g}]"
+            )
         self._finish_init(dim, arr, energies, basis)
 
     @classmethod
@@ -278,7 +282,11 @@ def expectation(observable: Observable, rho: DensityMatrix) -> float:
         raise DimensionMismatchError(
             f"observable dim {observable.dim} != state dim {rho.dim}"
         )
-    value = complex(np.sum(observable.matrix * rho.matrix.T))
+    return _real_expectation(complex(np.sum(observable.matrix * rho.matrix.T)))
+
+
+def _real_expectation(value: complex) -> float:
+    """Re of an expectation value, which Hermitian operands make real."""
     if abs(value.imag) > 1e-9:
         raise QuantumStateError(
             f"expectation has imaginary part {value.imag:.3e}; inputs are "

@@ -89,8 +89,9 @@ from .kernels import (
     UniformKernel,
     make_gaussian_kernel,
 )
-from .qmat import DIMENSION_CAP
-from .qmat import DensityMatrix, Hamiltonian, Observable, expectation, purity
+from .qmat import DIMENSION_CAP, DensityMatrix, Hamiltonian, Observable, purity
+# bench/traced_job.py wraps expectation here; the runners do not call it.
+from .qmat import _real_expectation, expectation  # noqa: F401
 
 __all__ = [
     "ScenarioFile",
@@ -783,6 +784,11 @@ def _max_offdiag(rho_e: np.ndarray, distinct: np.ndarray) -> float:
     return float(np.max(np.abs(rho_e[distinct]), initial=0.0))
 
 
+def _expect(p: np.ndarray, weighted: np.ndarray) -> float:
+    """Tr[N D X D*] = Re p^T weighted p* for weighted = X * N^T, D = diag(p)."""
+    return _real_expectation(complex(p @ weighted @ p.conj()))
+
+
 PEARLE_NODES = 64  # Gauss-Hermite nodes of the collapse comparison
 SWEEP_CELL_CAP = 2**24  # most cells, steps x (6 + gaps), a sweep table may have
 _PHASE_TOL = 1e-12  # largest | |p_i| - 1 | a sweep point's phases may have
@@ -804,9 +810,10 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
     column uses the closed-form dephasing law. Per-gap columns hold the
     dephasing factor magnitude at each distinct energy gap (``_gap_names``).
 
-    The state (validated there once) and observable go to the energy basis.
-    Alice's state D rho_e D*, D = diag(exp(-i E t)), has rho_e's spectrum while
-    every |D_ii| = 1, its one check per point; Bob's is validated at each point.
+    The state (validated there once: rho_s) and observable go to the energy basis.
+    As chi = phase x envelope, Alice's state is D rho_s D* and Bob's D X D*, with
+    D = diag(exp(-i E t_B)) and X = rho_s * envelope(E_i - E_j). Each point checks
+    every |D_ii| = 1, then validates X, which has Bob's spectrum, trace and purity.
     """
     if scn.sweep is None or scn.sweep.variable not in ("t_B", "lambda"):
         raise ScenarioValidationError(
@@ -826,36 +833,34 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
             f"sweep table of {cells} cells ({scn.sweep.steps} steps x (6 + "
             f"{len(gaps)} gaps)) exceeds the limit of {SWEEP_CELL_CAP}"
         ])
-    rho_e = _to_eigenbasis(scn.initial_state.matrix, hamiltonian)
-    state_e = _finish_state(rho_e)
+    state_e = _finish_state(_to_eigenbasis(scn.initial_state.matrix, hamiltonian))
     observable_e = Observable(_to_eigenbasis(scn.observable.matrix, hamiltonian))
-    # Tr[N (rho_e * outer(p, p*))] = p^T (rho_e * N^T) p*
-    alice_e, purity_a = state_e.matrix * observable_e.matrix.T, purity(state_e)
-    del state_e  # one d x d array fewer held through the loop, at peak RSS
+    rho_s, purity_a = state_e.matrix, purity(state_e)
+    # Tr[N D X D*] = p^T (X * N^T) p*, and X * N^T = alice_e * envelope
+    alice_e = rho_s * observable_e.matrix.T
+    del observable_e  # one d x d array fewer held through the loop, at peak RSS
+    omega = spectrum[:, None] - spectrum[None, :]
     distinct = _distinct_gap_mask(spectrum)
 
     variable = scn.sweep.variable
+    swept = "t_b" if variable == "t_B" else "lam"
     points = scn.sweep.values()
     rows = []
     factors = np.empty((len(points), len(gaps)))
     for k, x in enumerate(points.tolist()):
-        if variable == "t_B":
-            kernel = scn.kernel_spec.build(t_b=x)
-            t_alice = x
-        else:
-            kernel = scn.kernel_spec.build(lam=x)
-            t_alice = scn.kernel_spec.t_b
+        kernel = scn.kernel_spec.build(**{swept: x})
         with _at(f"sweep point {variable} = {x!r}"):
-            p = _phases(spectrum, t_alice)
+            p = _phases(spectrum, kernel.t_b)
             off = float(np.max(np.abs(np.abs(p) - 1.0), initial=0.0))
             if not off <= _PHASE_TOL:  # NaN fails too
                 raise QuantumStateError(f"phases off the unit circle by {off:.1e}")
-            rho_b = _finish_state(rho_e * _kernel_multiplier(spectrum, kernel))
-        rows.append((
-            (p @ alice_e @ p.conj()).real, expectation(observable_e, rho_b),
-            purity_a, purity(rho_b), _max_offdiag(rho_b.matrix, distinct),
-        ))
-        factors[k] = np.abs(kernel._chi(gaps))
+            envelope = kernel._envelope(omega)
+            bob = DensityMatrix(rho_s * envelope)  # X: Bob's state in D's frame
+            rows.append((
+                _expect(p, alice_e), _expect(p, alice_e * envelope),
+                purity_a, purity(bob), _max_offdiag(bob.matrix, distinct),
+            ))
+        factors[k] = np.abs(kernel._envelope(gaps))
 
     names = (variable, "expect_A", "expect_B", "purity_A", "purity_B", "max_offdiag")
     columns = dict(zip(names, (points, *np.transpose(rows))))

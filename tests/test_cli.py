@@ -2,6 +2,7 @@ import inspect
 import io
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -240,6 +241,23 @@ def test_defective_input_exits_2(case, tmp_path):
     code, err = _validate(path)
     assert code == 2
     assert err.startswith(("E_PARSE: line ", "E_VALIDATION:")), err
+
+
+def test_overflowing_hamiltonian_exits_2(tmp_path):
+    # finite entries whose eigenvalues overflow: refused as a validation issue
+    path = tmp_path / "overflow.scn"
+    path.write_text(MINIMAL.replace(
+        "  spectrum 0.0 1.0\n",
+        "  hamiltonian {\n    row 1e308 0 1e308 0\n    row 1e308 0 1e308 0\n  }\n",
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _validate(path)
+    assert code == 2
+    assert err == (
+        "E_VALIDATION: 1 validation issue(s):\n"
+        "  - system hamiltonian: spectrum is not finite: [0..inf]\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relatime import (
     CharacteristicValue,
@@ -16,6 +17,17 @@ from relatime import (
     make_gaussian_kernel,
     parse_kernel_table,
     quadrature_for,
+)
+
+_TIMES = st.floats(-10.0, 10.0)
+_WIDTHS = st.floats(1e-3, 10.0)
+KERNELS = st.one_of(
+    st.builds(DeltaKernel, _TIMES),
+    st.builds(GaussianKernel, _WIDTHS, _WIDTHS),
+    st.builds(UniformKernel, _WIDTHS, _TIMES),
+    st.lists(st.tuples(_TIMES, st.floats(0.01, 10.0)), min_size=1, max_size=6).map(
+        lambda rows: TabulatedKernel(*zip(*rows))
+    ),
 )
 
 
@@ -238,3 +250,21 @@ class TestTabulated:
         path.write_text("0.0 2\n1.0 2\n")
         kernel = load_kernel_table(path)
         np.testing.assert_allclose(kernel.weights, [0.5, 0.5])
+
+
+class TestEnvelope:
+    """chi = phase x envelope; the envelope is the characteristic function
+    of the watch error t - t_b."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel=KERNELS, omega=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16))
+    def test_conjugate_symmetric_unit_at_zero_and_bounded(self, kernel, omega):
+        omega = np.array(omega)
+        envelope = kernel._envelope(omega)
+        mirrored = kernel._envelope(-omega)
+        if kernel.kind == "tabulated":
+            np.testing.assert_allclose(mirrored, envelope.conj(), rtol=0, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(mirrored, np.conj(envelope))
+        assert abs(kernel._envelope(np.zeros(1))[0] - 1.0) <= 1e-15
+        assert np.all(np.abs(envelope) <= 1.0 + 1e-12)

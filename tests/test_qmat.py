@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -253,13 +255,18 @@ class TestSpectralDecompose:
         with pytest.raises(QuantumStateError, match="non-finite"):
             Hamiltonian.from_eigensystem(energies, basis)
 
-    def test_overflowing_spectrum_fails_reconstruction(self):
+    def test_overflowing_spectrum_is_refused_as_not_finite(self):
         """eigh returns an infinite eigenvalue for entries near the float
-        maximum; the NaN reconstruction error that follows must fail."""
+        maximum; it is refused before any arithmetic on it can warn."""
         from relatime import EigensolverError
 
-        with np.errstate(all="ignore"), pytest.raises(EigensolverError, match="nan"):
-            Hamiltonian([[1e308, 1e308], [1e308, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for entry, spectrum in [(1e308, r"0\.\.inf"), (-1e308, r"-inf\.\.0")]:
+                with pytest.raises(
+                    EigensolverError, match=rf"^spectrum is not finite: \[{spectrum}\]$"
+                ):
+                    Hamiltonian(np.full((2, 2), entry))
 
 
 class TestTensor:

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relatime import (
+    DeltaKernel,
     GaussianKernel,
     Hamiltonian,
     NotHermitianError,
@@ -16,6 +19,10 @@ from relatime import (
     ResultTable,
     ScenarioParseError,
     ScenarioValidationError,
+    TabulatedKernel,
+    TimeKernel,
+    TraceNotOneError,
+    UniformKernel,
     characteristic,
     coherence_report,
     emit_scenario,
@@ -467,16 +474,15 @@ class TestDecoherenceSweep:
                 assert table.columns[name][k] == pytest.approx(value, rel=0, abs=1e-12)
 
     def test_non_positive_multiplier_fails_at_its_point(self, monkeypatch):
-        # A kernel whose chi flips the sign of every off-diagonal element is
-        # not positive definite; the energy-basis validation must catch the
+        # A kernel whose envelope flips the sign of every off-diagonal element
+        # is not positive definite; the energy-basis validation must catch the
         # resulting state instead of emitting a row for it.
-        closed_form = GaussianKernel._chi
+        closed_form = GaussianKernel._envelope
 
         def flipped(self, omega):
-            omega = np.asarray(omega, dtype=float)
             return np.where(omega == 0.0, 1.0, -1.0) * closed_form(self, omega)
 
-        monkeypatch.setattr(GaussianKernel, "_chi", flipped)
+        monkeypatch.setattr(GaussianKernel, "_envelope", flipped)
         text = (MINIMAL + SWEEP_BLOCK).replace("dimension 2", "dimension 3")
         text = text.replace("spectrum 0.0 1.0", "spectrum 0.0 1.0 2.5")
         text = text.replace("preset pauli_x", "preset number_op")
@@ -484,18 +490,87 @@ class TestDecoherenceSweep:
             run_decoherence_sweep(parse_scenario(text))
 
     def test_non_hermitian_multiplier_fails_at_its_point(self, monkeypatch):
-        # the state is symmetrized before it is validated, so the defect
-        # must be read off the raw output
-        original = scenario_module._kernel_multiplier
+        # an envelope that is not even skews the upper triangle (E_i < E_j);
+        # Bob's state is validated as built, so the defect must show
+        original = GaussianKernel._envelope
 
-        def skewed(spectrum, kernel):
-            multiplier = original(spectrum, kernel)
-            return multiplier + np.triu(np.full(multiplier.shape, 1e-4), 1)
+        def skewed(self, omega):
+            return original(self, omega) + np.where(omega < 0.0, 1e-4, 0.0)
 
-        monkeypatch.setattr(scenario_module, "_kernel_multiplier", skewed)
+        monkeypatch.setattr(GaussianKernel, "_envelope", skewed)
         scn = parse_scenario((SCENARIO_DIR / "qubit_decoherence.scn").read_text())
         with pytest.raises(NotHermitianError, match=r"^at sweep point t_B = 0\.1: "):
             run_decoherence_sweep(scn)
+
+    def test_envelope_off_one_at_zero_gap_fails_at_its_point(self, monkeypatch):
+        # phi(0) = 1 keeps Bob's trace at rho_s's; a scaled envelope is
+        # refused at its point, not renormalized away
+        original = GaussianKernel._envelope
+        monkeypatch.setattr(
+            GaussianKernel, "_envelope", lambda self, omega: 1.001 * original(self, omega)
+        )
+        scn = parse_scenario((SCENARIO_DIR / "qubit_decoherence.scn").read_text())
+        with pytest.raises(TraceNotOneError, match=r"^at sweep point t_B = 0\.1: "):
+            run_decoherence_sweep(scn)
+
+    def test_expectation_guard_fires_at_its_point(self, monkeypatch):
+        # both expectation values go through one helper that keeps
+        # expectation's guard on the imaginary part; reaching it takes an
+        # observable that skipped validation
+        unchecked = types.SimpleNamespace
+        monkeypatch.setattr(scenario_module, "Observable", lambda m: unchecked(matrix=m))
+        scn = dataclasses.replace(
+            parse_scenario(MINIMAL + SWEEP_BLOCK),
+            observable=unchecked(matrix=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)),
+        )
+        with pytest.raises(
+            QuantumStateError,
+            match=r"^at sweep point t_B = 0\.1: expectation has imaginary part",
+        ):
+            run_decoherence_sweep(scn)
+
+    def test_sweep_never_calls_chi(self, monkeypatch):
+        # Bob's state is built in Alice's frame from the real envelope alone
+        def no_chi(self, omega):
+            raise AssertionError(f"{type(self).__name__}._chi called")
+
+        for cls in (TimeKernel, DeltaKernel, GaussianKernel, UniformKernel,
+                    TabulatedKernel):
+            monkeypatch.setattr(cls, "_chi", no_chi)
+        zero_start = SWEEP_BLOCK.replace("start 0.1", "start 0.0")  # t_B = 0: delta
+        uniform = MINIMAL.replace("lambda 0.1", "half_width 0.3").replace(
+            "kind gaussian", "kind uniform")
+        delta = MINIMAL.replace("kind gaussian\n  lambda 0.1", "kind delta")
+        for text in (MINIMAL + zero_start, uniform + SWEEP_BLOCK, delta + SWEEP_BLOCK,
+                     MINIMAL + SWEEP_BLOCK.replace("variable t_B", "variable lambda")):
+            assert len(run_decoherence_sweep(parse_scenario(text)).columns["expect_B"]) == 12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 6),
+        kind=st.sampled_from(["gaussian", "uniform", "delta"]),
+        variable=st.sampled_from(["t_B", "lambda"]),
+    )
+    def test_purity_never_rises_through_the_watch(self, seed, dim, kind, variable):
+        if variable == "lambda":
+            kind = "gaussian"
+        rng = np.random.default_rng(seed)
+        text = dense_scenario(rng, dim, kind, variable).replace("steps 4", "steps 16")
+        table = run_decoherence_sweep(parse_scenario(text))
+        assert np.all(table.columns["purity_B"] <= table.columns["purity_A"] + 1e-12)
+
+    def test_overflowing_hamiltonian_is_a_validation_issue(self):
+        text = MINIMAL.replace(
+            "  spectrum 0.0 1.0\n", _matrix_block("hamiltonian", np.full((2, 2), 1e308))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioValidationError) as info:
+                parse_scenario(text)
+        assert info.value.issues == [
+            "system hamiltonian: spectrum is not finite: [0..inf]"
+        ]
 
     @pytest.mark.parametrize(
         "scale, message",
