@@ -105,16 +105,13 @@ def main(argv=None) -> int:
         print("E_VALIDATION: --seed must fit in 64 unsigned bits", file=sys.stderr)
         return EXIT_INVALID
 
-    try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        return _fail("E_VALIDATION", exc, EXIT_INVALID)
-
-    try:
-        scenario = parse_scenario(text, seed=args.seed)
+    try:  # the file's text lives only while it is parsed
+        scenario = parse_scenario(
+            Path(args.file).read_text(encoding="utf-8"), seed=args.seed
+        )
     except ScenarioParseError as exc:
         return _fail("E_PARSE", exc, EXIT_INVALID)
-    except (RelatimeError, ValueError) as exc:
+    except (RelatimeError, ValueError, OSError) as exc:  # a bad file too
         return _fail("E_VALIDATION", exc, EXIT_INVALID)
 
     if args.command == "validate":

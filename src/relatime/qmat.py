@@ -56,14 +56,14 @@ DIMENSION_CAP = 4096
 _EIGENBASIS_TOL = 1e-9  # unitarity and reconstruction budget
 
 
-def _as_matrix(m) -> np.ndarray:
-    """Coerce input to a finite, square, complex 2-d array."""
+def _as_matrix(m, finite: bool = True) -> np.ndarray:
+    """Coerce input to a complex 2-d array, finite unless told otherwise."""
     if isinstance(m, (DensityMatrix, Hamiltonian, Observable)):
         return m.matrix
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
         raise QuantumStateError(f"expected a 2-d matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if finite and not np.isfinite(arr).all():
         raise QuantumStateError("matrix has non-finite entries")
     return arr
 
@@ -91,8 +91,10 @@ def _check_state(arr: np.ndarray) -> None:
     tr = complex(np.sum(np.trace(arr, axis1=-2, axis2=-1)))
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOneError(tr)
+    shifted, diag = arr.copy(), np.arange(arr.shape[-1])
+    shifted[..., diag, diag] += 0.5 * PSD_TOL
     try:
-        np.linalg.cholesky(arr + 0.5 * PSD_TOL * np.eye(arr.shape[-1]))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         smallest = float(np.min(np.linalg.eigvalsh(arr)))
         if smallest < -PSD_TOL:
@@ -107,10 +109,12 @@ def _check_product_dim(d_a: int, d_b: int) -> None:
         )
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.complex128, copy=True)
-    out.setflags(write=False)
-    return out
+def _frozen(arr: np.ndarray, given) -> np.ndarray:
+    """Read-only ``arr``; a copy if it is the caller's input ``given`` or a view."""
+    if arr is given or arr.base is not None:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 class DensityMatrix:
@@ -123,11 +127,11 @@ class DensityMatrix:
     __slots__ = ("dim", "matrix")
 
     def __init__(self, matrix):
-        arr = _as_matrix(matrix)
+        arr = _as_matrix(matrix, finite=False)  # _check_state tests it
         dim = _require_square(arr)
         _check_state(arr)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", _frozen(arr))
+        object.__setattr__(self, "matrix", _frozen(arr, matrix))
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
@@ -160,7 +164,7 @@ class Hamiltonian:
             raise EigensolverError(
                 f"spectrum is not finite: [{energies.min():g}..{energies.max():g}]"
             )
-        self._finish_init(dim, arr, energies, basis)
+        self._finish_init(dim, arr, energies, basis, matrix)
 
     @classmethod
     def from_eigensystem(cls, eigenvalues, eigenbasis) -> "Hamiltonian":
@@ -183,10 +187,10 @@ class Hamiltonian:
         arr = (basis * energies) @ basis.conj().T
         arr = 0.5 * (arr + arr.conj().T)  # exact symmetrization of roundoff
         self = cls.__new__(cls)
-        self._finish_init(energies.size, arr, energies, basis)
+        self._finish_init(energies.size, arr, energies, basis, eigenbasis)
         return self
 
-    def _finish_init(self, dim, arr, energies, basis):
+    def _finish_init(self, dim, arr, energies, basis, given):
         unitarity = float(
             np.max(np.abs(basis.conj().T @ basis - np.eye(dim)), initial=0.0)
         )
@@ -201,11 +205,11 @@ class Hamiltonian:
                 f"spectral reconstruction error {recon:.3e} exceeds budget"
             )
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", _frozen(arr))
+        object.__setattr__(self, "matrix", _frozen(arr, given))
         energies = np.array(energies, dtype=float, copy=True)
         energies.setflags(write=False)
         object.__setattr__(self, "spectrum", energies)
-        object.__setattr__(self, "eigenbasis", _frozen(basis))
+        object.__setattr__(self, "eigenbasis", _frozen(basis, given))
 
     def __setattr__(self, name, value):
         raise AttributeError("Hamiltonian is immutable")
@@ -225,7 +229,7 @@ class Observable:
         dim = _require_square(arr)
         _check_hermitian(arr, "observable")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", _frozen(arr))
+        object.__setattr__(self, "matrix", _frozen(arr, matrix))
 
     def __setattr__(self, name, value):
         raise AttributeError("Observable is immutable")

@@ -26,10 +26,11 @@ observable to read out, and an optional sweep. Example::
     }
 
 Matrices are written row per line as 're im' pairs inside a nested block;
-'#' starts a comment anywhere. Units follow the library convention
-hbar = 1 (energies and inverse times share one unit). Parsing is strict:
-syntax problems raise ``ScenarioParseError`` with a line number, semantic
-problems are collected and raised together as ``ScenarioValidationError``.
+'#' starts a comment anywhere. Units follow the library convention hbar = 1
+(energies and inverse times share one unit). Parsing is strict: syntax
+problems raise ``ScenarioParseError`` with a line number, semantic problems
+are collected and raised together as ``ScenarioValidationError``. A key's
+numbers are split from its line only as they are read: one row at a time.
 
 Runners produce ``ResultTable`` objects: named 1-d numpy columns, written as
 CSV in the text each dtype sets, under a '#'-prefixed metadata header: version,
@@ -49,7 +50,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, qmat
 # bench/traced_job.py wraps bob_conditional here; the runner does not call it.
 from .clockmodel import (  # noqa: F401
     ClockSystem,
@@ -111,8 +112,12 @@ __all__ = [
 @dataclass
 class _Leaf:
     name: str
-    tokens: list[str]
+    text: str  # all after the name; split only when read, one row at a time
     line: int
+
+    @property
+    def tokens(self) -> list[str]:
+        return self.text.split()
 
 
 @dataclass
@@ -146,8 +151,8 @@ def _parse_blocks(text: str) -> _Block:
             stack[-1].blocks.append(block)
             stack.append(block)
             continue
-        tokens = line.split()
-        stack[-1].leaves.append(_Leaf(name=tokens[0], tokens=tokens[1:], line=lineno))
+        name, *rest = line.split(None, 1)
+        stack[-1].leaves.append(_Leaf(name, "".join(rest), lineno))
     if len(stack) != 1:
         raise ScenarioParseError(
             f"unclosed block '{stack[-1].name}' opened at line {stack[-1].line}"
@@ -272,13 +277,12 @@ def _table(block: _Block) -> list[np.ndarray]:
     """'t weight' lines."""
     rows = []
     for leaf in block.leaves:
-        tokens = [leaf.name, *leaf.tokens]
-        if len(tokens) != 2:
+        text = " ".join([leaf.name, *leaf.tokens])
+        if len(leaf.tokens) != 1:
             raise ScenarioParseError(
-                f"line {leaf.line}: table row expects 't weight', got "
-                f"{' '.join(tokens)!r}"
+                f"line {leaf.line}: table row expects 't weight', got {text!r}"
             )
-        rows.append(_floats(_Leaf("table row", tokens, leaf.line)))
+        rows.append(_floats(_Leaf("table row", text, leaf.line)))
     return rows
 
 
@@ -555,7 +559,7 @@ def emit_scenario(scn: ScenarioFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spectrum(values: np.ndarray, dim: int, rng) -> np.ndarray:
+def _spectrum(values: np.ndarray, dim: int) -> np.ndarray:
     if len(values) != dim:
         raise RelatimeError(
             f"system spectrum has {len(values)} entries, expected {dim}"
@@ -563,7 +567,7 @@ def _spectrum(values: np.ndarray, dim: int, rng) -> np.ndarray:
     return np.diag(values)
 
 
-def _state_from_preset(preset: str, dim: int, rng) -> np.ndarray:
+def _state_from_preset(preset: str, dim: int, seed: int) -> np.ndarray:
     name, *index = preset.split()
     if name == "plus_state":
         return np.full((dim, dim), 1.0 / dim, dtype=np.complex128)
@@ -576,6 +580,7 @@ def _state_from_preset(preset: str, dim: int, rng) -> np.ndarray:
         return out
     if name == "maximally_mixed":
         return np.eye(dim, dtype=np.complex128) / dim
+    rng = np.random.default_rng(seed)  # only here: numpy.random costs an import
     if name == "random_pure":
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         vec /= np.linalg.norm(vec)
@@ -588,7 +593,7 @@ def _state_from_preset(preset: str, dim: int, rng) -> np.ndarray:
 _PAULI = {"pauli_x": [[0, 1], [1, 0]], "pauli_z": [[1, 0], [0, -1]]}
 
 
-def _observable_from_preset(name: str, dim: int, rng) -> np.ndarray:
+def _observable_from_preset(name: str, dim: int) -> np.ndarray:
     if name == "number_op":
         return np.diag(np.arange(dim)).astype(np.complex128)
     if dim != 2:
@@ -610,11 +615,12 @@ _OPERATORS = {
 }
 
 
-def _operator(name: str, entry: _Field, dim: int, rng):
+def _operator(name: str, entry: _Field, dim: int, seed: int):
     """The operator from its preset leaf or its matrix rows."""
     _, make, preset, _, _ = _OPERATORS[name]
     if not entry.reader.block:
-        return make(preset(entry.value, dim, rng))
+        seeded = (seed,) if name == "state" else ()  # only states are drawn
+        return make(preset(entry.value, dim, *seeded))
     lengths = [len(row) // 2 for row in entry.value]
     if len(set(lengths)) > 1:
         raise RelatimeError(f"{name} matrix rows have unequal lengths {lengths}")
@@ -664,12 +670,12 @@ def parse_scenario(text: str, *, seed: int = 0) -> ScenarioFile:
         for name, section in _SECTIONS.items()
         if name in blocks
     }
+    del root, blocks  # the text of every value is read: drop it
     values = {
         name: {key: entry.value for key, entry in fields.items()}
         for name, fields in source.items()
     }
 
-    rng = np.random.default_rng(int(seed))
     dim = values["system"].get("dimension")
     operators = {}
     for name, (block, _, _, preset_issue, matrix_issue) in _OPERATORS.items():
@@ -677,7 +683,7 @@ def parse_scenario(text: str, *, seed: int = 0) -> ScenarioFile:
         if dim is not None and entry is not None:
             prefix = matrix_issue if entry.reader.block else preset_issue
             operators[name] = _attempt(
-                issues[block], prefix, _operator, name, entry, dim, rng
+                issues[block], prefix, _operator, name, entry, dim, int(seed)
             )
 
     kernel_spec = None
@@ -855,10 +861,11 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
             if not off <= _PHASE_TOL:  # NaN fails too
                 raise QuantumStateError(f"phases off the unit circle by {off:.1e}")
             envelope = kernel._envelope(omega)
-            bob = DensityMatrix(rho_s * envelope)  # X: Bob's state in D's frame
+            x = rho_s * envelope  # Bob's state in D's frame
+            qmat._check_state(x)  # the check DensityMatrix runs, without a copy of x
             rows.append((
                 _expect(p, alice_e), _expect(p, alice_e * envelope),
-                purity_a, purity(bob), _max_offdiag(bob.matrix, distinct),
+                purity_a, float(np.vdot(x, x).real), _max_offdiag(x, distinct),
             ))
         factors[k] = np.abs(kernel._envelope(gaps))
 

@@ -47,6 +47,12 @@ class TestValidate:
         assert main(["validate", "does/not/exist.scn"]) == 2
         assert capsys.readouterr().err.startswith("E_VALIDATION:")
 
+    def test_undecodable_file_is_a_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_bytes(b"system {\n\xff\n}\n")
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("E_VALIDATION: 'utf-8' codec")
+
     def test_bad_seed_rejected(self, capsys):
         assert main(["validate", str(QUBIT), "--seed", "-1"]) == 2
         assert "E_VALIDATION" in capsys.readouterr().err
@@ -332,6 +338,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("OK:")
+
+    def test_validate_leaves_numpy_random_unimported(self):
+        # only the random state presets draw numbers; importing numpy.random
+        # costs every other run time and memory
+        code = (
+            "import sys; from relatime.cli import main; "
+            f"main(['validate', {str(QUBIT)!r}]); "
+            "print('numpy.random' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_module_invocation_failure(self, tmp_path):
         bad = tmp_path / "bad.scn"

@@ -51,6 +51,33 @@ class TestMakeDensity:
         with pytest.raises(QuantumStateError):
             make_density([[np.nan, 0], [0, 1]])
 
+    def test_non_finite_state_has_one_message(self):
+        message = "^density matrix has non-finite entries$"
+        for arr in (
+            [[np.nan, 0], [0, 1]], np.diag([np.inf, 0.5]), [[1, 1j * np.inf], [0, 0]]
+        ):
+            with pytest.raises(QuantumStateError, match=message):
+                make_density(arr)
+            with pytest.raises(QuantumStateError, match=message):
+                _check_state(np.asarray(arr, dtype=complex)[None])
+
+    @pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+    @pytest.mark.parametrize("make", [make_density, Hamiltonian, Observable])
+    def test_caller_array_stays_the_callers(self, make, view):
+        # the operator keeps a copy of a complex128 array its caller still
+        # holds, or of a subclass view, which np.asarray turns into a new view
+        arr = np.diag([1.0, 0.0]).astype(np.complex128)
+        op = make(arr.view(type("Sub", (np.ndarray,), {})) if view else arr)
+        arr[0, 0] = 0.5
+        assert op.matrix[0, 0] == 1.0
+        assert arr.flags.writeable and not op.matrix.flags.writeable
+
+    def test_eigenbasis_stays_the_callers(self):
+        basis = np.eye(2, dtype=np.complex128)
+        h = Hamiltonian.from_eigensystem([0.0, 1.0], basis)
+        basis[:] = basis[::-1]
+        np.testing.assert_array_equal(h.eigenbasis, np.eye(2))
+
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
             make_density(np.ones((2, 3)) / 6)

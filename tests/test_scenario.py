@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -134,6 +135,28 @@ class TestParsing:
             parse_scenario("system {\n  dimension 2\n")
         with pytest.raises(ScenarioParseError, match="unmatched"):
             parse_scenario("}\n")
+
+    def test_unclosed_block_outranks_an_earlier_bad_number(self):
+        # the block structure is read in full before any value
+        text = MINIMAL.replace(
+            "state plus_state", "state {\n row 0.5 half 0 0\n row 0 0 0.5 0\n }"
+        )
+        with pytest.raises(ScenarioParseError, match="^line 6: 'row' expects numbers"):
+            parse_scenario(text)
+        with pytest.raises(ScenarioParseError, match="^unclosed block 'sweep' opened"):
+            parse_scenario(text + "sweep {\n  steps 3\n")
+
+    def test_parse_peak_memory_is_bounded_by_the_text(self):
+        # a matrix row's numbers are split from its line only as they are
+        # converted, so no block's numbers are all held as strings at once
+        text = dense_scenario(np.random.default_rng(3), 128, "gaussian", "t_B")
+        tracemalloc.start()
+        try:
+            parse_scenario(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * len(text)
 
     def test_unknown_key_suggests(self):
         text = MINIMAL.replace("lambda 0.1", "lamda 0.1")
