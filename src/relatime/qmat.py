@@ -8,6 +8,11 @@ construction: no instance can exist that violates its invariants beyond
 the fixed tolerances ``HERMITICITY_TOL``, ``TRACE_TOL`` and ``PSD_TOL``.
 PSD is proved by a Cholesky factor; ``eigvalsh`` runs only to judge and
 name a failure (``_check_state``): an eigenvalue test's verdict, to roundoff.
+A sweep point's X = rho * Phi (Phi real, exactly symmetric) is PSD when
+(rho + aI) * (Phi + bI) is (Schur product): lambda_min(X) >= -max_i(a Phi_ii +
+b rho_ii) - ab, a = m + g tr(rho + tau/2 I) for rho's bound -m, b = tau/4 + u +
+g tr(Phi + tau/4 I) if Phi + tau/4 I has a real factor; tau = PSD_TOL, u = 2^-53,
+g = gamma_{d+1} (Cholesky backward error, Higham ch. 10). Else X is factored.
 
 Tensor index convention, shared by every module: in a bipartite product
 the slow subsystem S is the LEFT (row-major outer) factor and the clock C
@@ -54,6 +59,7 @@ PSD_TOL = 1e-9
 DIMENSION_CAP = 4096
 
 _EIGENBASIS_TOL = 1e-9  # unitarity and reconstruction budget
+_HERMITIAN_BAND = 128  # rows per slice of the Hermiticity defect
 
 
 def _as_matrix(m, finite: bool = True) -> np.ndarray:
@@ -75,30 +81,58 @@ def _require_square(arr: np.ndarray) -> int:
 
 
 def _check_hermitian(arr: np.ndarray, what: str) -> None:
-    defect = float(np.max(np.abs(arr - np.swapaxes(arr, -1, -2).conj()), initial=0.0))
+    b = _HERMITIAN_BAND  # max |arr - arr^H|, NaN kept, over upper-triangle bands
+    defect = float(np.max([np.max(np.abs(
+        arr[..., r:r + b, r:] - np.swapaxes(arr[..., r:, r:r + b], -1, -2).conj()
+    ), initial=0.0) for r in range(0, arr.shape[-1], b)], initial=0.0))
     if defect > HERMITICITY_TOL:
         raise NotHermitianError(defect, what=what)
 
 
-def _check_state(arr: np.ndarray) -> None:
+def _factors(arr: np.ndarray, shift: float) -> bool:
+    """Whether arr + shift I (each block of a stack) has a Cholesky factor."""
+    shifted, diag = arr.copy(), np.arange(arr.shape[-1])
+    shifted[..., diag, diag] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _check_state(arr: np.ndarray, proved: float = np.inf) -> float:
     """Raise unless ``arr`` is a density matrix, or the ``(..., d, d)`` stack
-    of its diagonal blocks (whose spectra together are its spectrum). A
-    Cholesky factor of arr + PSD_TOL/2 I certifies lambda_min > -PSD_TOL up to
-    O(d eps |arr|) backward error; only without one does eigvalsh decide."""
+    of its diagonal blocks (whose spectra together are its spectrum); return m
+    <= PSD_TOL with lambda_min >= -m proved: ``proved``, else PSD_TOL/2 by a
+    factor of arr + PSD_TOL/2 I, else |lambda_min| as eigvalsh decides."""
     if not np.isfinite(arr).all():
         raise QuantumStateError("density matrix has non-finite entries")
     _check_hermitian(arr, "density matrix")
     tr = complex(np.sum(np.trace(arr, axis1=-2, axis2=-1)))
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOneError(tr)
-    shifted, diag = arr.copy(), np.arange(arr.shape[-1])
-    shifted[..., diag, diag] += 0.5 * PSD_TOL
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        smallest = float(np.min(np.linalg.eigvalsh(arr)))
-        if smallest < -PSD_TOL:
-            raise NotPositiveError(smallest) from None
+    if proved < PSD_TOL:
+        return proved
+    if _factors(arr, 0.5 * PSD_TOL):
+        return 0.5 * PSD_TOL
+    smallest = float(np.min(np.linalg.eigvalsh(arr)))
+    if smallest < -PSD_TOL:
+        raise NotPositiveError(smallest)
+    return abs(smallest)
+
+
+def _schur_state(state: DensityMatrix, phi: np.ndarray) -> np.ndarray:
+    """X = rho * phi, a state as the module docstring proves; rho exactly Hermitian."""
+    rho, bound = state.matrix, np.inf
+    if np.isrealobj(phi) and np.array_equal(phi, phi.T) and _factors(phi, PSD_TOL / 4):
+        d = len(phi)
+        g = (d + 1) / (2.0**53 - (d + 1))  # gamma_{d+1} = (d+1)u / (1 - (d+1)u)
+        a = state._margin + g * (np.trace(rho).real + d * PSD_TOL / 2)
+        b = PSD_TOL / 4 + 2.0**-53 + g * (np.trace(phi) + d * PSD_TOL / 4)
+        bound = float(np.max(a * phi.diagonal() + b * rho.diagonal().real)) + a * b
+    x = rho * phi
+    _check_state(x, bound)
+    return x
 
 
 def _check_product_dim(d_a: int, d_b: int) -> None:
@@ -124,12 +158,12 @@ class DensityMatrix:
     share across threads.
     """
 
-    __slots__ = ("dim", "matrix")
+    __slots__ = ("dim", "matrix", "_margin")
 
     def __init__(self, matrix):
         arr = _as_matrix(matrix, finite=False)  # _check_state tests it
         dim = _require_square(arr)
-        _check_state(arr)
+        object.__setattr__(self, "_margin", _check_state(arr))  # for _schur_state
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", _frozen(arr, matrix))
 

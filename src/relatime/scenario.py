@@ -787,7 +787,7 @@ def _distinct_gaps(hamiltonian: Hamiltonian) -> np.ndarray:
 def _max_offdiag(rho_e: np.ndarray, distinct: np.ndarray) -> float:
     """Largest energy-basis magnitude where ``distinct`` (the spectrum's
     ``_distinct_gap_mask``) holds: averaging cannot touch the rest."""
-    return float(np.max(np.abs(rho_e[distinct]), initial=0.0))
+    return float(np.max(np.abs(rho_e), where=distinct, initial=0.0))
 
 
 def _expect(p: np.ndarray, weighted: np.ndarray) -> float:
@@ -861,8 +861,7 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
             if not off <= _PHASE_TOL:  # NaN fails too
                 raise QuantumStateError(f"phases off the unit circle by {off:.1e}")
             envelope = kernel._envelope(omega)
-            x = rho_s * envelope  # Bob's state in D's frame
-            qmat._check_state(x)  # the check DensityMatrix runs, without a copy of x
+            x = qmat._schur_state(state_e, envelope)  # Bob's state in D's frame
             rows.append((
                 _expect(p, alice_e), _expect(p, alice_e * envelope),
                 purity_a, float(np.vdot(x, x).real), _max_offdiag(x, distinct),

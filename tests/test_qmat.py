@@ -21,7 +21,8 @@ from relatime import (
     spectral_decompose,
     tensor,
 )
-from relatime.qmat import PSD_TOL, _check_state
+from relatime import qmat
+from relatime.qmat import PSD_TOL, _check_state, _schur_state
 from conftest import plus_density, random_density, random_hermitian
 
 
@@ -225,6 +226,170 @@ class TestPositivityCertificate:
                 _check_state(arr)
         else:
             _check_state(arr)
+
+
+@pytest.fixture
+def cholesky_dtypes(monkeypatch):
+    """The dtype of every matrix qmat hands to np.linalg.cholesky."""
+    dtypes = []
+    original = np.linalg.cholesky
+
+    def recorded(arr, *args, **kwargs):
+        dtypes.append(arr.dtype.kind)
+        return original(arr, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    return dtypes
+
+
+def _unit_gram(rng, dim: int, rank: int) -> np.ndarray:
+    """A real, exactly symmetric PSD matrix of the given rank, unit diagonal."""
+    v = rng.standard_normal((rank, dim))
+    v /= np.linalg.norm(v, axis=0)
+    gram = v.T @ v
+    gram = 0.5 * (gram + gram.T)
+    np.fill_diagonal(gram, 1.0)
+    return gram
+
+
+class TestSchurCertificate:
+    """A sweep point's X = rho * Phi is proved PSD by the Schur product theorem
+    from a real factor of Phi + PSD_TOL/4 I and rho's own bound; otherwise X is
+    factored (complex) and eigvalsh decides, so the verdict is eigvalsh's."""
+
+    def test_forms_x_itself(self, rng, cholesky_dtypes):
+        state = random_density(rng, 5)
+        phi = _unit_gram(rng, 5, 3)
+        cholesky_dtypes.clear()
+        x = _schur_state(state, phi)
+        assert np.array_equal(x, state.matrix * phi)
+        assert cholesky_dtypes == ["f"]  # Phi's factor only
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 8),
+        factor=st.floats(-3.0, 3.0),
+        rank=st.integers(1, 8),
+        indefinite=st.floats(0.0, 3e-8) | st.just(0.0),
+    )
+    def test_verdict_agrees_with_eigvalsh(self, seed, dim, factor, rank, indefinite):
+        rng = np.random.default_rng(seed)
+        rho = _state_with_smallest(rng, dim, factor * PSD_TOL)
+        try:
+            state = DensityMatrix(rho)
+        except NotPositiveError:
+            assume(False)  # the sweep stops at rho_s before any point
+        # (1 + e) G - e I keeps the unit diagonal; its lowest eigenvalue is -e
+        # when G is singular
+        gram = _unit_gram(rng, dim, min(rank, dim))
+        phi = (1.0 + indefinite) * gram - indefinite * np.eye(dim)
+        smallest = float(np.min(np.linalg.eigvalsh(rho * phi)))
+        assume(abs(smallest + PSD_TOL) > 1e-12)
+        if smallest < -PSD_TOL:
+            with pytest.raises(NotPositiveError):
+                _schur_state(state, phi)
+        else:
+            _schur_state(state, phi)
+
+    def test_state_passed_only_by_eigvalsh_falls_back(
+        self, rng, monkeypatch, cholesky_dtypes
+    ):
+        # rho proved only lambda_min >= -0.9 PSD_TOL, so the bound does not
+        # close; X = rho is factored, fails, and eigvalsh passes it as it did rho
+        rho = _state_with_smallest(rng, 2, -0.9 * PSD_TOL)
+        state = DensityMatrix(rho)
+        assert state._margin == pytest.approx(0.9 * PSD_TOL, rel=1e-4)
+        cholesky_dtypes.clear()
+        solved = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda arr: solved.append(arr) or original(arr)
+        )
+        x = _schur_state(state, np.ones((2, 2)))
+        assert np.array_equal(x, rho)
+        assert cholesky_dtypes == ["f", "c"]
+        assert len(solved) == 1 and solved[0] is x
+
+    def test_indefinite_envelope_falls_back(self, cholesky_dtypes):
+        # Phi has eigenvalue -1, but on a diagonal rho X = rho is a state
+        state = DensityMatrix(np.diag([0.3, 0.7]))
+        cholesky_dtypes.clear()
+        x = _schur_state(state, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert np.array_equal(x, state.matrix)
+        assert cholesky_dtypes == ["f", "c"]
+
+    def test_not_exactly_symmetric_envelope_falls_back(self, cholesky_dtypes):
+        # a factor of Phi reads one triangle, so it proves nothing of the other
+        state = plus_density()
+        phi = np.ones((2, 2))
+        phi[0, 1] += 2.0**-52
+        cholesky_dtypes.clear()
+        _schur_state(state, phi)
+        assert cholesky_dtypes == ["c"]
+
+    def test_complex_envelope_falls_back(self, monkeypatch):
+        # a complex envelope is not factored for the proof: X is
+        state = plus_density()
+        factored = []
+        original = np.linalg.cholesky
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda arr: factored.append(arr) or original(arr)
+        )
+        x = _schur_state(state, np.ones((2, 2), dtype=complex))
+        assert len(factored) == 1
+        assert np.array_equal(factored[0], x + 0.5 * PSD_TOL * np.eye(2))
+
+    def test_concentrated_state_falls_back_at_large_dim(self, cholesky_dtypes):
+        # the backward-error terms grow as d^2 u max rho_ii: at d = 1600 with
+        # rho_00 = 1 they push the bound past PSD_TOL, so X is factored
+        dim = 1600
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[0, 0] = 1.0
+        state = DensityMatrix(rho)
+        cholesky_dtypes.clear()
+        _schur_state(state, np.eye(dim))
+        assert cholesky_dtypes == ["f", "c"]
+
+    def test_sign_flipped_envelope_refused(self):
+        # Phi = 2I - J is indefinite and X = rho * Phi is not a state
+        state = plus_density(3)
+        phi = 2.0 * np.eye(3) - np.ones((3, 3))
+        with pytest.raises(NotPositiveError):
+            _schur_state(state, phi)
+
+
+class TestHermitianDefect:
+    """The defect is taken over row bands of the upper triangle; with the
+    tolerance at -inf every defect is reported, so its value shows."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 300) | st.sampled_from([127, 128, 129, 256, 257]),
+        stack=st.sampled_from([(), (1,), (3,)]),
+        hermitian=st.booleans(),
+        poison=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    )
+    def test_equals_full_defect(self, seed, dim, stack, hermitian, poison):
+        rng = np.random.default_rng(seed)
+        shape = (*stack, dim, dim)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if hermitian:
+            a = a + np.swapaxes(a, -1, -2).conj()
+            a += 1e-13 * rng.standard_normal(shape)  # roundoff-size defects
+        if poison is not None:
+            index = tuple(rng.integers(0, n) for n in shape)
+            a[index] = rng.choice([complex(poison, 0.0), complex(0.0, poison)])
+        with np.errstate(invalid="ignore"), pytest.MonkeyPatch.context() as patch:
+            expected = np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()))
+            patch.setattr(qmat, "HERMITICITY_TOL", -np.inf)
+            if np.isnan(expected):  # NaN > -inf is False: no report, as before
+                qmat._check_hermitian(a, "matrix")
+                return
+            with pytest.raises(NotHermitianError) as caught:
+                qmat._check_hermitian(a, "matrix")
+        assert caught.value.violation == float(expected)
 
 
 class TestSpectralDecompose:

@@ -625,12 +625,49 @@ class TestDecoherenceSweep:
         checked = []
         original = qmat._check_state
         monkeypatch.setattr(
-            qmat, "_check_state", lambda arr: checked.append(arr.shape) or original(arr)
+            qmat, "_check_state",
+            lambda arr, *args: checked.append(arr.shape) or original(arr, *args),
         )
         scn = parse_scenario((SCENARIO_DIR / "qubit_decoherence.scn").read_text())
         checked.clear()
         run_decoherence_sweep(scn)
         assert len(checked) == 1 + scn.sweep.steps == 26
+
+    @pytest.mark.parametrize(
+        "kind, variable",
+        [("gaussian", "t_B"), ("uniform", "t_B"), ("delta", "t_B"), ("gaussian", "lambda")],
+    )
+    def test_factors_rho_s_once_and_one_real_envelope_per_point(
+        self, monkeypatch, kind, variable
+    ):
+        # Bob's state X = rho_s * envelope is proved a state by a real factor
+        # of the envelope; no point factors the complex X. t_B = 0 gives the
+        # delta kernel's all-ones envelope, singular without the shift.
+        text = dense_scenario(np.random.default_rng(11), 64, kind, variable)
+        scn = parse_scenario(text.replace("start 0.1", "start 0.0"))
+        dtypes = []
+        original = np.linalg.cholesky
+        monkeypatch.setattr(
+            qmat.np.linalg, "cholesky",
+            lambda arr, *args: dtypes.append(arr.dtype) or original(arr, *args),
+        )
+        run_decoherence_sweep(scn)
+        assert dtypes == [np.complex128] + [np.float64] * scn.sweep.steps
+
+    def test_rho_s_is_exactly_hermitian(self, monkeypatch):
+        # the envelope's factor proves X a state only if rho_s's factor, which
+        # read one triangle, proved all of rho_s
+        states = []
+        original = qmat._schur_state
+        monkeypatch.setattr(
+            qmat, "_schur_state",
+            lambda state, phi: states.append(state) or original(state, phi),
+        )
+        rng = np.random.default_rng(12)
+        run_decoherence_sweep(parse_scenario(dense_scenario(rng, 16, "gaussian", "t_B")))
+        rho_s = states[0].matrix
+        assert all(state is states[0] for state in states)
+        assert np.array_equal(rho_s, rho_s.conj().T)
 
     @settings(max_examples=60, deadline=None)
     @given(
