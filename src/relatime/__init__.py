@@ -39,30 +39,22 @@ from .qmat import (
     Hamiltonian,
     Observable,
     expectation,
-    make_density,
     partial_trace,
     purity,
-    spectral_decompose,
     tensor,
 )
 from .kernels import (
-    CharacteristicValue,
     DeltaKernel,
     GaussianKernel,
     QuadratureRule,
     TabulatedKernel,
     TimeKernel,
     UniformKernel,
-    characteristic,
-    load_kernel_table,
     make_gaussian_kernel,
-    parse_kernel_table,
     quadrature_for,
 )
 from .evolution import (
-    CoherencePair,
     CoherenceReport,
-    EvolutionResult,
     coherence_report,
     evolve_pearle,
     evolve_relational_dephasing,
@@ -72,15 +64,12 @@ from .evolution import (
 from .clockmodel import (
     ClockSystem,
     CompositeScenario,
-    WallClockComparison,
     alice_conditional,
     bob_conditional,
     bob_state,
     discretize_on_grid,
-    make_ideal_clock,
     pointer_weights,
     unconditioned_expectation,
-    wall_clock_self_consistency,
 )
 from .scenario import (
     ResultTable,

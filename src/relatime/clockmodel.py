@@ -27,8 +27,6 @@ by both alice routes, is checked when its ``Hamiltonian`` is built.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import (
@@ -55,14 +53,11 @@ from .qmat import (
 __all__ = [
     "ClockSystem",
     "CompositeScenario",
-    "WallClockComparison",
-    "make_ideal_clock",
     "discretize_on_grid",
     "bob_state",
     "alice_conditional",
     "bob_conditional",
     "unconditioned_expectation",
-    "wall_clock_self_consistency",
 ]
 
 _SHIFT_TOL = 1e-8
@@ -133,7 +128,8 @@ class ClockSystem:
         Only the first period is addressable; later times alias and are
         rejected rather than wrapped.
         """
-        index = int(round(t / self.tick))
+        ratio = t / self.tick
+        index = int(round(ratio)) if abs(ratio) <= self.dim else -1  # NaN, inf too
         tol = 1e-9 * max(self.tick, 1.0)
         if abs(t - index * self.tick) > tol or not 0 <= index < self.dim:
             raise NotPointerTimeError(
@@ -144,9 +140,6 @@ class ClockSystem:
 
     def __repr__(self) -> str:
         return f"ClockSystem(dim={self.dim}, tick={self.tick})"
-
-
-make_ideal_clock = ClockSystem  # a cyclic pointer clock
 
 
 class CompositeScenario:
@@ -376,27 +369,3 @@ def unconditioned_expectation(
     """Tr[(N (x) I) rho_averaged] = sum_r Tr[N B_r]: the watch-only answer."""
     reduced = DensityMatrix(np.sum(_bob_blocks(scenario, kernel), axis=0))
     return expectation(observable, reduced)
-
-
-class WallClockComparison(NamedTuple):
-    direct: float
-    via_compound: float
-
-
-def wall_clock_self_consistency(
-    scenario: CompositeScenario,
-    kernel: TimeKernel,
-    observable: Observable,
-    t: float,
-) -> WallClockComparison:
-    """Answer "what would you expect at wall time t?" by two routes.
-
-    ``direct`` evolves the system to t and takes the expectation.
-    ``via_compound`` treats the wall clock as an internal clock of the
-    enlarged system (realized by the scenario's clock), writes the
-    watch-averaged compound state, and conditions on the wall reading t.
-    The two agree wherever the kernel gives the reading nonzero weight.
-    """
-    via_compound = bob_conditional(scenario, kernel, observable, t)
-    direct = _direct_value(scenario, observable, scenario.clock.pointer_index(t))
-    return WallClockComparison(direct=direct, via_compound=via_compound)

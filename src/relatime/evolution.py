@@ -23,7 +23,7 @@ are untouched. ``coherence_report`` tabulates that suppression per gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +36,6 @@ from .kernels import QuadratureRule, TimeKernel, _hermgauss, quadrature_for
 from .qmat import DensityMatrix, Hamiltonian, _check_hermitian
 
 __all__ = [
-    "METHOD_UNITARY",
-    "METHOD_RELATIONAL_QUADRATURE",
-    "METHOD_RELATIONAL_DEPHASING",
-    "METHOD_PEARLE_COLLAPSE",
-    "EvolutionResult",
-    "CoherencePair",
     "CoherenceReport",
     "evolve_unitary",
     "evolve_relational_quadrature",
@@ -50,40 +44,8 @@ __all__ = [
     "coherence_report",
 ]
 
-METHOD_UNITARY = "Unitary"
-METHOD_RELATIONAL_QUADRATURE = "RelationalQuadrature"
-METHOD_RELATIONAL_DEPHASING = "RelationalDephasing"
-METHOD_PEARLE_COLLAPSE = "PearleCollapse"
-
 _TRACE_DRIFT_BUDGET = 1e-8
 DECOHERENCE_THRESHOLD = 1e-6  # default cutoff for "completely decohered"
-
-
-@dataclass(frozen=True)
-class EvolutionResult:
-    """One evolved state plus how it was obtained.
-
-    ``time_label`` is the exact time for the unitary engine and the watch
-    reading for the relational/collapse engines. ``node_count`` is 0 for
-    closed-form paths.
-    """
-
-    state: DensityMatrix
-    time_label: float
-    method: str
-    node_count: int = 0
-
-
-@dataclass(frozen=True)
-class CoherencePair:
-    """Energy-basis element (i, j) before and after kernel averaging."""
-
-    i: int
-    j: int
-    energy_i: float
-    energy_j: float
-    magnitude_exact: float
-    magnitude_averaged: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,12 +68,6 @@ class CoherenceReport:
     max_offdiag_averaged: float
     complete_decoherence: bool
     threshold: float
-
-    @property
-    def pairs(self) -> tuple[CoherencePair, ...]:
-        """The same rows as ``CoherencePair`` objects."""
-        columns = (getattr(self, f.name).tolist() for f in fields(CoherencePair))
-        return tuple(CoherencePair(*row) for row in zip(*columns))
 
 
 def _check_dims(rho: DensityMatrix, hamiltonian: Hamiltonian) -> None:
@@ -204,14 +160,13 @@ def _dephase(
 
 def evolve_unitary(
     rho0: DensityMatrix, hamiltonian: Hamiltonian, t: float
-) -> EvolutionResult:
+) -> DensityMatrix:
     """Exact-time evolution via the cached spectral decomposition.
 
     Negative times are allowed (the propagators form a group). Trace,
     Hermiticity, purity and spectrum are preserved up to roundoff.
     """
-    state = _dephase(rho0, hamiltonian, _unitary_multiplier(hamiltonian.spectrum, t))
-    return EvolutionResult(state, float(t), METHOD_UNITARY, 0)
+    return _dephase(rho0, hamiltonian, _unitary_multiplier(hamiltonian.spectrum, t))
 
 
 def evolve_relational_quadrature(
@@ -219,28 +174,23 @@ def evolve_relational_quadrature(
     hamiltonian: Hamiltonian,
     kernel: TimeKernel,
     nodes: int,
-) -> EvolutionResult:
+) -> DensityMatrix:
     """Kernel-averaged state by explicit quadrature over evolution times."""
     rule = quadrature_for(kernel, nodes)
     multiplier = _rule_multiplier(hamiltonian.spectrum, rule)
-    state = _dephase(rho0, hamiltonian, multiplier, _TRACE_DRIFT_BUDGET)
-    return EvolutionResult(
-        state, kernel.t_b, METHOD_RELATIONAL_QUADRATURE, rule.node_count
-    )
+    return _dephase(rho0, hamiltonian, multiplier, _TRACE_DRIFT_BUDGET)
 
 
 def evolve_relational_dephasing(
     rho0: DensityMatrix, hamiltonian: Hamiltonian, kernel: TimeKernel
-) -> EvolutionResult:
+) -> DensityMatrix:
     """Kernel-averaged state by the closed-form per-gap dephasing law.
 
     Exact (no discretization error) for every kernel whose characteristic
     function has a closed form; for tabulated kernels the characteristic
     sum over the table is itself exact.
     """
-    multiplier = _kernel_multiplier(hamiltonian.spectrum, kernel)
-    state = _dephase(rho0, hamiltonian, multiplier)
-    return EvolutionResult(state, kernel.t_b, METHOD_RELATIONAL_DEPHASING, 0)
+    return _dephase(rho0, hamiltonian, _kernel_multiplier(hamiltonian.spectrum, kernel))
 
 
 def evolve_pearle(
@@ -249,7 +199,7 @@ def evolve_pearle(
     lam: float,
     t: float,
     nodes: int,
-) -> EvolutionResult:
+) -> DensityMatrix:
     """Energy-driven-collapse state at time t (ensemble level).
 
     A standard-normal average of unitary evolutions at effective times
@@ -263,10 +213,9 @@ def evolve_pearle(
     if t < 0:
         raise ValueError(f"collapse evolution needs t >= 0, got {t}")
     if t == 0:
-        return EvolutionResult(rho0, 0.0, METHOD_PEARLE_COLLAPSE, 0)
+        return rho0
     multiplier = _pearle_multiplier(hamiltonian.spectrum, lam, t, int(nodes))
-    state = _dephase(rho0, hamiltonian, multiplier, _TRACE_DRIFT_BUDGET)
-    return EvolutionResult(state, float(t), METHOD_PEARLE_COLLAPSE, int(nodes))
+    return _dephase(rho0, hamiltonian, multiplier, _TRACE_DRIFT_BUDGET)
 
 
 def coherence_report(

@@ -24,7 +24,6 @@ table, typically unnormalized).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,12 +42,8 @@ __all__ = [
     "UniformKernel",
     "TabulatedKernel",
     "QuadratureRule",
-    "CharacteristicValue",
     "make_gaussian_kernel",
     "quadrature_for",
-    "characteristic",
-    "parse_kernel_table",
-    "load_kernel_table",
 ]
 
 _WEIGHT_SUM_TOL = 1e-8
@@ -78,8 +73,8 @@ class QuadratureRule:
                 f"rule needs matching 1-d nodes/weights, got {nodes.shape} "
                 f"and {weights.shape}"
             )
-        if not np.all(np.isfinite(nodes)):
-            raise QuantumStateError("quadrature nodes must be finite")
+        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+            raise QuantumStateError("quadrature nodes and weights must be finite")
         if np.any(weights < 0):
             raise QuantumStateError("quadrature weights must be nonnegative")
         total = float(weights.sum())
@@ -99,18 +94,12 @@ class QuadratureRule:
         return int(self.nodes.size)
 
 
-@dataclass(frozen=True)
-class CharacteristicValue:
-    """chi(omega) for one energy gap; magnitude can never exceed 1."""
-
-    omega: float
-    value: complex
-
-    def __post_init__(self):
-        if abs(self.value) > 1.0 + 1e-9:
-            raise QuantumStateError(
-                f"|chi({self.omega})| = {abs(self.value):.12g} exceeds 1"
-            )
+def _finite(name: str, value) -> float:
+    """A kernel parameter as a float, refused if it is NaN or infinite."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise QuantumStateError(f"kernel {name} must be finite, got {value}")
+    return value
 
 
 class TimeKernel:
@@ -141,7 +130,7 @@ class DeltaKernel(TimeKernel):
     kind = "delta"
 
     def __init__(self, t_b: float):
-        self.t_b = float(t_b)
+        self.t_b = _finite("t_b", t_b)
 
     def _envelope(self, omega):
         return np.ones_like(omega)
@@ -170,8 +159,8 @@ class GaussianKernel(TimeKernel):
                 f"GaussianKernel needs t_b > 0 (got {t_b}); use "
                 "make_gaussian_kernel for the t_b = 0 degenerate case"
             )
-        self.lam = float(lam)
-        self.t_b = float(t_b)
+        self.lam = _finite("lambda", lam)
+        self.t_b = _finite("t_b", t_b)
 
     @property
     def variance(self) -> float:
@@ -202,8 +191,8 @@ class UniformKernel(TimeKernel):
     def __init__(self, half_width: float, t_b: float):
         if not half_width > 0:
             raise QuantumStateError(f"half_width must be > 0, got {half_width}")
-        self.half_width = float(half_width)
-        self.t_b = float(t_b)
+        self.half_width = _finite("half_width", half_width)
+        self.t_b = _finite("t_b", t_b)
 
     def pdf(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -275,6 +264,7 @@ def make_gaussian_kernel(lam: float, t_b: float) -> TimeKernel:
     if t_b < 0:
         raise QuantumStateError(f"t_b must be >= 0, got {t_b}")
     if t_b == 0:
+        _finite("lambda", lam)  # the delta kernel drops it unchecked
         return DeltaKernel(0.0)
     return GaussianKernel(lam, t_b)
 
@@ -284,44 +274,3 @@ def quadrature_for(kernel: TimeKernel, node_count: int) -> QuadratureRule:
     if int(node_count) < 1:
         raise QuantumStateError(f"node_count must be >= 1, got {node_count}")
     return kernel.quadrature(int(node_count))
-
-
-def characteristic(kernel: TimeKernel, omega: float) -> CharacteristicValue:
-    """chi(omega) = integral P(t|t_B) exp(-i omega t) dt for one gap."""
-    value = complex(kernel._chi(float(omega)))
-    return CharacteristicValue(omega=float(omega), value=value)
-
-
-def parse_kernel_table(text: str) -> TabulatedKernel:
-    """Parse the two-column ``t weight`` plain-text histogram format.
-
-    Whitespace-separated columns, one row per line, ``#`` starts a
-    comment. Times share the scenario's inverse-energy units (hbar = 1).
-    """
-    times: list[float] = []
-    weights: list[float] = []
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise QuantumStateError(
-                f"kernel table line {lineno}: expected 't weight', got {raw!r}"
-            )
-        try:
-            times.append(float(parts[0]))
-            weights.append(float(parts[1]))
-        except ValueError as exc:
-            raise QuantumStateError(
-                f"kernel table line {lineno}: non-numeric entry in {raw!r}"
-            ) from exc
-    if not times:
-        raise EmptyTableError("kernel table has no data rows")
-    return TabulatedKernel(times, weights)
-
-
-def load_kernel_table(path) -> TabulatedKernel:
-    """Read a tabulated kernel from a file in the two-column format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kernel_table(fh.read())

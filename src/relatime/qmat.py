@@ -41,8 +41,6 @@ __all__ = [
     "DensityMatrix",
     "Hamiltonian",
     "Observable",
-    "make_density",
-    "spectral_decompose",
     "tensor",
     "partial_trace",
     "expectation",
@@ -270,11 +268,6 @@ class Observable:
 
     def __repr__(self) -> str:
         return f"Observable(dim={self.dim})"
-
-
-# Validate a matrix as a density matrix; diagonalize a Hermitian one.
-make_density = DensityMatrix
-spectral_decompose = Hamiltonian
 
 
 def tensor(a, b) -> np.ndarray:

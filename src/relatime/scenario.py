@@ -230,7 +230,7 @@ def _int(leaf: _Leaf) -> int:
 
 
 def _choice(options: dict[str, int], what: str):
-    """Reader of a name from ``options`` and the number of values it takes."""
+    """Reader of a name from ``options`` and the number of integers it takes."""
 
     def read(leaf: _Leaf) -> str:
         if not leaf.tokens:
@@ -245,7 +245,8 @@ def _choice(options: dict[str, int], what: str):
                 f"line {leaf.line}: {what} '{name}' takes {options[name]} "
                 f"value(s), got {values!r}"
             )
-        return " ".join(leaf.tokens)
+        values = [str(_int(_Leaf(name, value, leaf.line))) for value in values]
+        return " ".join([name, *values])  # canonical: '01' and '+1' read as '1'
 
     return _Reader(read, str)
 
@@ -523,13 +524,10 @@ class ScenarioFile:
     def kernel(self) -> TimeKernel:
         return self.kernel_spec.build()
 
-    def canonical_text(self) -> str:
-        return emit_scenario(self)
-
     def digest(self) -> str:
         """First 16 hex digits of SHA-256 over ``source`` in canonical order: text
         as UTF-8, floats as little-endian float64, each part behind its length.
-        Equal exactly when ``canonical_text()`` is (earlier builds hashed it)."""
+        Equal exactly when ``emit_scenario``'s texts are (earlier builds hashed it)."""
         h = hashlib.sha256()
         for name, fields in self.source.items():
             parts = [name, len(fields)]

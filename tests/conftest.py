@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relatime import DensityMatrix, Hamiltonian, spectral_decompose
+from relatime import DensityMatrix, Hamiltonian
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -29,7 +29,7 @@ def random_hermitian(rng, dim: int, scale: float = 1.0) -> np.ndarray:
 
 
 def random_hamiltonian(rng, dim: int, scale: float = 1.0) -> Hamiltonian:
-    return spectral_decompose(random_hermitian(rng, dim, scale))
+    return Hamiltonian(random_hermitian(rng, dim, scale))
 
 
 def random_density(rng, dim: int) -> DensityMatrix:

@@ -7,14 +7,18 @@ per criterion; a pytest failure on any test is that criterion's FAIL.
 import subprocess
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
 
+import relatime
 from relatime import (
+    ClockSystem,
     CompositeScenario,
     DeltaKernel,
     DensityMatrix,
+    Hamiltonian,
     Observable,
     TabulatedKernel,
     UniformKernel,
@@ -26,10 +30,8 @@ from relatime import (
     evolve_relational_quadrature,
     evolve_unitary,
     make_gaussian_kernel,
-    make_ideal_clock,
     partial_trace,
     purity,
-    spectral_decompose,
     tensor,
     unconditioned_expectation,
 )
@@ -65,10 +67,10 @@ def test_criterion_1_delta_kernel_reduction():
         rho = random_density(rng, dim)
         h = random_hamiltonian(rng, dim)
         t_b = float(rng.uniform(0.0, 5.0))
-        exact = evolve_unitary(rho, h, t_b).state.matrix
+        exact = evolve_unitary(rho, h, t_b).matrix
         averaged = evolve_relational_quadrature(
             rho, h, DeltaKernel(t_b), 64
-        ).state.matrix
+        ).matrix
         assert np.max(np.abs(exact - averaged)) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.2f} s"
@@ -77,15 +79,15 @@ def test_criterion_1_delta_kernel_reduction():
 
 @pytest.mark.parametrize("omega", [0.7, 1.0, 2.0])
 def test_criterion_2_gaussian_dephasing_law(omega):
-    h = spectral_decompose(np.diag([0.0, omega]))
+    h = Hamiltonian(np.diag([0.0, omega]))
     rho = plus_density()
     for lam in (0.01, 0.1, 1.0):
         for t_b in (0.1, 1.0, 10.0):
             want = 0.5 * np.exp(-lam * t_b * omega**2 / 2.0)
             kernel = make_gaussian_kernel(lam, t_b)
-            closed = evolve_relational_dephasing(rho, h, kernel).state.matrix
+            closed = evolve_relational_dephasing(rho, h, kernel).matrix
             assert abs(abs(closed[0, 1]) - want) <= 1e-9
-            quad = evolve_relational_quadrature(rho, h, kernel, 64).state.matrix
+            quad = evolve_relational_quadrature(rho, h, kernel, 64).matrix
             assert abs(abs(quad[0, 1]) - want) <= 1e-9
     _report(2, f"gaussian dephasing law, gap {omega}")
 
@@ -98,10 +100,10 @@ def test_criterion_3_pearle_equivalence():
         h = random_hamiltonian(rng, dim)
         lam = float(rng.uniform(0.05, 0.5))
         t = float(rng.uniform(0.1, 3.0))
-        collapsed = evolve_pearle(rho, h, lam, t, 64).state.matrix
+        collapsed = evolve_pearle(rho, h, lam, t, 64).matrix
         relational = evolve_relational_dephasing(
             rho, h, make_gaussian_kernel(lam, t)
-        ).state.matrix
+        ).matrix
         assert np.max(np.abs(collapsed - relational)) <= 1e-8
     _report(3, "collapse == gaussian relational state")
 
@@ -117,17 +119,17 @@ def test_criterion_4_purity_monotonicity():
                 else random_density(rng, dim)
             )
             h = random_hamiltonian(rng, dim)
-            averaged = evolve_relational_quadrature(rho, h, kernel, 64).state
-            exact = evolve_unitary(rho, h, kernel.t_b).state
+            averaged = evolve_relational_quadrature(rho, h, kernel, 64)
+            exact = evolve_unitary(rho, h, kernel.t_b)
             assert purity(averaged) <= purity(exact) + 1e-9
 
     # documented witness: pure |+> against a nondegenerate qubit gap loses
     # purity 1 -> (1 + exp(-lam t_B)) / 2 under a gaussian watch
     witness = evolve_relational_dephasing(
         plus_density(),
-        spectral_decompose(np.diag([0.0, 1.0])),
+        Hamiltonian(np.diag([0.0, 1.0])),
         make_gaussian_kernel(0.1, 2.0),
-    ).state
+    )
     drop = 1.0 - purity(witness)
     assert drop > 1e-3
     assert purity(witness) == pytest.approx(0.5 * (1 + np.exp(-0.2)), abs=1e-10)
@@ -145,11 +147,11 @@ def test_criterion_5_energy_diagonal_immunity():
             (h.eigenbasis * populations) @ h.eigenbasis.conj().T
         )
         for kernel in kernel_zoo():
-            averaged = evolve_relational_dephasing(rho, h, kernel).state.matrix
+            averaged = evolve_relational_dephasing(rho, h, kernel).matrix
             assert np.max(np.abs(averaged - rho.matrix)) <= 1e-10
-            quad = evolve_relational_quadrature(rho, h, kernel, 64).state.matrix
+            quad = evolve_relational_quadrature(rho, h, kernel, 64).matrix
             assert np.max(np.abs(quad - rho.matrix)) <= 1e-10
-            exact = evolve_unitary(rho, h, kernel.t_b).state.matrix
+            exact = evolve_unitary(rho, h, kernel.t_b).matrix
             assert np.max(np.abs(exact - rho.matrix)) <= 1e-10
     _report(5, "energy-diagonal states are immune")
 
@@ -162,16 +164,16 @@ def test_criterion_6_subsystem_consistency():
         h_c = random_hamiltonian(rng, d_c)
         rho_s = random_density(rng, d_s)
         rho_c = random_density(rng, d_c)
-        h_q = spectral_decompose(
+        h_q = Hamiltonian(
             tensor(h_s.matrix, np.eye(d_c)) + tensor(np.eye(d_s), h_c.matrix)
         )
         rho_q = DensityMatrix(tensor(rho_s, rho_c))
         kernel = make_gaussian_kernel(
             float(rng.uniform(0.1, 0.6)), float(rng.uniform(0.5, 2.0))
         )
-        direct = evolve_relational_dephasing(rho_s, h_s, kernel).state.matrix
+        direct = evolve_relational_dephasing(rho_s, h_s, kernel).matrix
         traced = partial_trace(
-            evolve_relational_dephasing(rho_q, h_q, kernel).state,
+            evolve_relational_dephasing(rho_q, h_q, kernel),
             (d_s, d_c),
             keep="S",
         ).matrix
@@ -184,7 +186,7 @@ def test_criterion_7_clock_recovery_headline():
     rng = np.random.default_rng(77)
     checked = 0
     for d in (4, 8, 16):
-        clock = make_ideal_clock(d, 0.3)
+        clock = ClockSystem(d, 0.3)
         for dim_s in (2, 3):
             scenario = CompositeScenario(
                 random_hamiltonian(rng, dim_s, scale=1.5),
@@ -203,8 +205,8 @@ def test_criterion_7_clock_recovery_headline():
 
     # complete-decoherence half: a kernel much broader than the clock
     # period pins the unconditioned value while the exact curve swings
-    h_s = spectral_decompose(np.diag([0.0, 1.0]))
-    clock = make_ideal_clock(8, 0.4)
+    h_s = Hamiltonian(np.diag([0.0, 1.0]))
+    clock = ClockSystem(8, 0.4)
     scenario = CompositeScenario(h_s, plus_density(), clock)
     pauli_x = Observable([[0, 1], [1, 0]])
     sigma = 1e4 * clock.period
@@ -245,10 +247,10 @@ def test_criterion_8_complete_decoherence_limit():
         omega_min = min(np.diff(sorted(spectrum)))
         assert lam * t_b * omega_min**2 >= 50.0
         dim = len(spectrum)
-        h = spectral_decompose(np.diag(np.array(spectrum)))
+        h = Hamiltonian(np.diag(np.array(spectrum)))
         rho = DensityMatrix(np.full((dim, dim), 1.0 / dim))
         kernel = make_gaussian_kernel(lam, t_b)
-        averaged = evolve_relational_dephasing(rho, h, kernel).state.matrix
+        averaged = evolve_relational_dephasing(rho, h, kernel).matrix
         offdiag = np.abs(averaged - np.diag(np.diag(averaged)))
         assert np.max(offdiag) < 1e-9
         report = coherence_report(rho, h, kernel)
@@ -294,3 +296,35 @@ def test_criterion_9_cli_regression(tmp_path):
     distances = [float(row.split(",")[1]) for row in rows]
     assert max(distances) <= 1e-8
     _report(9, "CLI outputs byte-identical, collapse distance in budget")
+
+
+# Every public name of the package. A name is added or removed only by a
+# deliberate edit of this list: each one is a runner's, a route of one of
+# the paired checks, or the types and errors they take and raise.
+PUBLIC_NAMES = [
+    "ClockSystem", "CoherenceReport", "CompositeScenario", "ConsistencyError",
+    "DIMENSION_CAP", "DeltaKernel", "DensityMatrix", "DimensionMismatchError",
+    "DimensionOverflowError", "EigensolverError", "EmptyTableError",
+    "GaussianKernel", "HERMITICITY_TOL", "Hamiltonian", "InvalidDimensionError",
+    "KernelOffGridError", "NonPositiveLambdaError", "NotHermitianError",
+    "NotPointerTimeError", "NotPositiveError", "Observable", "PSD_TOL",
+    "QuadratureDriftError", "QuadratureRule", "QuantumStateError",
+    "RelatimeError", "ResultTable", "ScenarioFile", "ScenarioParseError",
+    "ScenarioValidationError", "TRACE_TOL", "TabulatedKernel", "TimeKernel",
+    "TraceNotOneError", "UniformKernel", "ZeroProbabilityError",
+    "alice_conditional", "bob_conditional", "bob_state", "coherence_report",
+    "discretize_on_grid", "emit_scenario", "evolve_pearle",
+    "evolve_relational_dephasing", "evolve_relational_quadrature",
+    "evolve_unitary", "expectation", "make_gaussian_kernel", "parse_scenario",
+    "partial_trace", "pointer_weights", "purity", "quadrature_for",
+    "run_clock_recovery", "run_decoherence_sweep", "run_pearle_compare",
+    "run_report", "tensor", "unconditioned_expectation",
+]
+
+
+def test_public_names_are_pinned():
+    names = [
+        name for name, value in vars(relatime).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert sorted(names) == PUBLIC_NAMES

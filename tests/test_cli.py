@@ -232,6 +232,8 @@ def _validate(path) -> tuple[int, str]:
         "junk_after_kernel_kind",
         "junk_after_sweep_variable",
         "junk_after_state_preset",
+        "basis_state_index_not_integer",
+        "basis_state_index_fractional",
         "block_in_state_block",
         "block_in_hamiltonian_block",
         "block_in_matrix_block",

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relatime import (
+    ClockSystem,
     ConsistencyError,
     CompositeScenario,
     DeltaKernel,
     DensityMatrix,
     DimensionMismatchError,
     DimensionOverflowError,
+    Hamiltonian,
     InvalidDimensionError,
     KernelOffGridError,
     NotPointerTimeError,
@@ -25,13 +27,10 @@ from relatime import (
     evolve_relational_quadrature,
     evolve_unitary,
     make_gaussian_kernel,
-    make_ideal_clock,
     parse_scenario,
     pointer_weights,
     run_clock_recovery,
-    spectral_decompose,
     unconditioned_expectation,
-    wall_clock_self_consistency,
 )
 from relatime import clockmodel
 from conftest import (
@@ -68,27 +67,27 @@ def no_kron(*args):
 
 def precession_scenario(omega=1.0, dim=8, tick=0.4):
     """Qubit with gap omega, |+> start: <pauli_x>(t) = cos(omega t)."""
-    h_s = spectral_decompose(np.diag([0.0, omega]))
-    return CompositeScenario(h_s, plus_density(), make_ideal_clock(dim, tick))
+    h_s = Hamiltonian(np.diag([0.0, omega]))
+    return CompositeScenario(h_s, plus_density(), ClockSystem(dim, tick))
 
 
 class TestIdealClock:
     def test_one_tick_swaps_two_pointer_states(self):
-        clock = make_ideal_clock(2, 1.0)
+        clock = ClockSystem(2, 1.0)
         step = expm_series(-1j * clock.hamiltonian.matrix * 1.0)
         assert abs(step[1, 0]) == pytest.approx(1.0, abs=1e-10)
         assert abs(step[0, 0]) <= 1e-10
 
     @pytest.mark.parametrize("dim,tick", [(2, 1.0), (5, 0.3), (8, 0.5)])
     def test_full_cycle_returns_to_start(self, dim, tick):
-        clock = make_ideal_clock(dim, tick)
+        clock = ClockSystem(dim, tick)
         cycle = expm_series(-1j * clock.hamiltonian.matrix * dim * tick)
         # frequencies are integer multiples of 2 pi / period, so the global
         # phase after one period is exactly 1
         assert np.max(np.abs(cycle - np.eye(dim))) <= 1e-8
 
     def test_shift_property_every_pointer_state(self):
-        clock = make_ideal_clock(6, 0.7)
+        clock = ClockSystem(6, 0.7)
         step = expm_series(-1j * clock.hamiltonian.matrix * 0.7)
         for m in range(6):
             ket = np.zeros(6)
@@ -98,14 +97,14 @@ class TestIdealClock:
             assert np.linalg.norm(step @ ket - want) <= 1e-8
 
     def test_time_observable_eigenvalues(self):
-        clock = make_ideal_clock(8, 0.5)
+        clock = ClockSystem(8, 0.5)
         np.testing.assert_allclose(
             np.diag(clock.time_observable.matrix).real, np.arange(8) * 0.5
         )
         assert clock.period == pytest.approx(4.0)
 
     def test_projectors_commute_with_time_observable(self):
-        clock = make_ideal_clock(4, 1.0)
+        clock = ClockSystem(4, 1.0)
         t_mat = clock.time_observable.matrix
         for m in range(4):
             p = clock.projector(m)
@@ -113,29 +112,30 @@ class TestIdealClock:
 
     def test_invalid_dimension(self):
         with pytest.raises(InvalidDimensionError):
-            make_ideal_clock(1, 1.0)
+            ClockSystem(1, 1.0)
         with pytest.raises(InvalidDimensionError):
-            make_ideal_clock(2.5, 1.0)
+            ClockSystem(2.5, 1.0)
         with pytest.raises(InvalidDimensionError):
-            make_ideal_clock(4, 0.0)
+            ClockSystem(4, 0.0)
 
     def test_pointer_index_rejects_off_grid_and_wrapped_times(self):
-        clock = make_ideal_clock(4, 0.5)
+        clock = ClockSystem(4, 0.5)
         assert clock.pointer_index(1.5) == 3
         with pytest.raises(NotPointerTimeError):
             clock.pointer_index(0.3)
         with pytest.raises(NotPointerTimeError):
             clock.pointer_index(2.0)  # one full period, aliases to 0
-        with pytest.raises(NotPointerTimeError):
-            clock.pointer_index(-0.5)
+        for t in (-0.5, np.nan, np.inf, -np.inf, 1e300):
+            with pytest.raises(NotPointerTimeError):
+                clock.pointer_index(t)
 
     def test_clock_ideality_fidelity_on_grid(self):
-        clock = make_ideal_clock(8, 0.4)
+        clock = ClockSystem(8, 0.4)
         start = np.zeros((8, 8))
         start[0, 0] = 1.0
         rho = DensityMatrix(start)
         for m in range(8):
-            evolved = evolve_unitary(rho, clock.hamiltonian, m * 0.4).state
+            evolved = evolve_unitary(rho, clock.hamiltonian, m * 0.4)
             fidelity = float(evolved.matrix[m, m].real)
             assert fidelity >= 1.0 - 1e-8
 
@@ -151,30 +151,30 @@ class TestCompositeScenario:
         np.testing.assert_allclose(block, plus_density().matrix, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        h = spectral_decompose(np.diag([0.0, 1.0, 2.0]))
+        h = Hamiltonian(np.diag([0.0, 1.0, 2.0]))
         with pytest.raises(DimensionMismatchError):
-            CompositeScenario(h, plus_density(), make_ideal_clock(4, 0.5))
+            CompositeScenario(h, plus_density(), ClockSystem(4, 0.5))
 
     def test_initial_pointer_bounds(self):
-        h = spectral_decompose(np.diag([0.0, 1.0]))
+        h = Hamiltonian(np.diag([0.0, 1.0]))
         with pytest.raises(InvalidDimensionError):
-            CompositeScenario(h, plus_density(), make_ideal_clock(4, 0.5), 4)
+            CompositeScenario(h, plus_density(), ClockSystem(4, 0.5), 4)
 
     def test_dimension_cap_checked_before_allocating(self, monkeypatch):
         monkeypatch.setattr(np, "kron", no_kron)
-        clock = make_ideal_clock(64, 0.1)
-        h = spectral_decompose(np.diag(np.arange(65.0)))
+        clock = ClockSystem(64, 0.1)
+        h = Hamiltonian(np.diag(np.arange(65.0)))
         with pytest.raises(DimensionOverflowError, match="4160 exceeds cap 4096"):
             CompositeScenario(h, DensityMatrix(np.eye(65) / 65), clock)
-        h = spectral_decompose(np.diag(np.arange(64.0)))
+        h = Hamiltonian(np.diag(np.arange(64.0)))
         assert CompositeScenario(h, DensityMatrix(np.eye(64) / 64), clock).dims == (
             64, 64
         )
 
     def test_reading_index_with_offset(self):
-        h = spectral_decompose(np.diag([0.0, 1.0]))
+        h = Hamiltonian(np.diag([0.0, 1.0]))
         scenario = CompositeScenario(
-            h, plus_density(), make_ideal_clock(4, 0.5), initial_pointer=3
+            h, plus_density(), ClockSystem(4, 0.5), initial_pointer=3
         )
         assert scenario.reading_index(0) == 3
         assert scenario.reading_index(2) == 1
@@ -188,8 +188,8 @@ class TestAliceConditional:
             assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_static_system_is_time_independent(self):
-        h_s = spectral_decompose(np.zeros((2, 2)))
-        scenario = CompositeScenario(h_s, plus_density(), make_ideal_clock(6, 0.5))
+        h_s = Hamiltonian(np.zeros((2, 2)))
+        scenario = CompositeScenario(h_s, plus_density(), ClockSystem(6, 0.5))
         values = [
             alice_conditional(scenario, PAULI_X, m * 0.5) for m in range(6)
         ]
@@ -214,9 +214,9 @@ class TestAliceConditional:
             alice_conditional(scenario, Observable(np.eye(3)), 0.4)
 
     def test_offset_scenario_still_consistent(self):
-        h_s = spectral_decompose(np.diag([0.0, 1.0]))
+        h_s = Hamiltonian(np.diag([0.0, 1.0]))
         scenario = CompositeScenario(
-            h_s, plus_density(), make_ideal_clock(8, 0.4), initial_pointer=5
+            h_s, plus_density(), ClockSystem(8, 0.4), initial_pointer=5
         )
         for m in (0, 2, 6):
             t = m * 0.4
@@ -246,7 +246,7 @@ class TestBobConditional:
     def test_random_on_grid_kernels_recover_alice(self, rng):
         for dim_s in (2, 3):
             for d in (4, 8):
-                clock = make_ideal_clock(d, 0.3)
+                clock = ClockSystem(d, 0.3)
                 scenario = CompositeScenario(
                     random_hamiltonian(rng, dim_s, scale=1.5),
                     random_density(rng, dim_s),
@@ -299,7 +299,7 @@ class TestBobConditional:
         mixture = bob_state(scenario, kernel)
         engine = evolve_relational_quadrature(
             scenario.initial_state, scenario.hamiltonian, kernel, clock.dim
-        ).state
+        )
         assert np.max(np.abs(mixture.matrix - engine.matrix)) <= 1e-10
 
     def test_invalid_averaged_state_rejected(self, monkeypatch):
@@ -332,9 +332,9 @@ class TestBobConditional:
             bob_conditional(scenario, kernel, PAULI_X, 0.4)
 
     def test_offset_scenario_recovery(self):
-        h_s = spectral_decompose(np.diag([0.0, 1.0]))
+        h_s = Hamiltonian(np.diag([0.0, 1.0]))
         scenario = CompositeScenario(
-            h_s, plus_density(), make_ideal_clock(8, 0.4), initial_pointer=2
+            h_s, plus_density(), ClockSystem(8, 0.4), initial_pointer=2
         )
         kernel = TabulatedKernel(scenario.clock.pointer_times, np.ones(8))
         for m in (0, 1, 5):
@@ -403,7 +403,7 @@ def test_bob_equals_alice_on_random_clocks_and_kernels(d_s, d_c, seed, data):
             label="weights",
         )
     )
-    clock = make_ideal_clock(d_c, tick)
+    clock = ClockSystem(d_c, tick)
     scenario = CompositeScenario(
         random_hamiltonian(rng, d_s, scale=2.0),
         random_density(rng, d_s),
@@ -529,7 +529,7 @@ class TestCompleteDecoherenceStory:
 
 class TestDiscretizeOnGrid:
     def test_gaussian_sampled_onto_grid(self):
-        clock = make_ideal_clock(8, 0.4)
+        clock = ClockSystem(8, 0.4)
         kernel = make_gaussian_kernel(0.5, 1.2)
         snapped = discretize_on_grid(kernel, clock)
         np.testing.assert_allclose(snapped.times, clock.pointer_times)
@@ -538,31 +538,35 @@ class TestDiscretizeOnGrid:
         assert np.ptp(ratio) <= 1e-12 * ratio[0]
 
     def test_delta_passes_through(self):
-        clock = make_ideal_clock(4, 0.5)
+        clock = ClockSystem(4, 0.5)
         snapped = discretize_on_grid(DeltaKernel(1.0), clock)
         np.testing.assert_allclose(snapped.weights, [0, 0, 1, 0])
 
     def test_zero_mass_kernel_rejected(self):
-        clock = make_ideal_clock(4, 1.0)
+        clock = ClockSystem(4, 1.0)
         off_support = UniformKernel(0.1, 0.5)  # support misses every pointer
         with pytest.raises(KernelOffGridError):
             discretize_on_grid(off_support, clock)
 
     def test_pointer_weights_delta(self):
-        clock = make_ideal_clock(4, 0.5)
+        clock = ClockSystem(4, 0.5)
         np.testing.assert_allclose(
             pointer_weights(DeltaKernel(1.5), clock), [0, 0, 0, 1]
         )
 
 
 class TestWallClockSelfConsistency:
+    """The wall clock as an internal clock: conditioning the watch-averaged
+    compound state on the wall reading (``bob_conditional``) gives the
+    exact-time value (``alice_conditional``)."""
+
     def test_delta_kernel_agrees_with_alice(self):
         scenario = precession_scenario()
         t = 2 * 0.4
-        result = wall_clock_self_consistency(scenario, DeltaKernel(t), PAULI_X, t)
-        want = alice_conditional(scenario, PAULI_X, t)
-        assert result.direct == pytest.approx(want, abs=1e-12)
-        assert result.via_compound == pytest.approx(want, abs=1e-8)
+        direct = alice_conditional(scenario, PAULI_X, t)
+        assert direct == pytest.approx(np.cos(t), abs=1e-12)
+        via_compound = bob_conditional(scenario, DeltaKernel(t), PAULI_X, t)
+        assert via_compound == pytest.approx(direct, abs=1e-8)
 
     def test_broad_kernel_both_match_precession(self):
         scenario = precession_scenario()
@@ -571,21 +575,25 @@ class TestWallClockSelfConsistency:
         )
         for m in (0, 4, 7):
             t = m * 0.4
-            result = wall_clock_self_consistency(scenario, kernel, PAULI_X, t)
-            assert result.direct == pytest.approx(np.cos(t), abs=1e-9)
-            assert abs(result.direct - result.via_compound) <= 1e-8
+            direct = alice_conditional(scenario, PAULI_X, t)
+            assert direct == pytest.approx(np.cos(t), abs=1e-9)
+            assert abs(direct - bob_conditional(scenario, kernel, PAULI_X, t)) <= 1e-8
 
     def test_rejects_wrong_observable_dimension(self):
         scenario = precession_scenario()
         kernel = TabulatedKernel(scenario.clock.pointer_times, np.ones(8))
+        wrong = Observable(np.eye(3))
         with pytest.raises(DimensionMismatchError):
-            wall_clock_self_consistency(scenario, kernel, Observable(np.eye(3)), 0.4)
+            alice_conditional(scenario, wrong, 0.4)
+        with pytest.raises(DimensionMismatchError):
+            bob_conditional(scenario, kernel, wrong, 0.4)
 
     def test_identity_observable(self):
         scenario = precession_scenario()
         kernel = TabulatedKernel(scenario.clock.pointer_times, np.ones(8))
-        result = wall_clock_self_consistency(
-            scenario, kernel, Observable(np.eye(2)), 0.8
-        )
-        assert result.direct == pytest.approx(1.0, abs=1e-10)
-        assert result.via_compound == pytest.approx(1.0, abs=1e-10)
+        identity = Observable(np.eye(2))
+        for value in (
+            alice_conditional(scenario, identity, 0.8),
+            bob_conditional(scenario, kernel, identity, 0.8),
+        ):
+            assert value == pytest.approx(1.0, abs=1e-10)

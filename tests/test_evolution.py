@@ -21,14 +21,9 @@ from relatime import (
     make_gaussian_kernel,
     partial_trace,
     purity,
-    spectral_decompose,
     tensor,
 )
 from relatime.evolution import (
-    METHOD_PEARLE_COLLAPSE,
-    METHOD_RELATIONAL_DEPHASING,
-    METHOD_RELATIONAL_QUADRATURE,
-    METHOD_UNITARY,
     _finish_state,
     _kernel_multiplier,
     _rule_multiplier,
@@ -41,7 +36,7 @@ from conftest import (
     random_pure_density,
 )
 
-QUBIT_GAP = spectral_decompose(np.diag([0.0, 1.0]))
+QUBIT_GAP = Hamiltonian(np.diag([0.0, 1.0]))
 
 
 def kernel_zoo():
@@ -90,25 +85,23 @@ class TestUnitary:
     def test_zero_time_is_identity(self, rng):
         rho = random_density(rng, 4)
         out = evolve_unitary(rho, random_hamiltonian(rng, 4), 0.0)
-        assert np.max(np.abs(out.state.matrix - rho.matrix)) <= 1e-12
-        assert out.method == METHOD_UNITARY
-        assert out.node_count == 0
+        assert np.max(np.abs(out.matrix - rho.matrix)) <= 1e-12
 
     def test_pi_gap_flips_coherence_sign(self):
-        h = spectral_decompose(np.diag([0.0, np.pi]))
-        out = evolve_unitary(plus_density(), h, 1.0).state
+        h = Hamiltonian(np.diag([0.0, np.pi]))
+        out = evolve_unitary(plus_density(), h, 1.0)
         want = np.array([[0.5, -0.5], [-0.5, 0.5]])
         assert np.max(np.abs(out.matrix - want)) <= 1e-12
 
     def test_purity_preserved(self, rng):
         rho = random_density(rng, 5)
-        out = evolve_unitary(rho, random_hamiltonian(rng, 5), 2.3).state
+        out = evolve_unitary(rho, random_hamiltonian(rng, 5), 2.3)
         assert purity(out) == pytest.approx(purity(rho), abs=1e-10)
 
     @pytest.mark.parametrize("dim", [2, 7, 16])
     def test_trace_and_spectrum_preserved(self, rng, dim):
         rho = random_density(rng, dim)
-        out = evolve_unitary(rho, random_hamiltonian(rng, dim), -1.4).state
+        out = evolve_unitary(rho, random_hamiltonian(rng, dim), -1.4)
         assert abs(np.trace(out.matrix) - 1.0) <= 1e-9
         before = np.linalg.eigvalsh(rho.matrix)
         after = np.linalg.eigvalsh(out.matrix)
@@ -117,8 +110,8 @@ class TestUnitary:
     def test_group_property_round_trip(self, rng):
         rho = random_density(rng, 3)
         h = random_hamiltonian(rng, 3)
-        forward = evolve_unitary(rho, h, 1.9).state
-        back = evolve_unitary(forward, h, -1.9).state
+        forward = evolve_unitary(rho, h, 1.9)
+        back = evolve_unitary(forward, h, -1.9)
         assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-12
 
     def test_dimension_mismatch(self, rng):
@@ -132,12 +125,9 @@ class TestRelationalQuadrature:
             rho = random_density(rng, dim)
             h = random_hamiltonian(rng, dim)
             t_b = float(rng.uniform(0.2, 4.0))
-            exact = evolve_unitary(rho, h, t_b).state
+            exact = evolve_unitary(rho, h, t_b)
             averaged = evolve_relational_quadrature(rho, h, DeltaKernel(t_b), 16)
-            assert np.max(np.abs(averaged.state.matrix - exact.matrix)) <= 1e-12
-            assert averaged.method == METHOD_RELATIONAL_QUADRATURE
-            assert averaged.node_count == 1
-            assert averaged.time_label == t_b
+            assert np.max(np.abs(averaged.matrix - exact.matrix)) <= 1e-12
 
     def test_energy_diagonal_state_is_immune(self, rng):
         h = random_hamiltonian(rng, 4)
@@ -146,13 +136,13 @@ class TestRelationalQuadrature:
             (h.eigenbasis * populations) @ h.eigenbasis.conj().T
         )
         for kernel in kernel_zoo():
-            out = evolve_relational_quadrature(rho, h, kernel, 48).state
+            out = evolve_relational_quadrature(rho, h, kernel, 48)
             assert np.max(np.abs(out.matrix - rho.matrix)) <= 1e-10
 
     def test_qubit_gaussian_offdiagonal_magnitude(self):
         kernel = make_gaussian_kernel(0.1, 2.0)
         out = evolve_relational_quadrature(plus_density(), QUBIT_GAP, kernel, 64)
-        assert abs(out.state.matrix[0, 1]) == pytest.approx(
+        assert abs(out.matrix[0, 1]) == pytest.approx(
             0.5 * np.exp(-0.1), abs=1e-9
         )
 
@@ -160,7 +150,7 @@ class TestRelationalQuadrature:
         for kernel in kernel_zoo():
             rho = random_pure_density(rng, 3)
             h = random_hamiltonian(rng, 3)
-            out = evolve_relational_quadrature(rho, h, kernel, 64).state
+            out = evolve_relational_quadrature(rho, h, kernel, 64)
             assert purity(out) <= purity(rho) + 1e-9
 
     def test_trace_drift_fails_loudly(self, rng):
@@ -196,36 +186,34 @@ class TestRelationalDephasing:
             kernel = make_gaussian_kernel(
                 float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.5, 3.0))
             )
-            quad = evolve_relational_quadrature(rho, h, kernel, 64).state
+            quad = evolve_relational_quadrature(rho, h, kernel, 64)
             closed = evolve_relational_dephasing(rho, h, kernel)
-            assert np.max(np.abs(quad.matrix - closed.state.matrix)) <= 1e-8
-            assert closed.method == METHOD_RELATIONAL_DEPHASING
-            assert closed.node_count == 0
+            assert np.max(np.abs(quad.matrix - closed.matrix)) <= 1e-8
 
     def test_tabulated_dephasing_equals_its_quadrature(self, rng):
         rho = random_density(rng, 3)
         h = random_hamiltonian(rng, 3)
         kernel = TabulatedKernel([0.0, 1.1, 2.2], [1.0, 1.0, 2.0])
-        quad = evolve_relational_quadrature(rho, h, kernel, 3).state
-        closed = evolve_relational_dephasing(rho, h, kernel).state
+        quad = evolve_relational_quadrature(rho, h, kernel, 3)
+        closed = evolve_relational_dephasing(rho, h, kernel)
         assert np.max(np.abs(quad.matrix - closed.matrix)) <= 1e-12
 
     def test_gaussian_law_magnitude_and_phase(self):
         lam, t_b = 0.1, 2.0
         out = evolve_relational_dephasing(
             plus_density(), QUBIT_GAP, make_gaussian_kernel(lam, t_b)
-        ).state
+        )
         # element (0, 1) keeps the unitary phase exp(i (E_1 - E_0) t_B)
         # and shrinks by exp(-lam t_B gap^2 / 2)
         want = 0.5 * np.exp(-lam * t_b / 2.0) * np.exp(1j * t_b)
         assert abs(out.matrix[0, 1] - want) <= 1e-12
 
     def test_equal_energy_elements_preserved(self):
-        h = spectral_decompose(np.diag([0.0, 1.0, 1.0]))
+        h = Hamiltonian(np.diag([0.0, 1.0, 1.0]))
         rho = DensityMatrix(np.full((3, 3), 1 / 3))
         out = evolve_relational_dephasing(
             rho, h, make_gaussian_kernel(2.0, 5.0)
-        ).state
+        )
         basis = h.eigenbasis
         before = basis.conj().T @ rho.matrix @ basis
         after = basis.conj().T @ out.matrix @ basis
@@ -233,10 +221,10 @@ class TestRelationalDephasing:
         assert abs(abs(after[1, 2]) - abs(before[1, 2])) <= 1e-9
 
     def test_fully_degenerate_hamiltonian_is_identity_map(self, rng):
-        h = spectral_decompose(np.eye(3) * 0.7)
+        h = Hamiltonian(np.eye(3) * 0.7)
         rho = random_density(rng, 3)
         for kernel in kernel_zoo():
-            out = evolve_relational_dephasing(rho, h, kernel).state
+            out = evolve_relational_dephasing(rho, h, kernel)
             assert np.max(np.abs(out.matrix - rho.matrix)) <= 1e-12
 
     def test_invariant_under_degenerate_basis_choice(self, rng):
@@ -254,8 +242,8 @@ class TestRelationalDephasing:
         assert np.max(np.abs(h_plain.matrix - h_rotated.matrix)) <= 1e-12
         rho = random_density(rng, 3)
         kernel = make_gaussian_kernel(0.3, 1.5)
-        out_plain = evolve_relational_dephasing(rho, h_plain, kernel).state
-        out_rot = evolve_relational_dephasing(rho, h_rotated, kernel).state
+        out_plain = evolve_relational_dephasing(rho, h_plain, kernel)
+        out_rot = evolve_relational_dephasing(rho, h_rotated, kernel)
         assert np.max(np.abs(out_plain.matrix - out_rot.matrix)) <= 1e-10
 
     def test_diagonal_entries_independent_of_reading(self, rng):
@@ -266,7 +254,7 @@ class TestRelationalDephasing:
         for t_b in (0.5, 1.0, 2.0, 5.0):
             out = evolve_relational_dephasing(
                 rho, h, make_gaussian_kernel(0.4, t_b)
-            ).state
+            )
             diag = np.diag(basis.conj().T @ out.matrix @ basis).real
             assert np.max(np.abs(diag - reference)) <= 1e-9
 
@@ -275,9 +263,7 @@ class TestPearle:
     def test_zero_time_returns_input(self, rng):
         rho = random_density(rng, 3)
         out = evolve_pearle(rho, random_hamiltonian(rng, 3), 0.2, 0.0, 64)
-        assert out.state is rho
-        assert out.method == METHOD_PEARLE_COLLAPSE
-        assert out.node_count == 0
+        assert out is rho
 
     def test_matches_gaussian_relational_state(self, rng):
         for _ in range(8):
@@ -286,17 +272,17 @@ class TestPearle:
             h = random_hamiltonian(rng, dim)
             lam = float(rng.uniform(0.05, 0.5))
             t = float(rng.uniform(0.1, 3.0))
-            collapsed = evolve_pearle(rho, h, lam, t, 64).state
+            collapsed = evolve_pearle(rho, h, lam, t, 64)
             relational = evolve_relational_dephasing(
                 rho, h, make_gaussian_kernel(lam, t)
-            ).state
+            )
             assert np.max(np.abs(collapsed.matrix - relational.matrix)) <= 1e-8
 
     def test_populations_constant_in_time(self):
-        h = spectral_decompose(np.diag([0.0, 1.3]))
+        h = Hamiltonian(np.diag([0.0, 1.3]))
         rho = plus_density()
         for t in (0.5, 2.0, 7.0):
-            out = evolve_pearle(rho, h, 0.2, t, 64).state
+            out = evolve_pearle(rho, h, 0.2, t, 64)
             np.testing.assert_allclose(np.diag(out.matrix).real, [0.5, 0.5], atol=1e-10)
 
     def test_rejects_nonpositive_lambda(self, rng):
@@ -310,11 +296,11 @@ class TestPearle:
 
 class TestProductSystems:
     def _composite(self, rng):
-        h_s = spectral_decompose(np.diag([0.0, 1.0]))
-        h_c = spectral_decompose(np.diag([0.0, 1.618]))
+        h_s = Hamiltonian(np.diag([0.0, 1.0]))
+        h_c = Hamiltonian(np.diag([0.0, 1.618]))
         rho_s = plus_density()
         rho_c = plus_density()
-        h_q = spectral_decompose(
+        h_q = Hamiltonian(
             tensor(h_s.matrix, np.eye(2)) + tensor(np.eye(2), h_c.matrix)
         )
         rho_q = DensityMatrix(tensor(rho_s, rho_c))
@@ -323,10 +309,10 @@ class TestProductSystems:
     def test_unitary_evolution_factorizes(self, rng):
         h_s, h_c, h_q, rho_s, rho_c, rho_q = self._composite(rng)
         t = 1.3
-        joint = evolve_unitary(rho_q, h_q, t).state
+        joint = evolve_unitary(rho_q, h_q, t)
         separate = tensor(
-            evolve_unitary(rho_s, h_s, t).state,
-            evolve_unitary(rho_c, h_c, t).state,
+            evolve_unitary(rho_s, h_s, t),
+            evolve_unitary(rho_c, h_c, t),
         )
         assert np.max(np.abs(joint.matrix - separate)) <= 1e-9
 
@@ -335,7 +321,7 @@ class TestProductSystems:
         # broad enough to decohere partially
         _, _, h_q, _, _, rho_q = self._composite(rng)
         kernel = make_gaussian_kernel(0.5, 1.0)
-        joint = evolve_relational_dephasing(rho_q, h_q, kernel).state
+        joint = evolve_relational_dephasing(rho_q, h_q, kernel)
         marginal_s = partial_trace(joint, (2, 2), keep="S")
         marginal_c = partial_trace(joint, (2, 2), keep="C")
         product = tensor(marginal_s, marginal_c)
@@ -349,23 +335,23 @@ class TestProductSystems:
             h_c = random_hamiltonian(rng, d_c)
             rho_s = random_density(rng, d_s)
             rho_c = random_density(rng, d_c)
-            h_q = spectral_decompose(
+            h_q = Hamiltonian(
                 tensor(h_s.matrix, np.eye(d_c)) + tensor(np.eye(d_s), h_c.matrix)
             )
             rho_q = DensityMatrix(tensor(rho_s, rho_c))
             kernel = make_gaussian_kernel(0.3, 1.2)
 
-            direct = evolve_relational_dephasing(rho_s, h_s, kernel).state
+            direct = evolve_relational_dephasing(rho_s, h_s, kernel)
             traced = partial_trace(
-                evolve_relational_dephasing(rho_q, h_q, kernel).state,
+                evolve_relational_dephasing(rho_q, h_q, kernel),
                 (d_s, d_c),
                 keep="S",
             )
             assert np.max(np.abs(direct.matrix - traced.matrix)) <= 1e-9
 
-            direct_q = evolve_relational_quadrature(rho_s, h_s, kernel, 48).state
+            direct_q = evolve_relational_quadrature(rho_s, h_s, kernel, 48)
             traced_q = partial_trace(
-                evolve_relational_quadrature(rho_q, h_q, kernel, 48).state,
+                evolve_relational_quadrature(rho_q, h_q, kernel, 48),
                 (d_s, d_c),
                 keep="S",
             )
@@ -377,13 +363,12 @@ class TestCoherenceReport:
         rho = random_density(rng, 4)
         h = random_hamiltonian(rng, 4)
         report = coherence_report(rho, h, DeltaKernel(2.5))
-        for pair in report.pairs:
-            assert pair.magnitude_averaged == pytest.approx(
-                pair.magnitude_exact, abs=1e-12
-            )
+        np.testing.assert_allclose(
+            report.magnitude_averaged, report.magnitude_exact, rtol=0, atol=1e-12
+        )
 
     def test_broad_kernel_flags_complete_decoherence(self):
-        h = spectral_decompose(np.diag([0.0, 1.0, 2.3]))
+        h = Hamiltonian(np.diag([0.0, 1.0, 2.3]))
         rho = DensityMatrix(np.full((3, 3), 1 / 3))
         report = coherence_report(rho, h, make_gaussian_kernel(5.0, 10.0))
         assert report.complete_decoherence
@@ -399,13 +384,13 @@ class TestCoherenceReport:
         )
 
     def test_degenerate_hamiltonian_is_vacuously_complete(self, rng):
-        h = spectral_decompose(np.eye(3))
+        h = Hamiltonian(np.eye(3))
         report = coherence_report(
             random_density(rng, 3), h, make_gaussian_kernel(1.0, 1.0)
         )
         assert report.complete_decoherence
         assert report.max_offdiag_averaged == 0.0
-        assert len(report.pairs) == 3
+        assert len(report.magnitude_averaged) == 3
 
     def test_monotonicity_invariants(self, rng):
         for _ in range(5):
@@ -414,8 +399,8 @@ class TestCoherenceReport:
             kernel = make_gaussian_kernel(
                 float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.5, 4.0))
             )
-            for pair in coherence_report(rho, h, kernel).pairs:
-                assert pair.magnitude_averaged <= pair.magnitude_exact + 1e-9
+            report = coherence_report(rho, h, kernel)
+            assert np.all(report.magnitude_averaged <= report.magnitude_exact + 1e-9)
 
     def test_threshold_is_configurable(self):
         report = coherence_report(

@@ -3,19 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relatime import (
-    CharacteristicValue,
     DeltaKernel,
     EmptyTableError,
     GaussianKernel,
     NonPositiveLambdaError,
     QuadratureRule,
     QuantumStateError,
+    ScenarioParseError,
+    ScenarioValidationError,
     TabulatedKernel,
     UniformKernel,
-    characteristic,
-    load_kernel_table,
     make_gaussian_kernel,
-    parse_kernel_table,
+    parse_scenario,
     quadrature_for,
 )
 
@@ -29,6 +28,20 @@ KERNELS = st.one_of(
         lambda rows: TabulatedKernel(*zip(*rows))
     ),
 )
+
+
+def chi(kernel, omega):
+    """chi(omega) for one gap."""
+    return complex(kernel._chi(omega))
+
+
+def table_kernel(rows: str) -> TabulatedKernel:
+    """The kernel a scenario's ``table { }`` block reads."""
+    return parse_scenario(
+        "system {\n  dimension 1\n  spectrum 0.0\n  state plus_state\n}\n"
+        "kernel {\n  kind tabulated\n  table {\n" + rows + "\n  }\n}\n"
+        "observable {\n  preset number_op\n}\n"
+    ).kernel()
 
 
 def quadrature_characteristic(kernel, omega, nodes=64):
@@ -53,6 +66,9 @@ class TestGaussianFactory:
             make_gaussian_kernel(0.0, 1.0)
         with pytest.raises(NonPositiveLambdaError):
             make_gaussian_kernel(-0.2, 1.0)
+        for t_b in (0.0, 1.0):
+            with pytest.raises(QuantumStateError, match="lambda must be finite"):
+                make_gaussian_kernel(np.inf, t_b)
 
     def test_rejects_negative_reading(self):
         with pytest.raises(QuantumStateError):
@@ -64,8 +80,9 @@ class TestGaussianFactory:
         assert kernel.t_b == 0.0
 
     def test_direct_construction_requires_positive_reading(self):
-        with pytest.raises(QuantumStateError):
-            GaussianKernel(0.1, 0.0)
+        for lam, t_b in ((0.1, 0.0), (0.1, np.nan), (0.1, np.inf), (np.inf, 1.0)):
+            with pytest.raises(QuantumStateError):
+                GaussianKernel(lam, t_b)
 
     def test_mean_and_variance(self):
         kernel = make_gaussian_kernel(0.1, 2.0)
@@ -86,6 +103,19 @@ class TestGaussianFactory:
         # before renormalization the mapped rule integrates P to 1 already
         x, w = np.polynomial.hermite.hermgauss(64)
         assert abs(w.sum() / np.sqrt(np.pi) - 1.0) <= 1e-10
+
+
+class TestDeltaAndUniform:
+    def test_reject_bad_parameters(self):
+        for make, args in (
+            (DeltaKernel, (np.nan,)),
+            (DeltaKernel, (np.inf,)),
+            (UniformKernel, (0.0, 1.0)),
+            (UniformKernel, (np.inf, 1.0)),
+            (UniformKernel, (1.0, np.nan)),
+        ):
+            with pytest.raises(QuantumStateError):
+                make(*args)
 
 
 class TestQuadratureFor:
@@ -132,57 +162,60 @@ class TestQuadratureRuleInvariants:
             QuadratureRule(np.array([0.0, 1.0]), np.array([1.0]))
 
     def test_rejects_non_finite_nodes(self):
-        with pytest.raises(QuantumStateError):
-            QuadratureRule(np.array([np.inf]), np.array([1.0]))
+        for nodes, weights in (
+            ([np.inf], [1.0]), ([0, 1], [0.5, np.nan]), ([0], [np.inf])
+        ):
+            with pytest.raises(QuantumStateError, match="must be finite"):
+                QuadratureRule(np.array(nodes), np.array(weights))
 
 
 class TestCharacteristic:
     def test_unit_at_zero_gap_for_all_kinds(self):
         for kernel in kernel_zoo():
-            value = characteristic(kernel, 0.0).value
+            value = chi(kernel, 0.0)
             assert abs(value - 1.0) <= 1e-9, kernel
 
     def test_gaussian_closed_form_vs_quadrature(self):
         kernel = make_gaussian_kernel(0.1, 2.0)
-        got = characteristic(kernel, 1.0).value
+        got = chi(kernel, 1.0)
         assert abs(got) == pytest.approx(np.exp(-0.1), abs=1e-12)
         oracle = quadrature_characteristic(kernel, 1.0, nodes=64)
         assert abs(got - oracle) <= 1e-9
 
     def test_delta_pure_phase(self):
-        got = characteristic(DeltaKernel(3.0), np.pi).value
+        got = chi(DeltaKernel(3.0), np.pi)
         assert got == pytest.approx(-1.0 + 0.0j, abs=1e-12)
         assert abs(got) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_matches_dense_trapezoid(self):
         kernel = UniformKernel(1.0, 0.6)
         for omega in (0.3, 2.0, -4.5):
-            got = characteristic(kernel, omega).value
+            got = chi(kernel, omega)
             oracle = quadrature_characteristic(kernel, omega, nodes=4001)
             assert abs(got - oracle) <= 1e-5
 
     def test_uniform_series_branch_near_zero(self):
         kernel = UniformKernel(1.0, 0.0)
         omega = 5e-9
-        got = characteristic(kernel, omega).value
+        got = chi(kernel, omega)
         assert got == pytest.approx(1.0 - omega**2 / 6.0, abs=1e-15)
 
     def test_tabulated_matches_manual_sum(self):
         kernel = TabulatedKernel([0.0, 2.0], [1.0, 1.0])
-        got = characteristic(kernel, 1.5).value
+        got = chi(kernel, 1.5)
         want = 0.5 * (1.0 + np.exp(-1j * 3.0))
         assert abs(got - want) <= 1e-12
 
     def test_magnitude_bounded_by_one(self, rng):
         for kernel in kernel_zoo():
             for omega in rng.uniform(-50, 50, size=25):
-                assert abs(characteristic(kernel, float(omega)).value) <= 1 + 1e-9
+                assert abs(chi(kernel, float(omega))) <= 1 + 1e-9
 
     def test_hermitian_symmetry(self, rng):
         for kernel in kernel_zoo():
             for omega in rng.uniform(-20, 20, size=10):
-                plus = characteristic(kernel, float(omega)).value
-                minus = characteristic(kernel, float(-omega)).value
+                plus = chi(kernel, float(omega))
+                minus = chi(kernel, float(-omega))
                 assert abs(minus - np.conj(plus)) <= 1e-12
 
     def test_gaussian_quadrature_accuracy_window(self, rng):
@@ -192,21 +225,17 @@ class TestCharacteristic:
             sigma = np.sqrt(lam * t_b)
             for frac in (0.1, 0.5, 1.0):
                 omega = 10.0 * frac / sigma
-                got = characteristic(kernel, omega).value
+                got = chi(kernel, omega)
                 oracle = quadrature_characteristic(kernel, omega, nodes=64)
                 assert abs(got - oracle) <= 1e-9
 
     def test_gaussian_magnitude_decreases_with_reading(self):
         omega = 0.8
         magnitudes = [
-            abs(characteristic(make_gaussian_kernel(0.2, t_b), omega).value)
+            abs(chi(make_gaussian_kernel(0.2, t_b), omega))
             for t_b in (0.5, 1.0, 2.0, 5.0, 10.0)
         ]
         assert all(a > b for a, b in zip(magnitudes, magnitudes[1:]))
-
-    def test_characteristic_value_bound_enforced(self):
-        with pytest.raises(QuantumStateError):
-            CharacteristicValue(omega=1.0, value=1.5 + 0.0j)
 
 
 class TestTabulated:
@@ -227,29 +256,23 @@ class TestTabulated:
             TabulatedKernel([0.0, 1.0], [0.0, 0.0])
 
     def test_parse_table_text(self):
-        text = """
+        rows = """
         # watch error histogram
         0.0 1    # start
         0.5\t2.0
         1.0 1
         """
-        kernel = parse_kernel_table(text)
+        kernel = table_kernel(rows)
         np.testing.assert_allclose(kernel.times, [0.0, 0.5, 1.0])
         np.testing.assert_allclose(kernel.weights, [0.25, 0.5, 0.25])
 
     def test_parse_rejects_bad_rows(self):
-        with pytest.raises(QuantumStateError, match="line 1"):
-            parse_kernel_table("0.0 1 extra")
-        with pytest.raises(QuantumStateError, match="non-numeric"):
-            parse_kernel_table("zero 1")
-        with pytest.raises(EmptyTableError):
-            parse_kernel_table("# only a comment\n")
-
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "watch.txt"
-        path.write_text("0.0 2\n1.0 2\n")
-        kernel = load_kernel_table(path)
-        np.testing.assert_allclose(kernel.weights, [0.5, 0.5])
+        with pytest.raises(ScenarioParseError, match="^line 9: table row expects"):
+            table_kernel("0.0 1 extra")
+        with pytest.raises(ScenarioParseError, match="expects numbers"):
+            table_kernel("zero 1")
+        with pytest.raises(ScenarioValidationError, match="at least one row"):
+            table_kernel("# only a comment")
 
 
 class TestEnvelope:

@@ -15,10 +15,8 @@ from relatime import (
     QuantumStateError,
     TraceNotOneError,
     expectation,
-    make_density,
     partial_trace,
     purity,
-    spectral_decompose,
     tensor,
 )
 from relatime import qmat
@@ -28,29 +26,29 @@ from conftest import plus_density, random_density, random_hermitian
 
 class TestMakeDensity:
     def test_basis_projector_is_valid(self):
-        rho = make_density([[1, 0], [0, 0]])
+        rho = DensityMatrix([[1, 0], [0, 0]])
         assert rho.dim == 2
         np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]))
 
     def test_plus_projector_is_valid(self):
-        rho = make_density([[0.5, 0.5], [0.5, 0.5]])
+        rho = DensityMatrix([[0.5, 0.5], [0.5, 0.5]])
         assert purity(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_trace_error_reports_magnitude(self):
         with pytest.raises(TraceNotOneError, match="1.2"):
-            make_density([[0.6, 0], [0, 0.6]])
+            DensityMatrix([[0.6, 0], [0, 0.6]])
 
     def test_not_hermitian(self):
         with pytest.raises(NotHermitianError, match="Hermitian"):
-            make_density([[0.5, 0.5j], [0.5j, 0.5]])
+            DensityMatrix([[0.5, 0.5j], [0.5j, 0.5]])
 
     def test_not_positive(self):
         with pytest.raises(NotPositiveError, match="eigenvalue"):
-            make_density([[1.5, 0], [0, -0.5]])
+            DensityMatrix([[1.5, 0], [0, -0.5]])
 
     def test_non_finite_rejected(self):
         with pytest.raises(QuantumStateError):
-            make_density([[np.nan, 0], [0, 1]])
+            DensityMatrix([[np.nan, 0], [0, 1]])
 
     def test_non_finite_state_has_one_message(self):
         message = "^density matrix has non-finite entries$"
@@ -58,12 +56,12 @@ class TestMakeDensity:
             [[np.nan, 0], [0, 1]], np.diag([np.inf, 0.5]), [[1, 1j * np.inf], [0, 0]]
         ):
             with pytest.raises(QuantumStateError, match=message):
-                make_density(arr)
+                DensityMatrix(arr)
             with pytest.raises(QuantumStateError, match=message):
                 _check_state(np.asarray(arr, dtype=complex)[None])
 
     @pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
-    @pytest.mark.parametrize("make", [make_density, Hamiltonian, Observable])
+    @pytest.mark.parametrize("make", [DensityMatrix, Hamiltonian, Observable])
     def test_caller_array_stays_the_callers(self, make, view):
         # the operator keeps a copy of a complex128 array its caller still
         # holds, or of a subclass view, which np.asarray turns into a new view
@@ -81,19 +79,19 @@ class TestMakeDensity:
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            make_density(np.ones((2, 3)) / 6)
+            DensityMatrix(np.ones((2, 3)) / 6)
 
     def test_tolerances_are_fixed(self):
         with pytest.raises(TraceNotOneError):
-            make_density([[0.6, 0], [0, 0.6]])
+            DensityMatrix([[0.6, 0], [0, 0.6]])
         with pytest.raises(TypeError):
-            make_density([[0.6, 0], [0, 0.6]], trace_tol=0.5)
+            DensityMatrix([[0.6, 0], [0, 0.6]], trace_tol=0.5)
         for make in (Hamiltonian, Observable):
             with pytest.raises(TypeError):
                 make([[0, 1], [0, 0]], herm_tol=2.0)
 
     def test_immutable(self):
-        rho = make_density([[1, 0], [0, 0]])
+        rho = DensityMatrix([[1, 0], [0, 0]])
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.5
         with pytest.raises(AttributeError):
@@ -394,13 +392,13 @@ class TestHermitianDefect:
 
 class TestSpectralDecompose:
     def test_already_diagonal_sorts_ascending(self):
-        h = spectral_decompose(np.diag([3.0, 1.0]))
+        h = Hamiltonian(np.diag([3.0, 1.0]))
         np.testing.assert_allclose(h.spectrum, [1.0, 3.0])
         # eigenbasis is a permutation of the computational basis, up to phase
         np.testing.assert_allclose(np.abs(h.eigenbasis), [[0, 1], [1, 0]], atol=1e-12)
 
     def test_pauli_x_spectrum_and_vectors(self):
-        h = spectral_decompose([[0, 1], [1, 0]])
+        h = Hamiltonian([[0, 1], [1, 0]])
         np.testing.assert_allclose(h.spectrum, [-1.0, 1.0], atol=1e-12)
         minus = np.array([1, -1]) / np.sqrt(2)
         plus = np.array([1, 1]) / np.sqrt(2)
@@ -409,14 +407,14 @@ class TestSpectralDecompose:
 
     def test_random_reconstruction(self, rng):
         m = random_hermitian(rng, 6, scale=3.0)
-        h = spectral_decompose(m)
+        h = Hamiltonian(m)
         rebuilt = (h.eigenbasis * h.spectrum) @ h.eigenbasis.conj().T
         assert np.max(np.abs(rebuilt - m)) <= 1e-9
 
     @pytest.mark.parametrize("dim", [2, 8, 17, 64])
     def test_roundtrip_up_to_dim_64(self, rng, dim):
         m = random_hermitian(rng, dim, scale=5.0)
-        h = spectral_decompose(m)
+        h = Hamiltonian(m)
         rebuilt = (h.eigenbasis * h.spectrum) @ h.eigenbasis.conj().T
         assert np.max(np.abs(rebuilt - m)) <= 1e-9
         assert np.all(np.diff(h.spectrum) >= 0)
@@ -425,7 +423,7 @@ class TestSpectralDecompose:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
-            spectral_decompose([[0, 1], [2, 0]])
+            Hamiltonian([[0, 1], [2, 0]])
 
     def test_from_eigensystem_rejects_unsorted(self):
         with pytest.raises(QuantumStateError, match="ascending"):
@@ -596,10 +594,10 @@ class TestPurity:
         assert purity(random_pure_density(rng, 6)) == pytest.approx(1.0, abs=1e-10)
 
     def test_maximally_mixed_qubit(self):
-        assert purity(make_density(np.eye(2) / 2)) == pytest.approx(0.5, abs=1e-12)
+        assert purity(DensityMatrix(np.eye(2) / 2)) == pytest.approx(0.5, abs=1e-12)
 
     def test_maximally_mixed_qutrit(self):
-        assert purity(make_density(np.eye(3) / 3)) == pytest.approx(1 / 3, abs=1e-12)
+        assert purity(DensityMatrix(np.eye(3) / 3)) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_range(self, rng):
         for dim in (2, 3, 7):
