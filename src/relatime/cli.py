@@ -104,6 +104,9 @@ def main(argv=None) -> int:
     if not 0 <= args.seed < 2**64:
         print("E_VALIDATION: --seed must fit in 64 unsigned bits", file=sys.stderr)
         return EXIT_INVALID
+    if not 0 <= getattr(args, "threshold", 0.0) < float("inf"):  # NaN fails too
+        print("E_VALIDATION: --threshold must be finite and >= 0", file=sys.stderr)
+        return EXIT_INVALID
 
     try:  # the file's text lives only while it is parsed
         scenario = parse_scenario(
@@ -129,16 +132,17 @@ def main(argv=None) -> int:
     options = {k: v for k, v in vars(args).items() if k in ("nodes", "threshold")}
     try:
         table = runner(scenario, **options)
-        csv_text = table.to_csv()
+        table.check()  # before --out is opened: a failing table leaves no file
     except _NUMERIC_ERRORS as exc:
         return _fail("E_NUMERIC", exc, EXIT_NUMERIC)
     except (RelatimeError, ValueError) as exc:
         return _fail("E_VALIDATION", exc, EXIT_INVALID)
 
     if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            table.write_csv(out)
     else:
-        sys.stdout.write(csv_text)
+        table.write_csv(sys.stdout)
     return EXIT_OK
 
 

@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatchError,
     NonPositiveLambdaError,
     QuadratureDriftError,
+    QuantumStateError,
 )
 from .kernels import QuadratureRule, TimeKernel, _hermgauss, quadrature_for
 from .qmat import DensityMatrix, Hamiltonian, _check_hermitian
@@ -102,7 +103,7 @@ def _finish_state(raw: np.ndarray, drift_budget: float | None = None) -> Density
 
     Renormalization is only allowed inside the drift budget; a larger
     deviation means the quadrature rule was inadequate and is reported as
-    an error instead of being papered over.
+    an error instead of being papered over. ``raw``, a fresh temporary, is changed.
     """
     _check_hermitian(raw, "engine output")  # symmetrizing below would hide it
     tr = complex(np.trace(raw)).real
@@ -111,9 +112,10 @@ def _finish_state(raw: np.ndarray, drift_budget: float | None = None) -> Density
             f"trace drifted to {tr:.12g} (deviation {abs(tr - 1.0):.3e} > "
             f"budget {drift_budget:.1e}); increase the node count"
         )
-    out = raw / tr
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out)
+    raw /= tr
+    raw += raw.conj().T
+    raw *= 0.5
+    return DensityMatrix(raw)
 
 
 def _phases(spectrum: np.ndarray, t) -> np.ndarray:
@@ -138,6 +140,12 @@ def _rule_multiplier(spectrum: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     # sum of the node phases.
     phases = np.exp(-1j * np.multiply.outer(rule.nodes, spectrum))
     return phases.T @ (rule.weights[:, None] * phases.conj())
+
+
+def _collapse_nodes(nodes) -> int:
+    if int(nodes) < 1:  # as quadrature_for refuses a node_count
+        raise QuantumStateError(f"the collapse engine needs --nodes >= 1, got {nodes}")
+    return int(nodes)
 
 
 def _pearle_multiplier(spectrum: np.ndarray, lam: float, t: float, nodes: int):
@@ -208,13 +216,14 @@ def evolve_pearle(
     no clamping. At t = 0 the state is returned unchanged.
     """
     _check_dims(rho0, hamiltonian)
+    nodes = _collapse_nodes(nodes)
     if not lam > 0:
         raise NonPositiveLambdaError(f"lam must be > 0, got {lam}")
     if t < 0:
         raise ValueError(f"collapse evolution needs t >= 0, got {t}")
     if t == 0:
         return rho0
-    multiplier = _pearle_multiplier(hamiltonian.spectrum, lam, t, int(nodes))
+    multiplier = _pearle_multiplier(hamiltonian.spectrum, lam, t, nodes)
     return _dephase(rho0, hamiltonian, multiplier, _TRACE_DRIFT_BUDGET)
 
 

@@ -261,7 +261,7 @@ def make_gaussian_kernel(lam: float, t_b: float) -> TimeKernel:
     """Gaussian kernel with variance lam * t_B; Delta at the t_B = 0 limit."""
     if not lam > 0:
         raise NonPositiveLambdaError(f"lam must be > 0, got {lam}")
-    if t_b < 0:
+    if _finite("t_b", t_b) < 0:
         raise QuantumStateError(f"t_b must be >= 0, got {t_b}")
     if t_b == 0:
         _finite("lambda", lam)  # the delta kernel drops it unchecked

@@ -223,15 +223,19 @@ class Hamiltonian:
         return self
 
     def _finish_init(self, dim, arr, energies, basis, given):
-        unitarity = float(
-            np.max(np.abs(basis.conj().T @ basis - np.eye(dim)), initial=0.0)
-        )
+        adjoint = basis.conj().T  # one copy serves both checks
+        defect = adjoint @ basis
+        defect[np.diag_indices(dim)] -= 1.0  # U^dag U - I, in place
+        unitarity = float(np.max(np.abs(defect), initial=0.0))
         if not unitarity <= _EIGENBASIS_TOL:
             raise EigensolverError(
                 f"eigenbasis is not unitary: max |U^dag U - I| = {unitarity:.3e}"
             )
-        rebuilt = (basis * energies) @ basis.conj().T
-        recon = float(np.max(np.abs(rebuilt - arr), initial=0.0))
+        adjoint *= energies[:, None]  # diag(E) U^dag
+        np.matmul(basis, adjoint, out=defect)
+        defect -= arr  # U diag(E) U^dag - matrix, in the same buffer
+        recon = float(np.max(np.abs(defect), initial=0.0))
+        del adjoint, defect  # gone before matrix is copied below
         if not recon <= _EIGENBASIS_TOL:
             raise EigensolverError(
                 f"spectral reconstruction error {recon:.3e} exceeds budget"

@@ -32,17 +32,17 @@ problems raise ``ScenarioParseError`` with a line number, semantic problems
 are collected and raised together as ``ScenarioValidationError``. A key's
 numbers are split from its line only as they are read: one row at a time.
 
-Runners produce ``ResultTable`` objects: named 1-d numpy columns, written as
-CSV in the text each dtype sets, under a '#'-prefixed metadata header: version,
-scenario hash (of the names and float64 values, no longer of the canonical text),
-``nodes`` for the collapse comparison, ``threshold`` for the report, the seed.
-Identical inputs give byte-identical files.
+Runners produce ``ResultTable`` objects: named 1-d numpy columns (a sweep's gap
+factors as one 2-d block), streamed as CSV in the text each dtype sets, under a
+'#'-prefixed metadata header: version, scenario hash (SHA-256 of the names and
+float64 values), ``nodes`` for the collapse comparison, ``threshold`` for the
+report, the seed. Identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
-import difflib
-import hashlib
+import io
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -71,6 +71,7 @@ from .errors import (
 from .evolution import (  # noqa: F401
     _TRACE_DRIFT_BUDGET,
     DECOHERENCE_THRESHOLD,
+    _collapse_nodes,
     _distinct_gap_mask,
     _finish_state,
     _from_eigenbasis,
@@ -161,6 +162,7 @@ def _parse_blocks(text: str) -> _Block:
 
 
 def _suggest(word: str, options) -> str:
+    import difflib  # only a refused name needs it
     close = difflib.get_close_matches(word, options, n=3)
     hint = f"; did you mean {', '.join(repr(c) for c in close)}?" if close else ""
     return f"{word!r} is not one of {list(options)}{hint}"
@@ -528,7 +530,7 @@ class ScenarioFile:
         """First 16 hex digits of SHA-256 over ``source`` in canonical order: text
         as UTF-8, floats as little-endian float64, each part behind its length.
         Equal exactly when ``emit_scenario``'s texts are (earlier builds hashed it)."""
-        h = hashlib.sha256()
+        h = _sha256()
         for name, fields in self.source.items():
             parts = [name, len(fields)]
             for key, reader, value in fields.values():
@@ -539,6 +541,17 @@ class ScenarioFile:
                 data = str(part).encode() if text else np.asarray(part, "<f8").tobytes()
                 h.update(len(data).to_bytes(8, "little") + data)
         return h.hexdigest()[:16]
+
+
+def _sha256():
+    """SHA-256 from ``hashlib`` if it is loaded, else from CPython's built-in
+    module (``_sha2`` from 3.12), as ``random`` does: hashlib loads OpenSSL."""
+    names = ["hashlib"] if "hashlib" in sys.modules else ["_sha2", "_sha256", "hashlib"]
+    for name in names:
+        try:
+            return __import__(name).sha256()
+        except ImportError:
+            continue
 
 
 def emit_scenario(scn: ScenarioFile) -> str:
@@ -647,6 +660,7 @@ def parse_scenario(text: str, *, seed: int = 0) -> ScenarioFile:
     number; semantic problems are collected and reported together.
     """
     root = _parse_blocks(text)
+    del text  # each value keeps its own text; a caller's temporary is freed here
     if root.leaves:
         stray = root.leaves[0]
         raise ScenarioParseError(
@@ -727,7 +741,8 @@ def parse_scenario(text: str, *, seed: int = 0) -> ScenarioFile:
 
 @dataclass
 class ResultTable:
-    """Ordered named 1-d columns plus '#'-comment metadata and footer lines.
+    """Ordered named 1-d columns, then 2-d float blocks keyed by the names of
+    their columns, plus '#'-comment metadata and footer lines.
 
     A column's dtype sets its cell text: ``str`` for integers, ``repr``
     (shortest round trip) for floats. Lists go through ``np.asarray``.
@@ -736,23 +751,50 @@ class ResultTable:
     columns: dict[str, np.ndarray]
     metadata: dict[str, str] = field(default_factory=dict)
     footer: dict[str, str] = field(default_factory=dict)
+    blocks: dict[tuple[str, ...], np.ndarray] = field(default_factory=dict)
 
-    def to_csv(self) -> str:
+    def check(self) -> int:
+        """The row count; each column and block must hold one finite value a row."""
         columns = {name: np.asarray(col) for name, col in self.columns.items()}
-        rows = len(next(iter(columns.values()), ()))
+        rows = len(next(iter([*columns.values(), *self.blocks.values()]), ()))
         ragged = {name: len(col) for name, col in columns.items() if len(col) != rows}
         if ragged:
             raise RelatimeError(f"ragged result table: {ragged} rows, expected {rows}")
-        cells = []
         for name, col in columns.items():
             if col.dtype.kind == "f" and not np.isfinite(col).all():
                 raise RelatimeError(f"non-finite value in column {name!r}")
-            cells.append(map(str if col.dtype.kind in "iu" else repr, col.tolist()))
-        lines = [f"# {key}: {val}" for key, val in self.metadata.items()]
-        lines.append(",".join(columns))
-        lines.extend(map(",".join, zip(*cells)))
-        lines.extend(f"# {key}: {val}" for key, val in self.footer.items())
-        return "\n".join(lines) + "\n"
+        for names, block in self.blocks.items():
+            shape = (rows, len(names))
+            if block.shape != shape:
+                raise RelatimeError(f"block shape {block.shape}, expected {shape}")
+            bad = np.flatnonzero(~np.isfinite(block).all(axis=0))
+            if bad.size:
+                raise RelatimeError(f"non-finite value in column {names[bad[0]]!r}")
+        return rows
+
+    def write_csv(self, stream) -> None:
+        """Write the CSV text to ``stream`` about ``_CSV_CELLS`` cells at a time,
+        once ``check`` has passed: a failing table writes nothing."""
+        rows = self.check()
+        columns = [np.asarray(col) for col in self.columns.values()]
+        blocks = [block for block in self.blocks.values() if block.shape[1]]
+        names = [*self.columns, *(name for key in self.blocks for name in key)]
+        stream.write("".join(f"# {key}: {val}\n" for key, val in self.metadata.items()))
+        stream.write(",".join(names) + "\n")
+        step = max(1, _CSV_CELLS // max(len(names), 1))
+        for part in (slice(start, start + step) for start in range(0, rows, step)):
+            cells = [map(str if col.dtype.kind in "iu" else repr, col[part].tolist())
+                     for col in columns]
+            cells += [(",".join(map(repr, row)) for row in block[part].tolist())
+                      for block in blocks]
+            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        stream.write("".join(f"# {key}: {val}\n" for key, val in self.footer.items()))
+
+    def to_csv(self) -> str:
+        """The CSV text as one string: ``write_csv`` into memory, for tests."""
+        out = io.StringIO()
+        self.write_csv(out)
+        return out.getvalue()
 
 
 def _base_metadata(scn: ScenarioFile, *, nodes=None, threshold=None) -> dict:
@@ -795,6 +837,7 @@ def _expect(p: np.ndarray, weighted: np.ndarray) -> float:
 
 PEARLE_NODES = 64  # Gauss-Hermite nodes of the collapse comparison
 SWEEP_CELL_CAP = 2**24  # most cells, steps x (6 + gaps), a sweep table may have
+_CSV_CELLS = 2**16  # cells per ResultTable.write_csv write; a wider row goes alone
 _PHASE_TOL = 1e-12  # largest | |p_i| - 1 | a sweep point's phases may have
 
 
@@ -860,16 +903,16 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
                 raise QuantumStateError(f"phases off the unit circle by {off:.1e}")
             envelope = kernel._envelope(omega)
             x = qmat._schur_state(state_e, envelope)  # Bob's state in D's frame
-            rows.append((
-                _expect(p, alice_e), _expect(p, alice_e * envelope),
-                purity_a, float(np.vdot(x, x).real), _max_offdiag(x, distinct),
-            ))
+            bob = float(np.vdot(x, x).real), _max_offdiag(x, distinct)
+            del x  # read off and dropped before alice_e * envelope forms
+            expect = _expect(p, alice_e), _expect(p, alice_e * envelope)
+            rows.append((*expect, purity_a, *bob))
         factors[k] = np.abs(kernel._envelope(gaps))
 
     names = (variable, "expect_A", "expect_B", "purity_A", "purity_B", "max_offdiag")
     columns = dict(zip(names, (points, *np.transpose(rows))))
-    columns.update(zip(_gap_names(gaps), factors.T))
-    return ResultTable(columns=columns, metadata=_base_metadata(scn))
+    blocks = {tuple(_gap_names(gaps)): factors}  # write_csv slices its rows
+    return ResultTable(columns, _base_metadata(scn), blocks=blocks)
 
 
 def run_clock_recovery(scn: ScenarioFile) -> ResultTable:
@@ -932,6 +975,7 @@ def run_pearle_compare(scn: ScenarioFile, *, nodes: int = PEARLE_NODES) -> Resul
         )
     if scn.sweep.start < 0:
         raise ScenarioValidationError(["collapse evolution needs t >= 0"])
+    nodes = _collapse_nodes(nodes)
 
     hamiltonian = scn.system_hamiltonian
     spectrum = hamiltonian.spectrum

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from relatime import scenario as scenario_module
 from relatime.cli import _RUNNERS, build_parser, main
 from conftest import SCENARIO_DIR
+from test_golden import CASES as GOLDEN_CASES
 from test_scenario import MINIMAL, PARSE_CASES, PARSE_EXPECTED, SWEEP_BLOCK, wide_sweep
 
 QUBIT = SCENARIO_DIR / "qubit_decoherence.scn"
@@ -56,6 +57,15 @@ class TestValidate:
     def test_bad_seed_rejected(self, capsys):
         assert main(["validate", str(QUBIT), "--seed", "-1"]) == 2
         assert "E_VALIDATION" in capsys.readouterr().err
+
+
+def _alike_gaps(tmp_path):
+    """A d = 3 sweep whose first two gap names need ``repr``."""
+    text = (MINIMAL + SWEEP_BLOCK).replace("dimension 2", "dimension 3")
+    text = text.replace("spectrum 0.0 1.0", "spectrum 0.0 1.0 2.0000001")
+    path = tmp_path / "alike.scn"
+    path.write_text(text.replace("preset pauli_x", "preset number_op"))
+    return path
 
 
 class TestRunners:
@@ -127,11 +137,7 @@ class TestRunners:
         assert "4160 exceeds cap 4096" in err
 
     def test_gaps_alike_to_six_digits_get_their_own_columns(self, tmp_path, capsys):
-        text = (MINIMAL + SWEEP_BLOCK).replace("dimension 2", "dimension 3")
-        text = text.replace("spectrum 0.0 1.0", "spectrum 0.0 1.0 2.0000001")
-        path = tmp_path / "alike.scn"
-        path.write_text(text.replace("preset pauli_x", "preset number_op"))
-        assert main(["sweep", str(path)]) == 0
+        assert main(["sweep", str(_alike_gaps(tmp_path))]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
         header = lines[0].split(",")
         gaps = {"dephase_gap_1.0": 1.0, "dephase_gap_1.0000001": 1.0000001,
@@ -166,6 +172,71 @@ class TestRunners:
     def test_nodes_line_only_where_quadrature_ran(self, command, path, capsys):
         assert main([command, str(path)]) == 0
         assert "# nodes:" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nodes_below_one_exit_2(self, value, capsys):
+        assert main(["pearle-compare", str(PEARLE), "--nodes", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"E_VALIDATION: the collapse engine needs --nodes >= 1, got {value}\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_threshold_must_be_finite_and_non_negative(self, value, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["report", str(QUBIT), "--threshold", value, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("E_VALIDATION: --threshold ")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("table", [
+        scenario_module.ResultTable({"a": np.array([0.5, np.nan])}),
+        scenario_module.ResultTable({"a": [1.0, 2.0], "b": [1.0]}),
+        scenario_module.ResultTable(
+            {"a": [1.0, 2.0]}, blocks={("g", "h"): np.array([[1.0, np.inf], [2.0, 3.0]])}
+        ),
+    ], ids=["non-finite", "ragged", "non-finite-block"])
+    def test_failing_table_leaves_no_out_file(self, table, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(_RUNNERS, "sweep", lambda scn: table)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", str(QUBIT), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("E_VALIDATION: ")
+        assert not out.exists()
+
+
+def _whole_csv(table) -> str:
+    """The CSV as formatted before it was streamed: every cell at once, one
+    column at a time."""
+    columns = {name: np.asarray(col) for name, col in table.columns.items()}
+    for names, block in table.blocks.items():
+        columns.update(zip(names, block.T))
+    cells = [map(str if col.dtype.kind in "iu" else repr, col.tolist())
+             for col in columns.values()]
+    lines = [f"# {key}: {val}" for key, val in table.metadata.items()]
+    lines.append(",".join(columns))
+    lines.extend(map(",".join, zip(*cells)))
+    lines.extend(f"# {key}: {val}" for key, val in table.footer.items())
+    return "\n".join(lines) + "\n"
+
+
+STREAMED = [*GOLDEN_CASES, ("report", CLOCKED), ("sweep", None)]
+
+
+@pytest.mark.parametrize("cells", [scenario_module._CSV_CELLS, 5])
+@pytest.mark.parametrize(
+    "command, path", STREAMED,
+    ids=[f"{c}-{p.stem if p else 'alike-gaps'}" for c, p in STREAMED],
+)
+def test_streamed_csv_matches_the_whole_table(command, path, cells, tmp_path, monkeypatch):
+    # 5 cells per write: every table goes out in many pieces, a sweep row at a time
+    monkeypatch.setattr(scenario_module, "_CSV_CELLS", cells)
+    path = path or _alike_gaps(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main([command, str(path), "--out", str(out)]) == 0
+    scn = scenario_module.parse_scenario(path.read_text())
+    table = _RUNNERS[command](scn)
+    assert out.read_bytes() == table.to_csv().encode() == _whole_csv(table).encode()
 
 
 COMMAND_FILES = {
@@ -354,6 +425,24 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_sweep_loads_no_openssl_difflib_or_numpy_random(self, tmp_path):
+        # the digest hashes with the built-in SHA-256, difflib serves only a
+        # refused name, and only the random state presets draw numbers
+        code = (
+            "import runpy, sys\n"
+            "sys.argv = ['relatime', 'sweep', sys.argv[1], '--out', sys.argv[2]]\n"
+            "try:\n    runpy.run_module('relatime', run_name='__main__')\n"
+            "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+            "print(sorted({'_hashlib', 'difflib', 'numpy.random'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(QUBIT), str(tmp_path / "out.csv")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "out.csv").read_text().startswith("# generator: relatime")
 
     def test_module_invocation_failure(self, tmp_path):
         bad = tmp_path / "bad.scn"

@@ -11,6 +11,7 @@ from relatime import (
     NotHermitianError,
     QuadratureDriftError,
     QuadratureRule,
+    QuantumStateError,
     TabulatedKernel,
     UniformKernel,
     coherence_report,
@@ -292,6 +293,12 @@ class TestPearle:
     def test_rejects_negative_time(self, rng):
         with pytest.raises(ValueError):
             evolve_pearle(random_density(rng, 2), QUBIT_GAP, 0.1, -1.0, 32)
+
+    @pytest.mark.parametrize("nodes", [0, -3])
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_rejects_a_node_count_below_one(self, rng, nodes, t):
+        with pytest.raises(QuantumStateError, match="collapse engine needs --nodes >= 1"):
+            evolve_pearle(random_density(rng, 2), QUBIT_GAP, 0.1, t, nodes)
 
 
 class TestProductSystems:

@@ -74,6 +74,11 @@ class TestGaussianFactory:
         with pytest.raises(QuantumStateError):
             make_gaussian_kernel(0.1, -1.0)
 
+    @pytest.mark.parametrize("t_b", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_reading(self, t_b):
+        with pytest.raises(QuantumStateError, match=r"^kernel t_b must be finite"):
+            make_gaussian_kernel(0.1, t_b)
+
     def test_zero_reading_degenerates_to_delta(self):
         kernel = make_gaussian_kernel(0.1, 0.0)
         assert isinstance(kernel, DeltaKernel)

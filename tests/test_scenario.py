@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import sys
 import tracemalloc
 import types
 import warnings
@@ -341,6 +342,39 @@ class TestEmission:
         monkeypatch.setattr(scenario_module, "_join", refuse)
         assert scn.digest() == "26ad7b469d93ac8e"
 
+    @pytest.mark.parametrize("loaded", [True, False], ids=["hashlib", "built-in"])
+    def test_digest_is_sha256_of_length_framed_parts(self, loaded, monkeypatch):
+        """Either constructor route hashes the same framed bytes as hashlib; the
+        built-in one is taken, and hashlib left unloaded, when none is loaded."""
+        scn = parse_scenario(SWEPT.replace("preset pauli_x", (
+            "matrix {\n    row 0 0 1 0\n    row 1 0 0 0\n  }"
+        )))
+        fed, made = [], []
+
+        class Recording:
+            def __init__(self):
+                made.append(real())
+
+            def update(self, data):
+                fed.append(data)
+                made[0].update(data)
+
+            def hexdigest(self):
+                return made[0].hexdigest()
+
+        real = scenario_module._sha256
+        monkeypatch.setattr(scenario_module, "_sha256", Recording)
+        if not loaded:
+            monkeypatch.delitem(sys.modules, "hashlib")
+        digest = scn.digest()
+        assert ("hashlib" in sys.modules) == loaded
+        if loaded:
+            assert type(made[0]) is type(hashlib.sha256())
+        else:
+            assert type(made[0]).__module__ in ("_sha2", "_sha256")
+        assert all(int.from_bytes(part[:8], "little") == len(part) - 8 for part in fed)
+        assert digest == hashlib.sha256(b"".join(fed)).hexdigest()[:16]
+
     def test_matrix_scenarios_round_trip(self):
         text = """
         system {
@@ -406,6 +440,12 @@ def dense_scenario(rng, dim: int, kind: str, variable: str) -> str:
     )
 
 
+def _gap_columns(table) -> dict:
+    """A sweep table's gap columns by name, from its one 2-d block."""
+    (names, factors), = table.blocks.items()
+    return dict(zip(names, factors.T))
+
+
 class TestDecoherenceSweep:
     def test_offdiagonal_column_matches_closed_form(self):
         table = run_decoherence_sweep(parse_scenario(MINIMAL + SWEEP_BLOCK))
@@ -414,7 +454,7 @@ class TestDecoherenceSweep:
         np.testing.assert_allclose(
             offdiag, 0.5 * np.exp(-0.1 * t_values / 2.0), atol=1e-12
         )
-        factor = np.array(table.columns["dephase_gap_1"])
+        factor = _gap_columns(table)["dephase_gap_1"]
         np.testing.assert_allclose(factor, np.exp(-0.1 * t_values / 2.0), atol=1e-12)
 
     def test_near_delta_limit_tracks_exact_curve(self):
@@ -476,7 +516,8 @@ class TestDecoherenceSweep:
         h, rho0 = scn.system_hamiltonian, scn.initial_state
         table = run_decoherence_sweep(scn)
         gaps = _distinct_gaps(h)
-        gap_names = [name for name in table.columns if name.startswith("dephase_gap_")]
+        gap_columns = _gap_columns(table)
+        gap_names = list(gap_columns)
         assert len(gap_names) == gaps.size
         for k, x in enumerate(table.columns[variable]):
             if variable == "t_B":
@@ -495,7 +536,8 @@ class TestDecoherenceSweep:
             for name, gap in zip(gap_names, gaps):
                 expected[name] = abs(complex(kernel._chi(gap)))
             for name, value in expected.items():
-                assert table.columns[name][k] == pytest.approx(value, rel=0, abs=1e-12)
+                column = {**table.columns, **gap_columns}[name]
+                assert column[k] == pytest.approx(value, rel=0, abs=1e-12)
 
     def test_non_positive_multiplier_fails_at_its_point(self, monkeypatch):
         # A kernel whose envelope flips the sign of every off-diagonal element
@@ -763,6 +805,12 @@ class TestClockRecovery:
 
 
 class TestPearleCompare:
+    @pytest.mark.parametrize("nodes", [0, -3])
+    def test_rejects_a_node_count_below_one(self, nodes):
+        text = MINIMAL + SWEEP_BLOCK.replace("start 0.1", "start 0.0")
+        with pytest.raises(QuantumStateError, match="collapse engine needs --nodes"):
+            run_pearle_compare(parse_scenario(text), nodes=nodes)
+
     def test_distance_column_stays_tiny(self):
         text = MINIMAL + SWEEP_BLOCK.replace("start 0.1", "start 0.0")
         table = run_pearle_compare(parse_scenario(text))
