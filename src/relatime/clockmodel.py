@@ -20,9 +20,10 @@ each can check the other.
 Readout uses the Kronecker-sum structure and forms nothing D x D
 (D = d_S * d_C, still capped by arithmetic in ``CompositeScenario``). The
 averaged state is block-diagonal in the pointer basis, kept as one block
-per reading and validated once (a batched ``eigvalsh`` in place of a D x D
-one); the product start state is valid because rho_S is, and U_S, shared
-by both alice routes, is checked when its ``Hamiltonian`` is built.
+per reading and validated once as a stack by ``_check_state`` (a Cholesky
+certificate, with ``eigvalsh`` only to judge a failure); the product start
+state is valid because rho_S is, and U_S, shared by both alice routes, is
+checked when its ``Hamiltonian`` is built.
 """
 
 from __future__ import annotations
@@ -68,13 +69,11 @@ _PATH_AGREEMENT_TOL = 1e-9
 class ClockSystem:
     """Cyclic d-state pointer clock with tick ``tick``.
 
-    ``pointer_times[m] = m * tick`` labels the pointer basis, the time
-    observable is diagonal on it, and one tick of evolution advances the
-    pointer by exactly one step (mod d). Pointer projectors commute with
-    the time observable by construction.
+    ``pointer_times[m] = m * tick`` labels the pointer basis, and one tick
+    of evolution advances the pointer by exactly one step (mod d).
     """
 
-    __slots__ = ("dim", "tick", "pointer_times", "hamiltonian", "time_observable")
+    __slots__ = ("dim", "tick", "pointer_times", "hamiltonian")
 
     def __init__(self, dim: int, tick: float):
         if not isinstance(dim, (int, np.integer)) or dim < 2:
@@ -107,7 +106,6 @@ class ClockSystem:
         times.setflags(write=False)
         object.__setattr__(self, "pointer_times", times)
         object.__setattr__(self, "hamiltonian", hamiltonian)
-        object.__setattr__(self, "time_observable", Observable(np.diag(times)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ClockSystem is immutable")
@@ -147,33 +145,28 @@ class CompositeScenario:
 
     The composite generator is H_S (x) I + I (x) H_C (system left, clock
     right) and the initial state is the product of the system state with
-    the clock pointing at ``initial_pointer`` (default 0, i.e. the clock
-    starts in agreement with the wall time); both are built when read.
+    the clock on pointer 0, so the clock starts in agreement with the wall
+    time and the reading after ``step`` ticks is ``step``; both are built
+    when read.
     """
 
-    __slots__ = ("system_hamiltonian", "system_state", "clock", "initial_pointer")
+    __slots__ = ("system_hamiltonian", "system_state", "clock")
 
     def __init__(
         self,
         system_hamiltonian: Hamiltonian,
         system_state: DensityMatrix,
         clock: ClockSystem,
-        initial_pointer: int = 0,
     ):
         if system_hamiltonian.dim != system_state.dim:
             raise DimensionMismatchError(
                 f"system Hamiltonian dim {system_hamiltonian.dim} != "
                 f"state dim {system_state.dim}"
             )
-        if not 0 <= int(initial_pointer) < clock.dim:
-            raise InvalidDimensionError(
-                f"initial pointer {initial_pointer} outside 0..{clock.dim - 1}"
-            )
         _check_product_dim(system_hamiltonian.dim, clock.dim)
         object.__setattr__(self, "system_hamiltonian", system_hamiltonian)
         object.__setattr__(self, "system_state", system_state)
         object.__setattr__(self, "clock", clock)
-        object.__setattr__(self, "initial_pointer", int(initial_pointer))
 
     def __setattr__(self, name, value):
         raise AttributeError("CompositeScenario is immutable")
@@ -188,16 +181,12 @@ class CompositeScenario:
     @property
     def initial_state(self) -> DensityMatrix:
         """The dense product start state."""
-        pointer = self.clock.projector(self.initial_pointer)
+        pointer = self.clock.projector(0)
         return DensityMatrix(tensor(self.system_state.matrix, pointer))
 
     @property
     def dims(self) -> tuple[int, int]:
         return (self.system_hamiltonian.dim, self.clock.dim)
-
-    def reading_index(self, step: int) -> int:
-        """Pointer index shown after ``step`` ticks of evolution."""
-        return (self.initial_pointer + step) % self.clock.dim
 
     def __repr__(self) -> str:
         d_s, d_c = self.dims
@@ -231,8 +220,9 @@ def pointer_weights(kernel: TimeKernel, clock: ClockSystem) -> np.ndarray:
         atoms = list(zip(kernel.times, kernel.weights))
     else:
         raise KernelOffGridError(
-            f"{kernel.kind} kernel has continuous support; discretize it "
-            "onto the pointer grid first (see discretize_on_grid)"
+            f"{kernel.kind} kernel has continuous support; clock readout needs "
+            "a delta kernel at a pointer time or a tabulated kernel on pointer "
+            "times (a library caller can use discretize_on_grid)"
         )
     for t, w in atoms:
         try:
@@ -262,13 +252,13 @@ def _direct_value(
 
 def _bob_blocks(scenario: CompositeScenario, kernel: TimeKernel) -> np.ndarray:
     """The kernel-averaged composite state as its ``(d_C, d_S, d_S)`` stack
-    of pointer-basis blocks: block r is sum over the times t_m showing
-    reading r of w_m rho_S(t_m), normalized and validated as a whole."""
+    of pointer-basis blocks: block r is w_r rho_S(t_r), reading r being
+    shown at t_r alone, normalized and validated as a whole."""
     weights = pointer_weights(kernel, scenario.clock)
     steps = np.flatnonzero(weights)
     d_s, d_c = scenario.dims
     blocks = np.zeros((d_c, d_s, d_s), dtype=np.complex128)
-    blocks[scenario.reading_index(steps)] = (
+    blocks[steps] = (
         weights[steps, None, None] * _system_state_at(scenario, steps)
     )
     blocks /= np.sum(np.trace(blocks, axis1=1, axis2=2)).real
@@ -279,16 +269,15 @@ def _bob_blocks(scenario: CompositeScenario, kernel: TimeKernel) -> np.ndarray:
 
 
 def _alice_block(scenario: CompositeScenario, step: int) -> np.ndarray:
-    """Clock block (r, r) of the composite state after ``step`` ticks, r the
-    reading then: the product state evolved in the eigenbasis U_S (x) F with
-    phases exp(-i (E_i + omega_j) t), the clock factor summed into one amplitude
-    per system level."""
+    """Clock block (step, step) of the composite state after ``step`` ticks,
+    step being the reading then: the product state evolved in the eigenbasis
+    U_S (x) F with phases exp(-i (E_i + omega_j) t), the clock factor summed
+    into one amplitude per system level."""
     system, clock = scenario.system_hamiltonian, scenario.clock
     t = clock.pointer_times[step]
     fourier = clock.hamiltonian.eigenbasis
     phases = np.exp(-1j * np.add.outer(system.spectrum, clock.hamiltonian.spectrum) * t)
-    reading = scenario.reading_index(step)
-    amplitude = phases @ (fourier[reading] * fourier[scenario.initial_pointer].conj())
+    amplitude = phases @ (fourier[step] * fourier[0].conj())
     rho_e = _to_eigenbasis(scenario.system_state.matrix, system)
     return _from_eigenbasis(rho_e * np.outer(amplitude, amplitude.conj()), system)
 
@@ -333,9 +322,7 @@ def alice_conditional(
     a pointer time within the first clock period.
     """
     step = scenario.clock.pointer_index(t_a)
-    conditioned = _condition(
-        _alice_block(scenario, step), observable, scenario.reading_index(step)
-    )
+    conditioned = _condition(_alice_block(scenario, step), observable, step)
     direct = _direct_value(scenario, observable, step)
     if abs(direct - conditioned) > _PATH_AGREEMENT_TOL:
         raise ConsistencyError(
@@ -359,7 +346,7 @@ def bob_conditional(
     internal clock undoes the watch's ignorance. Raises
     ``ZeroProbabilityError`` for readings the kernel excludes.
     """
-    reading = scenario.reading_index(scenario.clock.pointer_index(t))
+    reading = scenario.clock.pointer_index(t)
     return _condition(_bob_blocks(scenario, kernel)[reading], observable, reading)
 
 

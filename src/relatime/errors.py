@@ -63,8 +63,9 @@ class EmptyTableError(RelatimeError, ValueError):
 class QuadratureDriftError(RelatimeError):
     """Kernel averaging lost more trace than the drift budget allows.
 
-    Signals an inadequate quadrature rule; the result is discarded rather
-    than silently renormalized.
+    Signals an inadequate quadrature rule, or a kernel whose characteristic
+    function is not 1 at gap 0; the result is discarded rather than
+    silently renormalized.
     """
 
 

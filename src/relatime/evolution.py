@@ -98,19 +98,21 @@ def _distinct_gap_mask(spectrum: np.ndarray) -> np.ndarray:
     return np.abs(spectrum[:, None] - spectrum[None, :]) > tol
 
 
-def _finish_state(raw: np.ndarray, drift_budget: float | None = None) -> DensityMatrix:
+def _finish_state(raw: np.ndarray) -> DensityMatrix:
     """Validate engine output: check Hermiticity and trace drift, then remove roundoff.
 
     Renormalization is only allowed inside the drift budget; a larger
-    deviation means the quadrature rule was inadequate and is reported as
-    an error instead of being papered over. ``raw``, a fresh temporary, is changed.
+    deviation means the multiplier does not average to 1 on the populations
+    (too few quadrature nodes, or a kernel whose envelope is not 1 at gap 0)
+    and is reported as an error instead of being papered over. ``raw``, a
+    fresh temporary, is changed.
     """
     _check_hermitian(raw, "engine output")  # symmetrizing below would hide it
     tr = complex(np.trace(raw)).real
-    if drift_budget is not None and abs(tr - 1.0) > drift_budget:
+    if abs(tr - 1.0) > _TRACE_DRIFT_BUDGET:
         raise QuadratureDriftError(
             f"trace drifted to {tr:.12g} (deviation {abs(tr - 1.0):.3e} > "
-            f"budget {drift_budget:.1e}); increase the node count"
+            f"budget {_TRACE_DRIFT_BUDGET:.1e})"
         )
     raw /= tr
     raw += raw.conj().T
@@ -158,12 +160,11 @@ def _dephase(
     rho0: DensityMatrix,
     hamiltonian: Hamiltonian,
     multiplier: np.ndarray,
-    drift_budget: float | None = None,
 ) -> DensityMatrix:
     """The state rho0 with its energy-basis elements scaled by ``multiplier``."""
     _check_dims(rho0, hamiltonian)
     rho_e = _to_eigenbasis(rho0.matrix, hamiltonian) * multiplier
-    return _finish_state(_from_eigenbasis(rho_e, hamiltonian), drift_budget)
+    return _finish_state(_from_eigenbasis(rho_e, hamiltonian))
 
 
 def evolve_unitary(
@@ -186,7 +187,7 @@ def evolve_relational_quadrature(
     """Kernel-averaged state by explicit quadrature over evolution times."""
     rule = quadrature_for(kernel, nodes)
     multiplier = _rule_multiplier(hamiltonian.spectrum, rule)
-    return _dephase(rho0, hamiltonian, multiplier, _TRACE_DRIFT_BUDGET)
+    return _dephase(rho0, hamiltonian, multiplier)
 
 
 def evolve_relational_dephasing(
@@ -224,7 +225,7 @@ def evolve_pearle(
     if t == 0:
         return rho0
     multiplier = _pearle_multiplier(hamiltonian.spectrum, lam, t, nodes)
-    return _dephase(rho0, hamiltonian, multiplier, _TRACE_DRIFT_BUDGET)
+    return _dephase(rho0, hamiltonian, multiplier)
 
 
 def coherence_report(

@@ -69,7 +69,6 @@ from .errors import (
 )
 # bench/traced_job.py wraps every engine here; runners call only coherence_report.
 from .evolution import (  # noqa: F401
-    _TRACE_DRIFT_BUDGET,
     DECOHERENCE_THRESHOLD,
     _collapse_nodes,
     _distinct_gap_mask,
@@ -881,11 +880,10 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
             f"{len(gaps)} gaps)) exceeds the limit of {SWEEP_CELL_CAP}"
         ])
     state_e = _finish_state(_to_eigenbasis(scn.initial_state.matrix, hamiltonian))
-    observable_e = Observable(_to_eigenbasis(scn.observable.matrix, hamiltonian))
     rho_s, purity_a = state_e.matrix, purity(state_e)
-    # Tr[N D X D*] = p^T (X * N^T) p*, and X * N^T = alice_e * envelope
-    alice_e = rho_s * observable_e.matrix.T
-    del observable_e  # one d x d array fewer held through the loop, at peak RSS
+    # Tr[N D X D*] = p^T (X * N^T) p*, and X * N^T = alice_e * envelope. N is
+    # Hermitian already: its rotation's roundoff is not checked again.
+    alice_e = rho_s * _to_eigenbasis(scn.observable.matrix, hamiltonian).T
     omega = spectrum[:, None] - spectrum[None, :]
     distinct = _distinct_gap_mask(spectrum)
 
@@ -949,8 +947,7 @@ def run_clock_recovery(scn: ScenarioFile) -> ResultTable:
         t = float(times[step])
         with _at(f"readout t = {t!r}"):
             a = alice_conditional(composite, scn.observable, t)
-            reading = composite.reading_index(step)
-            rows.append((t, a, _condition(blocks[reading], scn.observable, reading)))
+            rows.append((t, a, _condition(blocks[step], scn.observable, step)))
 
     t, alice, bob = np.transpose(rows)
     difference = np.abs(alice - bob)
@@ -989,7 +986,7 @@ def run_pearle_compare(scn: ScenarioFile, *, nodes: int = PEARLE_NODES) -> Resul
             chi = _kernel_multiplier(spectrum, make_gaussian_kernel(lam, t))
             relational = _finish_state(rho_e * chi)
             collapsed = relational if t == 0 else _finish_state(  # t = 0: both rho0
-                rho_e * _pearle_multiplier(spectrum, lam, t, nodes), _TRACE_DRIFT_BUDGET
+                rho_e * _pearle_multiplier(spectrum, lam, t, nodes)
             )
         difference = _from_eigenbasis(collapsed.matrix - relational.matrix, hamiltonian)
         rows.append((

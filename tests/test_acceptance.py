@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line
 per criterion; a pytest failure on any test is that criterion's FAIL.
 """
 
+import inspect
 import subprocess
 import sys
 import time
@@ -322,9 +323,70 @@ PUBLIC_NAMES = [
 ]
 
 
+# The parameters of every public function and class, error classes aside. A
+# settable value is added or removed only by a deliberate edit of this map.
+PUBLIC_PARAMETERS = {
+    "ClockSystem": ("dim", "tick"),
+    "CoherenceReport": (
+        "i", "j", "energy_i", "energy_j", "magnitude_exact", "magnitude_averaged",
+        "max_offdiag_averaged", "complete_decoherence", "threshold",
+    ),
+    "CompositeScenario": ("system_hamiltonian", "system_state", "clock"),
+    "DeltaKernel": ("t_b",),
+    "DensityMatrix": ("matrix",),
+    "GaussianKernel": ("lam", "t_b"),
+    "Hamiltonian": ("matrix",),
+    "Observable": ("matrix",),
+    "QuadratureRule": ("nodes", "weights"),
+    "ResultTable": ("columns", "metadata", "footer", "blocks"),
+    "ScenarioFile": (
+        "dimension", "system_hamiltonian", "initial_state", "kernel_spec",
+        "observable", "clock", "sweep", "source", "seed",
+    ),
+    "TabulatedKernel": ("times", "weights"),
+    "TimeKernel": (),
+    "UniformKernel": ("half_width", "t_b"),
+    "alice_conditional": ("scenario", "observable", "t_a"),
+    "bob_conditional": ("scenario", "kernel", "observable", "t"),
+    "bob_state": ("scenario", "kernel"),
+    "coherence_report": ("rho0", "hamiltonian", "kernel", "threshold"),
+    "discretize_on_grid": ("kernel", "clock"),
+    "emit_scenario": ("scn",),
+    "evolve_pearle": ("rho0", "hamiltonian", "lam", "t", "nodes"),
+    "evolve_relational_dephasing": ("rho0", "hamiltonian", "kernel"),
+    "evolve_relational_quadrature": ("rho0", "hamiltonian", "kernel", "nodes"),
+    "evolve_unitary": ("rho0", "hamiltonian", "t"),
+    "expectation": ("observable", "rho"),
+    "make_gaussian_kernel": ("lam", "t_b"),
+    "parse_scenario": ("text", "seed"),
+    "partial_trace": ("rho", "dims", "keep"),
+    "pointer_weights": ("kernel", "clock"),
+    "purity": ("rho",),
+    "quadrature_for": ("kernel", "node_count"),
+    "run_clock_recovery": ("scn",),
+    "run_decoherence_sweep": ("scn",),
+    "run_pearle_compare": ("scn", "nodes"),
+    "run_report": ("scn", "threshold"),
+    "tensor": ("a", "b"),
+    "unconditioned_expectation": ("scenario", "kernel", "observable"),
+}
+
+
 def test_public_names_are_pinned():
     names = [
         name for name, value in vars(relatime).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     ]
     assert sorted(names) == PUBLIC_NAMES
+
+
+def test_public_parameters_are_pinned():
+    values = [getattr(relatime, name) for name in PUBLIC_NAMES]
+    pinned = [
+        name for name, value in zip(PUBLIC_NAMES, values) if callable(value)
+        and not (isinstance(value, type) and issubclass(value, Exception))
+    ]
+    assert sorted(PUBLIC_PARAMETERS) == pinned
+    for name, parameters in PUBLIC_PARAMETERS.items():
+        signature = inspect.signature(getattr(relatime, name))
+        assert tuple(signature.parameters) == parameters, name

@@ -136,6 +136,17 @@ class TestRunners:
         assert err.startswith("E_VALIDATION: ")
         assert "4160 exceeds cap 4096" in err
 
+    def test_continuous_clock_kernel_names_what_a_scenario_can_use(self, tmp_path, capsys):
+        text = CLOCKED.read_text()
+        start, stop = text.index("kernel {"), text.index("clock {")
+        kernel = "kernel {\n  kind gaussian\n  lambda 0.1\n  t_b 1.2\n}\n"
+        bad = tmp_path / "gaussian_clock.scn"
+        bad.write_text(text[:start] + kernel + text[stop:])
+        assert main(["clock-recovery", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_VALIDATION: gaussian kernel has continuous support")
+        assert "a delta kernel at a pointer time or a tabulated kernel" in err
+
     def test_gaps_alike_to_six_digits_get_their_own_columns(self, tmp_path, capsys):
         assert main(["sweep", str(_alike_gaps(tmp_path))]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]

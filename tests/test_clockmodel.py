@@ -96,20 +96,6 @@ class TestIdealClock:
             want[(m + 1) % 6] = 1.0
             assert np.linalg.norm(step @ ket - want) <= 1e-8
 
-    def test_time_observable_eigenvalues(self):
-        clock = ClockSystem(8, 0.5)
-        np.testing.assert_allclose(
-            np.diag(clock.time_observable.matrix).real, np.arange(8) * 0.5
-        )
-        assert clock.period == pytest.approx(4.0)
-
-    def test_projectors_commute_with_time_observable(self):
-        clock = ClockSystem(4, 1.0)
-        t_mat = clock.time_observable.matrix
-        for m in range(4):
-            p = clock.projector(m)
-            assert np.max(np.abs(t_mat @ p - p @ t_mat)) == 0.0
-
     def test_invalid_dimension(self):
         with pytest.raises(InvalidDimensionError):
             ClockSystem(1, 1.0)
@@ -120,6 +106,7 @@ class TestIdealClock:
 
     def test_pointer_index_rejects_off_grid_and_wrapped_times(self):
         clock = ClockSystem(4, 0.5)
+        assert clock.period == pytest.approx(2.0)
         assert clock.pointer_index(1.5) == 3
         with pytest.raises(NotPointerTimeError):
             clock.pointer_index(0.3)
@@ -155,11 +142,6 @@ class TestCompositeScenario:
         with pytest.raises(DimensionMismatchError):
             CompositeScenario(h, plus_density(), ClockSystem(4, 0.5))
 
-    def test_initial_pointer_bounds(self):
-        h = Hamiltonian(np.diag([0.0, 1.0]))
-        with pytest.raises(InvalidDimensionError):
-            CompositeScenario(h, plus_density(), ClockSystem(4, 0.5), 4)
-
     def test_dimension_cap_checked_before_allocating(self, monkeypatch):
         monkeypatch.setattr(np, "kron", no_kron)
         clock = ClockSystem(64, 0.1)
@@ -170,14 +152,6 @@ class TestCompositeScenario:
         assert CompositeScenario(h, DensityMatrix(np.eye(64) / 64), clock).dims == (
             64, 64
         )
-
-    def test_reading_index_with_offset(self):
-        h = Hamiltonian(np.diag([0.0, 1.0]))
-        scenario = CompositeScenario(
-            h, plus_density(), ClockSystem(4, 0.5), initial_pointer=3
-        )
-        assert scenario.reading_index(0) == 3
-        assert scenario.reading_index(2) == 1
 
 
 class TestAliceConditional:
@@ -212,17 +186,6 @@ class TestAliceConditional:
         scenario = precession_scenario()
         with pytest.raises(DimensionMismatchError):
             alice_conditional(scenario, Observable(np.eye(3)), 0.4)
-
-    def test_offset_scenario_still_consistent(self):
-        h_s = Hamiltonian(np.diag([0.0, 1.0]))
-        scenario = CompositeScenario(
-            h_s, plus_density(), ClockSystem(8, 0.4), initial_pointer=5
-        )
-        for m in (0, 2, 6):
-            t = m * 0.4
-            assert alice_conditional(scenario, PAULI_X, t) == pytest.approx(
-                np.cos(t), abs=1e-9
-            )
 
 
 class TestBobConditional:
@@ -331,17 +294,6 @@ class TestBobConditional:
         with pytest.raises(NotHermitianError, match="kernel-averaged state"):
             bob_conditional(scenario, kernel, PAULI_X, 0.4)
 
-    def test_offset_scenario_recovery(self):
-        h_s = Hamiltonian(np.diag([0.0, 1.0]))
-        scenario = CompositeScenario(
-            h_s, plus_density(), ClockSystem(8, 0.4), initial_pointer=2
-        )
-        kernel = TabulatedKernel(scenario.clock.pointer_times, np.ones(8))
-        for m in (0, 1, 5):
-            t = m * 0.4
-            got = bob_conditional(scenario, kernel, PAULI_X, t)
-            assert got == pytest.approx(np.cos(t), abs=1e-8)
-
 
 def dense_readout(scenario, observable, weights):
     """Alice and bob values per pointer time by the dense D x D route.
@@ -356,10 +308,7 @@ def dense_readout(scenario, observable, weights):
         eye_s, scenario.clock.hamiltonian.matrix
     )
     energies, basis = np.linalg.eigh(h)
-    rho0 = np.kron(
-        scenario.system_state.matrix,
-        scenario.clock.projector(scenario.initial_pointer),
-    )
+    rho0 = np.kron(scenario.system_state.matrix, scenario.clock.projector(0))
     n_hat = np.kron(observable.matrix, eye_c)
 
     def evolved(t):
@@ -374,11 +323,8 @@ def dense_readout(scenario, observable, weights):
 
     states = [evolved(t) for t in scenario.clock.pointer_times]
     mixture = sum(w * rho for w, rho in zip(weights, states)) / np.sum(weights)
-    readings = [scenario.reading_index(m) for m in range(d_c)]
-    alice = [condition(rho, r) for rho, r in zip(states, readings)]
-    bob = [
-        condition(mixture, r) if w > 0 else None for w, r in zip(weights, readings)
-    ]
+    alice = [condition(rho, r) for r, rho in enumerate(states)]
+    bob = [condition(mixture, r) if w > 0 else None for r, w in enumerate(weights)]
     return alice, bob
 
 
@@ -392,7 +338,6 @@ def dense_readout(scenario, observable, weights):
 def test_bob_equals_alice_on_random_clocks_and_kernels(d_s, d_c, seed, data):
     rng = np.random.default_rng(seed)
     tick = data.draw(st.floats(0.05, 1.0), label="tick")
-    pointer = data.draw(st.integers(0, d_c - 1), label="initial_pointer")
     weights = np.array(
         data.draw(
             st.lists(
@@ -408,7 +353,6 @@ def test_bob_equals_alice_on_random_clocks_and_kernels(d_s, d_c, seed, data):
         random_hamiltonian(rng, d_s, scale=2.0),
         random_density(rng, d_s),
         clock,
-        initial_pointer=pointer,
     )
     n = Observable(random_hermitian(rng, d_s))
     kernel = TabulatedKernel(clock.pointer_times, weights)

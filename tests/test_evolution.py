@@ -6,6 +6,7 @@ from relatime import (
     DeltaKernel,
     DensityMatrix,
     DimensionMismatchError,
+    GaussianKernel,
     Hamiltonian,
     NonPositiveLambdaError,
     NotHermitianError,
@@ -190,6 +191,18 @@ class TestRelationalDephasing:
             quad = evolve_relational_quadrature(rho, h, kernel, 64)
             closed = evolve_relational_dephasing(rho, h, kernel)
             assert np.max(np.abs(quad.matrix - closed.matrix)) <= 1e-8
+
+    def test_kernel_not_one_at_gap_zero_is_refused(self, rng):
+        # chi(0) = 1.001 scales every population: the closed form meets the
+        # quadrature engines' trace-drift budget, not a silent renormalization
+        class HeavyKernel(GaussianKernel):
+            def _envelope(self, omega):
+                return 1.001 * super()._envelope(omega)
+
+        rho, h = random_density(rng, 3), random_hamiltonian(rng, 3)
+        with pytest.raises(QuadratureDriftError, match="trace drifted to 1.001 "):
+            evolve_relational_dephasing(rho, h, HeavyKernel(0.2, 1.0))
+        evolve_relational_dephasing(rho, h, GaussianKernel(0.2, 1.0))
 
     def test_tabulated_dephasing_equals_its_quadrature(self, rng):
         rho = random_density(rng, 3)

@@ -42,7 +42,7 @@ from relatime import (
 from relatime import qmat
 from relatime import scenario as scenario_module
 from relatime.scenario import _distinct_gaps, _gap_names
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, random_hermitian
 
 MINIMAL = """
 system {
@@ -474,6 +474,30 @@ class TestDecoherenceSweep:
         assert np.ptp(a) <= 1e-12
         np.testing.assert_allclose(a, b, atol=1e-12)
         np.testing.assert_allclose(a, -1.0, atol=1e-12)
+
+    def test_large_observable_rotation_is_not_rechecked(self):
+        # N = diag(k * 1e5) is exactly Hermitian; rotated into a dense H's
+        # eigenbasis it carries roundoff above HERMITICITY_TOL, which is the
+        # sweep's own and no defect of the file
+        h = random_hermitian(np.random.default_rng(0), 64, scale=2.0)
+        n = np.diag(np.arange(64) * 1e5)
+        text = (MINIMAL + SWEEP_BLOCK.replace("steps 12", "steps 4")).replace(
+            "  dimension 2\n  spectrum 0.0 1.0\n",
+            "  dimension 64\n" + _matrix_block("hamiltonian", h),
+        ).replace("  preset pauli_x\n", _matrix_block("matrix", n))
+        scn = parse_scenario(text)
+        rho0, hamiltonian = scn.initial_state, scn.system_hamiltonian
+        table = run_decoherence_sweep(scn)
+        for k, t_b in enumerate(table.columns["t_B"]):
+            exact = evolve_unitary(rho0, hamiltonian, t_b)
+            kernel = scn.kernel_spec.build(t_b=t_b)
+            averaged = evolve_relational_dephasing(rho0, hamiltonian, kernel)
+            assert table.columns["expect_A"][k] == pytest.approx(
+                expectation(scn.observable, exact), rel=1e-12
+            )
+            assert table.columns["expect_B"][k] == pytest.approx(
+                expectation(scn.observable, averaged), rel=1e-12
+            )
 
     def test_lambda_sweep(self):
         text = MINIMAL + SWEEP_BLOCK.replace("variable t_B", "variable lambda")
