@@ -74,7 +74,6 @@ from .clockmodel import (
 from .scenario import (
     ResultTable,
     ScenarioFile,
-    emit_scenario,
     parse_scenario,
     run_clock_recovery,
     run_decoherence_sweep,

@@ -98,7 +98,6 @@ __all__ = [
     "ScenarioFile",
     "ResultTable",
     "parse_scenario",
-    "emit_scenario",
     "run_decoherence_sweep",
     "run_clock_recovery",
     "run_pearle_compare",
@@ -188,10 +187,9 @@ def _index(nodes, allowed, noun: str, where: tuple[str, str] = ("", "")) -> dict
 
 
 class _Reader(NamedTuple):
-    """Leaf (or block of rows) to value, and value to canonical text."""
+    """Leaf (or block of rows) to value."""
 
     read: Callable
-    text: Callable
     block: bool = False
 
 
@@ -249,7 +247,7 @@ def _choice(options: dict[str, int], what: str):
         values = [str(_int(_Leaf(name, value, leaf.line))) for value in values]
         return " ".join([name, *values])  # canonical: '01' and '+1' read as '1'
 
-    return _Reader(read, str)
+    return _Reader(read)
 
 
 def _matrix(block: _Block) -> list[np.ndarray]:
@@ -288,17 +286,11 @@ def _table(block: _Block) -> list[np.ndarray]:
     return rows
 
 
-def _join(values: np.ndarray) -> str:
-    return " ".join(map(float.__repr__, values.tolist()))
-
-
-_INT = _Reader(_int, str)
-_FLOAT = _Reader(lambda leaf: float(_floats(leaf, 1)[0]), repr)
-_FLOATS = _Reader(_floats, _join)
-_MATRIX = _Reader(
-    _matrix, lambda rows: ("row " + _join(row) for row in rows), True
-)
-_TABLE = _Reader(_table, lambda rows: map(_join, rows), True)
+_INT = _Reader(_int)
+_FLOAT = _Reader(lambda leaf: float(_floats(leaf, 1)[0]))
+_FLOATS = _Reader(_floats)
+_MATRIX = _Reader(_matrix, block=True)
+_TABLE = _Reader(_table, block=True)
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +499,9 @@ class SweepSpec:
 class ScenarioFile:
     """One fully validated scenario plus the values it was read from.
 
-    ``source`` holds, per block in canonical order, each entry's ``_Field``;
-    ``emit_scenario`` writes it back. ``seed`` is the one the random state
-    presets were drawn with.
+    ``source`` holds, per block in canonical order, each entry's ``_Field``,
+    which ``digest`` hashes. ``seed`` is the one the random state presets
+    were drawn with.
     """
 
     dimension: int
@@ -528,7 +520,7 @@ class ScenarioFile:
     def digest(self) -> str:
         """First 16 hex digits of SHA-256 over ``source`` in canonical order: text
         as UTF-8, floats as little-endian float64, each part behind its length.
-        Equal exactly when ``emit_scenario``'s texts are (earlier builds hashed it)."""
+        Equal exactly when every key and value is, floats by their bytes."""
         h = _sha256()
         for name, fields in self.source.items():
             parts = [name, len(fields)]
@@ -551,22 +543,6 @@ def _sha256():
             return __import__(name).sha256()
         except ImportError:
             continue
-
-
-def emit_scenario(scn: ScenarioFile) -> str:
-    """Serialize to the canonical form (parse -> emit is idempotent)."""
-    lines: list[str] = []
-    for name, fields in scn.source.items():
-        lines.append(f"{name} {{")
-        for key, reader, value in fields.values():
-            if reader.block:
-                lines.append(f"  {key} {{")
-                lines.extend(f"    {row}" for row in reader.text(value))
-                lines.append("  }")
-            else:
-                lines.append(f"  {key} {reader.text(value)}")
-        lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _spectrum(values: np.ndarray, dim: int) -> np.ndarray:
@@ -820,7 +796,8 @@ def _at(point: str):
 def _distinct_gaps(hamiltonian: Hamiltonian) -> np.ndarray:
     energies = hamiltonian.spectrum
     gaps = np.abs(energies[:, None] - energies[None, :])
-    return np.unique(np.round(gaps[_distinct_gap_mask(energies)], 12))
+    g = np.sort(np.round(gaps[_distinct_gap_mask(energies)], 12))
+    return np.concatenate([g[:1], g[1:][g[1:] != g[:-1]]])  # np.unique loads numpy.ma
 
 
 def _max_offdiag(rho_e: np.ndarray, distinct: np.ndarray) -> float:

@@ -314,9 +314,9 @@ PUBLIC_NAMES = [
     "ScenarioValidationError", "TRACE_TOL", "TabulatedKernel", "TimeKernel",
     "TraceNotOneError", "UniformKernel", "ZeroProbabilityError",
     "alice_conditional", "bob_conditional", "bob_state", "coherence_report",
-    "discretize_on_grid", "emit_scenario", "evolve_pearle",
-    "evolve_relational_dephasing", "evolve_relational_quadrature",
-    "evolve_unitary", "expectation", "make_gaussian_kernel", "parse_scenario",
+    "discretize_on_grid", "evolve_pearle", "evolve_relational_dephasing",
+    "evolve_relational_quadrature", "evolve_unitary", "expectation",
+    "make_gaussian_kernel", "parse_scenario",
     "partial_trace", "pointer_weights", "purity", "quadrature_for",
     "run_clock_recovery", "run_decoherence_sweep", "run_pearle_compare",
     "run_report", "tensor", "unconditioned_expectation",
@@ -351,7 +351,6 @@ PUBLIC_PARAMETERS = {
     "bob_state": ("scenario", "kernel"),
     "coherence_report": ("rho0", "hamiltonian", "kernel", "threshold"),
     "discretize_on_grid": ("kernel", "clock"),
-    "emit_scenario": ("scn",),
     "evolve_pearle": ("rho0", "hamiltonian", "lam", "t", "nodes"),
     "evolve_relational_dephasing": ("rho0", "hamiltonian", "kernel"),
     "evolve_relational_quadrature": ("rho0", "hamiltonian", "kernel", "nodes"),

@@ -105,6 +105,26 @@ class TestRunners:
         assert main(["sweep", str(CLOCKED)]) == 2
         assert capsys.readouterr().err.startswith("E_VALIDATION:")
 
+    @pytest.mark.parametrize("path, command, edit, issue", [
+        (CLOCKED, "clock-recovery",
+         ("}\nobservable", "}\nsweep {\n  variable t_A\n  start 3.0\n  stop 3.1\n"
+          "  steps 2\n}\nobservable"),
+         "kernel supports no pointer time inside the readout window"),
+        (PEARLE, "pearle-compare", ("start 0.5", "start -1.0"),
+         "collapse evolution needs t >= 0"),
+    ], ids=["clock-window-unsupported", "pearle-negative-start"])
+    def test_runner_guard_exits_2_with_its_issue(
+        self, tmp_path, capsys, path, command, edit, issue
+    ):
+        text = path.read_text()
+        assert edit[0] in text
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace(*edit))
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"E_VALIDATION: 1 validation issue(s):\n  - {issue}\n"
+        )
+
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # a pointer time with weight below the conditioning threshold is
         # supported on paper but has no usable probability mass
@@ -207,7 +227,10 @@ class TestRunners:
         scenario_module.ResultTable(
             {"a": [1.0, 2.0]}, blocks={("g", "h"): np.array([[1.0, np.inf], [2.0, 3.0]])}
         ),
-    ], ids=["non-finite", "ragged", "non-finite-block"])
+        scenario_module.ResultTable(
+            {"a": np.zeros(3)}, blocks={("g", "h"): np.ones((3, 1))}
+        ),
+    ], ids=["non-finite", "ragged", "non-finite-block", "block-shape"])
     def test_failing_table_leaves_no_out_file(self, table, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(_RUNNERS, "sweep", lambda scn: table)
         out = tmp_path / "out.csv"
@@ -439,13 +462,15 @@ class TestEntryPoint:
 
     def test_sweep_loads_no_openssl_difflib_or_numpy_random(self, tmp_path):
         # the digest hashes with the built-in SHA-256, difflib serves only a
-        # refused name, and only the random state presets draw numbers
+        # refused name, only the random state presets draw numbers, and the
+        # sweep's distinct gaps come without np.unique, which loads numpy.ma
         code = (
             "import runpy, sys\n"
             "sys.argv = ['relatime', 'sweep', sys.argv[1], '--out', sys.argv[2]]\n"
             "try:\n    runpy.run_module('relatime', run_name='__main__')\n"
             "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
-            "print(sorted({'_hashlib', 'difflib', 'numpy.random'} & set(sys.modules)))"
+            "print(sorted({'_hashlib', 'difflib', 'numpy.ma', 'numpy.random'}\n"
+            "             & set(sys.modules)))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code, str(QUBIT), str(tmp_path / "out.csv")],

@@ -142,6 +142,13 @@ class TestCompositeScenario:
         with pytest.raises(DimensionMismatchError):
             CompositeScenario(h, plus_density(), ClockSystem(4, 0.5))
 
+    def test_immutable(self):
+        scenario = precession_scenario()
+        for value, name in ((scenario.clock, "ClockSystem"),
+                            (scenario, "CompositeScenario")):
+            with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                value.dims = (1, 1)
+
     def test_dimension_cap_checked_before_allocating(self, monkeypatch):
         monkeypatch.setattr(np, "kron", no_kron)
         clock = ClockSystem(64, 0.1)

@@ -66,6 +66,8 @@ class TestGaussianFactory:
             make_gaussian_kernel(0.0, 1.0)
         with pytest.raises(NonPositiveLambdaError):
             make_gaussian_kernel(-0.2, 1.0)
+        with pytest.raises(NonPositiveLambdaError, match="^lam must be > 0, got 0.0$"):
+            GaussianKernel(0.0, 1.0)
         for t_b in (0.0, 1.0):
             with pytest.raises(QuantumStateError, match="lambda must be finite"):
                 make_gaussian_kernel(np.inf, t_b)
@@ -259,6 +261,14 @@ class TestTabulated:
     def test_rejects_zero_mass(self):
         with pytest.raises(QuantumStateError):
             TabulatedKernel([0.0, 1.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("times, weights, message", [
+        ([0, 1], [1], r"^times/weights shapes differ: \(2,\) vs \(1,\)$"),
+        ([0.0, np.nan], [1.0, 1.0], "^table entries must be finite$"),
+    ], ids=["shapes", "non-finite-time"])
+    def test_rejects_malformed_table(self, times, weights, message):
+        with pytest.raises(QuantumStateError, match=message):
+            TabulatedKernel(times, weights)
 
     def test_parse_table_text(self):
         rows = """

@@ -90,12 +90,23 @@ class TestMakeDensity:
             with pytest.raises(TypeError):
                 make([[0, 1], [0, 0]], herm_tol=2.0)
 
+    @pytest.mark.parametrize("make, arr, message", [
+        (Hamiltonian, np.zeros(3), "^expected a 2-d matrix, got ndim=1$"),
+        (Observable, [[1.0, 0.0], [0.0, np.inf]], "^matrix has non-finite entries$"),
+    ], ids=["hamiltonian-ndim", "observable-non-finite"])
+    def test_operator_input_guards(self, make, arr, message):
+        with pytest.raises(QuantumStateError, match=message):
+            make(arr)
+
     def test_immutable(self):
         rho = DensityMatrix([[1, 0], [0, 0]])
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.5
         with pytest.raises(AttributeError):
             rho.dim = 3
+        for make in (Hamiltonian, Observable):
+            with pytest.raises(AttributeError, match=f"^{make.__name__} is immutable$"):
+                make(np.diag([1.0, 0.0])).dim = 3
 
 
 def _block_diagonal(blocks):
@@ -428,6 +439,10 @@ class TestSpectralDecompose:
     def test_from_eigensystem_rejects_unsorted(self):
         with pytest.raises(QuantumStateError, match="ascending"):
             Hamiltonian.from_eigensystem([1.0, 0.0], np.eye(2))
+
+    def test_from_eigensystem_rejects_mismatched_shapes(self):
+        with pytest.raises(DimensionMismatchError, match=r"\(2,\) / \(3, 3\)"):
+            Hamiltonian.from_eigensystem([0, 1], np.eye(3))
 
     def test_from_eigensystem_rejects_non_unitary(self):
         from relatime import EigensolverError
