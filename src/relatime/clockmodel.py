@@ -3,9 +3,11 @@
 An ideal clock here is a d-level system whose pointer states |t_m> (the
 computational basis, labeled t_m = m * tick) are cyclically shifted by
 one step per tick of evolution: the generator is diagonal in the discrete
-Fourier basis of the pointer states with frequencies 2*pi*k / (d * tick).
-The clock is therefore PERIODIC with period d * tick; scenarios must keep
-total evolution time below one period or readings alias.
+Fourier basis F[m, k] = exp(2 pi i m k / d) / sqrt(d) with frequencies
+2*pi*k / (d * tick), which with the pointer times are all a ``ClockSystem``
+holds; readout forms F's entries in closed form. The clock is PERIODIC with
+period d * tick; scenarios must keep total evolution time below one period
+or readings alias.
 
 ``CompositeScenario`` couples a system S to such a clock C with no
 interaction (the composite generator is the Kronecker sum), starting from
@@ -23,7 +25,8 @@ averaged state is block-diagonal in the pointer basis, kept as one block
 per reading and validated once as a stack by ``_check_state`` (a Cholesky
 certificate, with ``eigvalsh`` only to judge a failure); the product start
 state is valid because rho_S is, and U_S, shared by both alice routes, is
-checked when its ``Hamiltonian`` is built.
+checked when its ``Hamiltonian`` is built. The alice composite route checks
+the clock: at t_m it must show reading m with probability 1.
 """
 
 from __future__ import annotations
@@ -70,10 +73,11 @@ class ClockSystem:
     """Cyclic d-state pointer clock with tick ``tick``.
 
     ``pointer_times[m] = m * tick`` labels the pointer basis, and one tick
-    of evolution advances the pointer by exactly one step (mod d).
+    of evolution advances the pointer by exactly one step (mod d) under
+    the generator with eigenvalues ``frequencies`` on the columns of F.
     """
 
-    __slots__ = ("dim", "tick", "pointer_times", "hamiltonian")
+    __slots__ = ("dim", "tick", "pointer_times", "frequencies")
 
     def __init__(self, dim: int, tick: float):
         if not isinstance(dim, (int, np.integer)) or dim < 2:
@@ -82,30 +86,15 @@ class ClockSystem:
             )
         if not tick > 0:
             raise InvalidDimensionError(f"clock tick must be > 0, got {tick}")
-        d = int(dim)
-        tick = float(tick)
+        d, tick = int(dim), float(tick)
         times = np.arange(d) * tick
-        # Fourier eigenvectors F[:, k] of the one-step cyclic shift; the
-        # generator with frequencies 2*pi*k/(d*tick) on them exponentiates
-        # to exactly that shift over one tick.
-        m = np.arange(d)
-        fourier = np.exp(2j * np.pi * np.outer(m, m) / d) / np.sqrt(d)
         freqs = 2.0 * np.pi * np.arange(d) / (d * tick)
-        hamiltonian = Hamiltonian.from_eigensystem(freqs, fourier)
-
-        step = (fourier * np.exp(-1j * freqs * tick)) @ fourier.conj().T
-        shift = np.roll(np.eye(d), 1, axis=0)
-        defect = float(np.max(np.abs(step - shift)))
-        if defect > _SHIFT_TOL:
-            raise InvalidDimensionError(
-                f"clock construction failed the shift check: defect {defect:.3e}"
-            )
-
+        for values in (times, freqs):
+            values.setflags(write=False)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "tick", tick)
-        times.setflags(write=False)
         object.__setattr__(self, "pointer_times", times)
-        object.__setattr__(self, "hamiltonian", hamiltonian)
+        object.__setattr__(self, "frequencies", freqs)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClockSystem is immutable")
@@ -124,12 +113,11 @@ class ClockSystem:
         """Map a time to its pointer index, rejecting off-grid times.
 
         Only the first period is addressable; later times alias and are
-        rejected rather than wrapped.
+        rejected rather than wrapped. On the grid means within 1e-9 ticks.
         """
         ratio = t / self.tick
         index = int(round(ratio)) if abs(ratio) <= self.dim else -1  # NaN, inf too
-        tol = 1e-9 * max(self.tick, 1.0)
-        if abs(t - index * self.tick) > tol or not 0 <= index < self.dim:
+        if abs(t - index * self.tick) > 1e-9 * self.tick or not 0 <= index < self.dim:
             raise NotPointerTimeError(
                 f"t = {t!r} is not a pointer time of a {self.dim}-state "
                 f"clock with tick {self.tick} (period {self.period})"
@@ -175,7 +163,9 @@ class CompositeScenario:
     def hamiltonian(self) -> Hamiltonian:
         """The dense composite generator, diagonalized."""
         d_s, d_c = self.dims
-        h_s, h_c = self.system_hamiltonian.matrix, self.clock.hamiltonian.matrix
+        m = np.arange(d_c)  # F diag(omega) F^dag is the circulant of ifft(omega)
+        h_c = np.fft.ifft(self.clock.frequencies)[(m[:, None] - m) % d_c]
+        h_s = self.system_hamiltonian.matrix
         return Hamiltonian(tensor(h_s, np.eye(d_c)) + tensor(np.eye(d_s), h_c))
 
     @property
@@ -271,13 +261,15 @@ def _bob_blocks(scenario: CompositeScenario, kernel: TimeKernel) -> np.ndarray:
 def _alice_block(scenario: CompositeScenario, step: int) -> np.ndarray:
     """Clock block (step, step) of the composite state after ``step`` ticks,
     step being the reading then: the product state evolved in the eigenbasis
-    U_S (x) F with phases exp(-i (E_i + omega_j) t), the clock factor summed
-    into one amplitude per system level."""
+    U_S (x) F with phases exp(-i (E_i + omega_k) t), the clock factor summed
+    into one amplitude per system level. F[step, k] F[0, k]* is formed in
+    closed form, exp(2 pi i step k / d) / d, rounded as the DFT's rows."""
     system, clock = scenario.system_hamiltonian, scenario.clock
     t = clock.pointer_times[step]
-    fourier = clock.hamiltonian.eigenbasis
-    phases = np.exp(-1j * np.add.outer(system.spectrum, clock.hamiltonian.spectrum) * t)
-    amplitude = phases @ (fourier[step] * fourier[0].conj())
+    k, d = np.arange(clock.dim), clock.dim
+    row = np.exp(2j * np.pi * (step * k) / d) / np.sqrt(d) * (1 / np.sqrt(d))
+    phases = np.exp(-1j * np.add.outer(system.spectrum, clock.frequencies) * t)
+    amplitude = phases @ row
     rho_e = _to_eigenbasis(scenario.system_state.matrix, system)
     return _from_eigenbasis(rho_e * np.outer(amplitude, amplitude.conj()), system)
 
@@ -318,11 +310,19 @@ def alice_conditional(
 
     Computed twice - directly from the evolved system state, and by
     projective conditioning of the evolved composite on the clock reading
-    shown at ``t_a`` - and cross-checked before returning. ``t_a`` must be
-    a pointer time within the first clock period.
+    shown at ``t_a`` - and cross-checked before returning. The composite
+    route also checks the clock: it must show that reading at ``t_a`` with
+    probability 1. ``t_a`` must be a pointer time within the first period.
     """
     step = scenario.clock.pointer_index(t_a)
-    conditioned = _condition(_alice_block(scenario, step), observable, step)
+    block = _alice_block(scenario, step)
+    shown = float(np.trace(block).real)
+    if not abs(shown - 1.0) <= _SHIFT_TOL:  # NaN fails too
+        raise ConsistencyError(
+            f"the clock shows reading {step} at t = {t_a!r} with probability "
+            f"{shown!r}, not 1 within {_SHIFT_TOL}"
+        )
+    conditioned = _condition(block, observable, step)
     direct = _direct_value(scenario, observable, step)
     if abs(direct - conditioned) > _PATH_AGREEMENT_TOL:
         raise ConsistencyError(

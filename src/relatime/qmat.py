@@ -202,9 +202,8 @@ class Hamiltonian:
     def from_eigensystem(cls, eigenvalues, eigenbasis) -> "Hamiltonian":
         """Build from explicit spectral data (eigenvalues must be ascending).
 
-        Used where the operator is defined by its spectrum, e.g. clock
-        generators, and for checking invariance under degenerate-subspace
-        basis choices.
+        No runtime path calls it: it fixes a chosen basis inside a degenerate
+        level, to check that no output depends on that choice.
         """
         energies = np.asarray(eigenvalues, dtype=float)
         basis = np.asarray(eigenbasis, dtype=np.complex128)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from relatime import scenario as scenario_module
 from relatime.cli import _RUNNERS, build_parser, main
 from conftest import SCENARIO_DIR
+from test_clockmodel import scaled_clock_recovery
 from test_golden import CASES as GOLDEN_CASES
 from test_scenario import MINIMAL, PARSE_CASES, PARSE_EXPECTED, SWEEP_BLOCK, wide_sweep
 
@@ -84,6 +85,16 @@ class TestRunners:
         assert main(["clock-recovery", str(CLOCKED)]) == 0
         out = capsys.readouterr().out
         assert "alice_value,bob_value" in out
+        footer = next(l for l in out.splitlines() if "max_abs_difference" in l)
+        assert float(footer.split(":")[1]) <= 1e-8
+
+    def test_clock_recovery_with_a_tick_of_4e_8(self, tmp_path, capsys):
+        # the bundled clock in a unit of time 1e7 times finer
+        path = tmp_path / "fine.scn"
+        path.write_text(scaled_clock_recovery(1e7))
+        assert main(["clock-recovery", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
         footer = next(l for l in out.splitlines() if "max_abs_difference" in l)
         assert float(footer.split(":")[1]) <= 1e-8
 

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +27,10 @@ from relatime import (
     bob_conditional,
     bob_state,
     discretize_on_grid,
+    evolve_relational_dephasing,
     evolve_relational_quadrature,
     evolve_unitary,
+    expectation,
     make_gaussian_kernel,
     parse_scenario,
     pointer_weights,
@@ -60,6 +65,13 @@ def expm_series(matrix):
     return acc
 
 
+def dense_clock(clock):
+    """The clock's generator F diag(omega) F^dag, with the DFT written here."""
+    m = np.arange(clock.dim)
+    fourier = np.exp(2j * np.pi * np.outer(m, m) / clock.dim) / np.sqrt(clock.dim)
+    return Hamiltonian.from_eigensystem(clock.frequencies, fourier)
+
+
 def no_kron(*args):
     """Stands in for np.kron where no D x D product may be formed."""
     raise AssertionError("np.kron called")
@@ -74,21 +86,21 @@ def precession_scenario(omega=1.0, dim=8, tick=0.4):
 class TestIdealClock:
     def test_one_tick_swaps_two_pointer_states(self):
         clock = ClockSystem(2, 1.0)
-        step = expm_series(-1j * clock.hamiltonian.matrix * 1.0)
+        step = expm_series(-1j * dense_clock(clock).matrix * 1.0)
         assert abs(step[1, 0]) == pytest.approx(1.0, abs=1e-10)
         assert abs(step[0, 0]) <= 1e-10
 
     @pytest.mark.parametrize("dim,tick", [(2, 1.0), (5, 0.3), (8, 0.5)])
     def test_full_cycle_returns_to_start(self, dim, tick):
         clock = ClockSystem(dim, tick)
-        cycle = expm_series(-1j * clock.hamiltonian.matrix * dim * tick)
+        cycle = expm_series(-1j * dense_clock(clock).matrix * dim * tick)
         # frequencies are integer multiples of 2 pi / period, so the global
         # phase after one period is exactly 1
         assert np.max(np.abs(cycle - np.eye(dim))) <= 1e-8
 
     def test_shift_property_every_pointer_state(self):
         clock = ClockSystem(6, 0.7)
-        step = expm_series(-1j * clock.hamiltonian.matrix * 0.7)
+        step = expm_series(-1j * dense_clock(clock).matrix * 0.7)
         for m in range(6):
             ket = np.zeros(6)
             ket[m] = 1.0
@@ -116,13 +128,36 @@ class TestIdealClock:
             with pytest.raises(NotPointerTimeError):
                 clock.pointer_index(t)
 
+    def test_pointer_tolerance_is_relative_to_the_tick(self):
+        clock = ClockSystem(8, 1e-6)
+        assert clock.pointer_index(2e-6) == 2
+        with pytest.raises(NotPointerTimeError):
+            clock.pointer_index(2e-6 + 5e-10)  # 5e-4 ticks off the grid
+        clock = ClockSystem(8, 0.4)
+        assert 3 * 0.4 != 1.2
+        assert clock.pointer_index(1.2) == clock.pointer_index(3 * 0.4) == 3
+
+    def test_construction_forms_nothing_d_by_d(self):
+        tracemalloc.start()
+        try:
+            clock = ClockSystem(1024, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # one 1024 x 1024 complex array is 16 MiB
+        np.testing.assert_allclose(
+            clock.frequencies, 2 * np.pi * np.arange(1024) / 1.024, rtol=1e-15
+        )
+        for values in (clock.pointer_times, clock.frequencies):
+            assert not values.flags.writeable
+
     def test_clock_ideality_fidelity_on_grid(self):
         clock = ClockSystem(8, 0.4)
         start = np.zeros((8, 8))
         start[0, 0] = 1.0
         rho = DensityMatrix(start)
         for m in range(8):
-            evolved = evolve_unitary(rho, clock.hamiltonian, m * 0.4)
+            evolved = evolve_unitary(rho, dense_clock(clock), m * 0.4)
             fidelity = float(evolved.matrix[m, m].real)
             assert fidelity >= 1.0 - 1e-8
 
@@ -312,7 +347,7 @@ def dense_readout(scenario, observable, weights):
     d_s, d_c = scenario.dims
     eye_s, eye_c = np.eye(d_s), np.eye(d_c)
     h = np.kron(scenario.system_hamiltonian.matrix, eye_c) + np.kron(
-        eye_s, scenario.clock.hamiltonian.matrix
+        eye_s, dense_clock(scenario.clock).matrix
     )
     energies, basis = np.linalg.eigh(h)
     rho0 = np.kron(scenario.system_state.matrix, scenario.clock.projector(0))
@@ -391,6 +426,91 @@ def test_alice_cross_check_fires_on_wrong_phases(monkeypatch):
     )
     with pytest.raises(ConsistencyError, match="^at readout t = 0.4: direct"):
         run_clock_recovery(scn)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda freqs: freqs * 1.001,
+    lambda freqs: -freqs,
+    lambda freqs: freqs / (2 * np.pi),
+], ids=["scaled", "sign-flipped", "no-2pi"])
+def test_readout_checks_the_clock_it_reads(wrong):
+    # conditioning divides the clock's factor out of the composite route, so
+    # no alice or bob value sees a wrong clock: the probability that the
+    # clock shows reading m at t_m is what must be 1
+    scn = parse_scenario((SCENARIO_DIR / "clock_recovery.scn").read_text())
+    object.__setattr__(scn.clock, "frequencies", wrong(scn.clock.frequencies))
+    with pytest.raises(ConsistencyError, match="^at readout t = 0.4: "):
+        run_clock_recovery(scn)
+
+
+def scaled_clock_recovery(s):
+    """``clock_recovery.scn`` in a unit of time 1/s: the spectrum times s,
+    the tick and every table time over s."""
+    text = (SCENARIO_DIR / "clock_recovery.scn").read_text()
+    text = text.replace("spectrum 0.0 1.0\n", f"spectrum 0.0 {s!r}\n")
+    text = text.replace("tick 0.4\n", f"tick {0.4 / s!r}\n")
+    text, rows = re.subn(
+        r"^    (\S+) (\d+)$",
+        lambda m: f"    {float(m[1]) / s!r} {m[2]}",
+        text,
+        flags=re.M,
+    )
+    assert rows == 8 and f"spectrum 0.0 {s!r}\n" in text and f"tick {0.4 / s!r}\n" in text
+    return text
+
+
+def recovery_columns(text):
+    result = run_clock_recovery(parse_scenario(text))
+    names = ("t", "alice_value", "bob_value", "abs_difference")
+    return [np.asarray(result.columns[name]) for name in names]
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6, 1e7, 1e8])
+def test_clock_readout_does_not_depend_on_the_unit_of_time(s):
+    t, *values = recovery_columns(scaled_clock_recovery(s))
+    want_t, *want = recovery_columns(scaled_clock_recovery(1.0))
+    np.testing.assert_allclose(t * s, want_t, rtol=1e-12, atol=0)
+    for got, expected in zip(values, want):
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_a_finer_clock_reads_the_same_values():
+    # d_C = 2048 at tick 0.4/256 (D = 4096, the cap) has every table time of
+    # the 8-state clock on its grid, 256 pointers apart
+    text = (SCENARIO_DIR / "clock_recovery.scn").read_text()
+    fine = text.replace("dimension 8\n  tick 0.4\n", "dimension 2048\n  tick 0.0015625\n")
+    assert fine != text and 0.0015625 == 0.4 / 256
+    for got, want in zip(recovery_columns(fine), recovery_columns(text)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d_s=st.integers(1, 4),
+    d_c=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_watch_only_value_is_the_kernel_engines(d_s, d_c, seed, data):
+    # the clock's watch-only answer and the closed-form kernel average are
+    # two engines for Tr[N rho_B]
+    rng = np.random.default_rng(seed)
+    tick = data.draw(st.floats(0.05, 1.0), label="tick")
+    weights = data.draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+            min_size=d_c,
+            max_size=d_c,
+        ).filter(any),
+        label="weights",
+    )
+    clock = ClockSystem(d_c, tick)
+    h_s, rho_s = random_hamiltonian(rng, d_s, scale=2.0), random_density(rng, d_s)
+    n = Observable(random_hermitian(rng, d_s))
+    kernel = TabulatedKernel(clock.pointer_times, weights)
+    got = unconditioned_expectation(CompositeScenario(h_s, rho_s, clock), kernel, n)
+    want = expectation(n, evolve_relational_dephasing(rho_s, h_s, kernel))
+    assert abs(got - want) <= 1e-10
 
 
 def _matrix_lines(matrix):
