@@ -1,35 +1,23 @@
 """Finite ideal clocks and conditional readout through them.
 
-An ideal clock here is a d-level system whose pointer states |t_m> (the
-computational basis, labeled t_m = m * tick) are cyclically shifted by
-one step per tick of evolution: the generator is diagonal in the discrete
-Fourier basis F[m, k] = exp(2 pi i m k / d) / sqrt(d) with frequencies
-2*pi*k / (d * tick), which with the pointer times are all a ``ClockSystem``
-holds; readout forms F's entries in closed form. The clock is PERIODIC with
-period d * tick; scenarios must keep total evolution time below one period
-or readings alias.
+An ideal clock is a d-level system whose pointer states |t_m> (t_m = m * tick)
+shift by one step per tick: its generator is diagonal in the Fourier basis
+F[m, k] = exp(2 pi i m k / d) / sqrt(d) with frequencies 2 pi k / (d * tick),
+which with the pointer times are all a ``ClockSystem`` holds. It is periodic
+(period d * tick): later times alias and are refused.
 
-``CompositeScenario`` couples a system S to such a clock C with no
-interaction (the composite generator is the Kronecker sum), starting from
-a product state with the clock on a definite pointer state. Conditional
-readout then recovers exact-time dynamics from the kernel-averaged
-composite state: conditioning on the clock reading t reproduces the
-exact-time expectation value at t, no matter how broad the watch-error
-kernel is. The two readout routes (``alice_conditional`` for a known
-time, ``bob_conditional`` through the averaged state) exist separately so
-each can check the other.
-
-Readout uses the Kronecker-sum structure and forms nothing D x D
-(D = d_S * d_C, still capped by arithmetic in ``CompositeScenario``). The
-averaged state is block-diagonal in the pointer basis, kept as one block
-per reading and validated once as a stack by ``_check_state`` (a Cholesky
-certificate, with ``eigvalsh`` only to judge a failure); the product start
-state is valid because rho_S is, and U_S, shared by both alice routes, is
-checked when its ``Hamiltonian`` is built. The alice composite route checks
-the clock: at t_m it must show reading m with probability 1.
+``CompositeScenario`` couples a system S to such a clock with no interaction,
+from rho_S with the clock on pointer 0. Conditioned on reading m, the
+kernel-averaged composite state (``bob_conditional``) gives the exact-time
+value at t_m (``alice_conditional``), however broad the kernel. Readout forms
+nothing D x D (D = d_S * d_C, capped in ``CompositeScenario``): rho_S and N go
+into H_S's eigenbasis once, and every value is read there, Bob's off one block
+per reading, validated as a stack.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -41,7 +29,7 @@ from .errors import (
     NotPointerTimeError,
     ZeroProbabilityError,
 )
-from .evolution import _from_eigenbasis, _to_eigenbasis, _unitary_multiplier
+from .evolution import _from_eigenbasis, _phases, _to_eigenbasis, _unitary_multiplier
 from .kernels import DeltaKernel, TabulatedKernel, TimeKernel
 from .qmat import (
     DensityMatrix,
@@ -50,7 +38,9 @@ from .qmat import (
     _check_hermitian,
     _check_product_dim,
     _check_state,
-    expectation,
+    _expect,
+    _real_expectation,
+    _roundoff,
     tensor,
 )
 
@@ -66,7 +56,6 @@ __all__ = [
 
 _SHIFT_TOL = 1e-8
 _ZERO_PROBABILITY = 1e-12
-_PATH_AGREEMENT_TOL = 1e-9
 
 
 class ClockSystem:
@@ -225,32 +214,34 @@ def pointer_weights(kernel: TimeKernel, clock: ClockSystem) -> np.ndarray:
     return weights
 
 
-def _system_state_at(scenario: CompositeScenario, step) -> np.ndarray:
-    """Raw system state(s) after ``step`` ticks of exact-time evolution."""
+# rho_S, N in H_S's eigenbasis; Re p^T weighted p* = Tr[N D rho D*], D = diag(p)
+_Operands = namedtuple("_Operands", "rho n weighted scale")
+
+
+def _energy_operands(scenario: CompositeScenario, observable: Observable):
+    """Rotate rho_S and N into H_S's eigenbasis, after the dimension check."""
     system = scenario.system_hamiltonian
-    phases = _unitary_multiplier(system.spectrum, scenario.clock.pointer_times[step])
+    if observable.dim != system.dim:
+        raise DimensionMismatchError(
+            f"observable dim {observable.dim} != system dim {system.dim}"
+        )
     rho_e = _to_eigenbasis(scenario.system_state.matrix, system)
-    return _from_eigenbasis(rho_e * phases, system)
+    n_e = _to_eigenbasis(observable.matrix, system)
+    weighted = rho_e * n_e.T
+    return _Operands(rho_e, n_e, weighted, float(np.sum(np.abs(weighted))))
 
 
-def _direct_value(
-    scenario: CompositeScenario, observable: Observable, step: int
-) -> float:
-    """The observable after ``step`` ticks, from the system state alone."""
-    return float(np.trace(observable.matrix @ _system_state_at(scenario, step)).real)
-
-
-def _bob_blocks(scenario: CompositeScenario, kernel: TimeKernel) -> np.ndarray:
-    """The kernel-averaged composite state as its ``(d_C, d_S, d_S)`` stack
-    of pointer-basis blocks: block r is w_r rho_S(t_r), reading r being
-    shown at t_r alone, normalized and validated as a whole."""
+def _bob_blocks(scenario: CompositeScenario, kernel: TimeKernel, rho_e) -> np.ndarray:
+    """The kernel-averaged composite state as its ``(d_C, d_S, d_S)`` stack of
+    pointer-basis blocks, in H_S's eigenbasis (which keeps their spectra):
+    block r is w_r rho_S(t_r), normalized and validated as a whole."""
     weights = pointer_weights(kernel, scenario.clock)
     steps = np.flatnonzero(weights)
     d_s, d_c = scenario.dims
+    times = scenario.clock.pointer_times[steps]
+    branches = rho_e * _unitary_multiplier(scenario.system_hamiltonian.spectrum, times)
     blocks = np.zeros((d_c, d_s, d_s), dtype=np.complex128)
-    blocks[steps] = (
-        weights[steps, None, None] * _system_state_at(scenario, steps)
-    )
+    blocks[steps] = weights[steps, None, None] * branches  # w_r rho_S(t_r)
     blocks /= np.sum(np.trace(blocks, axis1=1, axis2=2)).real
     _check_hermitian(blocks, "kernel-averaged state")  # before symmetrizing hides it
     blocks = 0.5 * (blocks + blocks.conj().swapaxes(1, 2))
@@ -258,48 +249,60 @@ def _bob_blocks(scenario: CompositeScenario, kernel: TimeKernel) -> np.ndarray:
     return blocks
 
 
-def _alice_block(scenario: CompositeScenario, step: int) -> np.ndarray:
-    """Clock block (step, step) of the composite state after ``step`` ticks,
-    step being the reading then: the product state evolved in the eigenbasis
-    U_S (x) F with phases exp(-i (E_i + omega_k) t), the clock factor summed
-    into one amplitude per system level. F[step, k] F[0, k]* is formed in
-    closed form, exp(2 pi i step k / d) / d, rounded as the DFT's rows."""
+def _alice_value(scenario: CompositeScenario, ops: _Operands, step: int) -> float:
+    """The observable after ``step`` ticks, directly (p = exp(-i E t)) and by
+    conditioning the composite on reading ``step``: phases exp(-i (E_i + omega_k)
+    t) summed with F[step, k] F[0, k]* = exp(2 pi i step k / d) / d, rounded as
+    the DFT's, into one amplitude a per level, over the clock's probability
+    sum_i |a_i|^2 rho_ii of showing ``step``. A phase's roundoff is u |argument|."""
     system, clock = scenario.system_hamiltonian, scenario.clock
     t = clock.pointer_times[step]
     k, d = np.arange(clock.dim), clock.dim
     row = np.exp(2j * np.pi * (step * k) / d) / np.sqrt(d) * (1 / np.sqrt(d))
-    phases = np.exp(-1j * np.add.outer(system.spectrum, clock.frequencies) * t)
-    amplitude = phases @ row
-    rho_e = _to_eigenbasis(scenario.system_state.matrix, system)
-    return _from_eigenbasis(rho_e * np.outer(amplitude, amplitude.conj()), system)
-
-
-def _condition(block: np.ndarray, observable: Observable, reading: int) -> float:
-    """Tr[N B_r] / Tr[B_r]: the observable given reading r, from block B_r."""
-    if observable.dim != len(block):
-        raise DimensionMismatchError(
-            f"observable dim {observable.dim} != system dim {len(block)}"
+    arguments = np.add.outer(system.spectrum, clock.frequencies) * t
+    amplitude = np.exp(-1j * arguments) @ row
+    shown = float(np.sum(np.abs(amplitude) ** 2 * ops.rho.diagonal().real))
+    if not abs(shown - 1.0) <= _SHIFT_TOL:  # NaN fails too
+        raise ConsistencyError(
+            f"the clock shows reading {step} at t = {float(t)!r} with probability "
+            f"{shown!r}, not 1 within {_SHIFT_TOL}"
         )
+    conditioned = _expect(amplitude, ops.weighted, ops.scale) / shown
+    direct = _expect(_phases(system.spectrum, t), ops.weighted, ops.scale)
+    theta = float(np.max(np.abs(arguments)))
+    tolerance = _roundoff(ops.scale, 8 * len(ops.rho) + 4 * d + 6 * theta)
+    if abs(direct - conditioned) > tolerance:
+        raise ConsistencyError(
+            f"direct ({direct!r}) and projectively conditioned "
+            f"({conditioned!r}) values disagree beyond {tolerance:.3e}"
+        )
+    return direct
+
+
+def _condition(block: np.ndarray, ops: _Operands, reading: int) -> float:
+    """Tr[N B_r] / Tr[B_r]: the observable given reading r, from its block."""
     denominator = float(np.trace(block).real)
     if denominator < _ZERO_PROBABILITY:
         raise ZeroProbabilityError(
             f"clock reading index {reading} has probability "
             f"{denominator:.3e}; conditioning is undefined there"
         )
-    return float(np.sum(observable.matrix * block.T).real) / denominator
+    value = complex(np.sum(ops.n * block.T)) / denominator
+    return _real_expectation(value, ops.scale, len(block))
 
 
 def bob_state(scenario: CompositeScenario, kernel: TimeKernel) -> DensityMatrix:
     """Kernel-averaged composite state (discrete mixture over pointer times).
 
     Each branch pairs the exact-time system state at a pointer time with
-    the clock reading shown at that time, weighted by the kernel. This is
-    what an observer who consulted only the inaccurate watch assigns; the
-    system-clock correlation it carries is what conditional readout
-    exploits. The dense D x D matrix is assembled from ``_bob_blocks``.
+    the clock reading shown then, weighted by the kernel: what an observer
+    who consulted only the inaccurate watch assigns. The dense D x D matrix
+    is ``_bob_blocks`` rotated back out of H_S's eigenbasis.
     """
-    d_s, d_c = scenario.dims
-    dense = np.einsum("rab,rs->arbs", _bob_blocks(scenario, kernel), np.eye(d_c))
+    (d_s, d_c), system = scenario.dims, scenario.system_hamiltonian
+    rho_e = _to_eigenbasis(scenario.system_state.matrix, system)
+    blocks = _from_eigenbasis(_bob_blocks(scenario, kernel, rho_e), system)
+    dense = np.einsum("rab,rs->arbs", blocks, np.eye(d_c))
     return DensityMatrix(dense.reshape(d_s * d_c, d_s * d_c))
 
 
@@ -310,33 +313,15 @@ def alice_conditional(
 
     Computed twice - directly from the evolved system state, and by
     projective conditioning of the evolved composite on the clock reading
-    shown at ``t_a`` - and cross-checked before returning. The composite
-    route also checks the clock: it must show that reading at ``t_a`` with
-    probability 1. ``t_a`` must be a pointer time within the first period.
+    shown at ``t_a``, which it must show with probability 1 - and
+    cross-checked. ``t_a`` must be a pointer time within the first period.
     """
     step = scenario.clock.pointer_index(t_a)
-    block = _alice_block(scenario, step)
-    shown = float(np.trace(block).real)
-    if not abs(shown - 1.0) <= _SHIFT_TOL:  # NaN fails too
-        raise ConsistencyError(
-            f"the clock shows reading {step} at t = {t_a!r} with probability "
-            f"{shown!r}, not 1 within {_SHIFT_TOL}"
-        )
-    conditioned = _condition(block, observable, step)
-    direct = _direct_value(scenario, observable, step)
-    if abs(direct - conditioned) > _PATH_AGREEMENT_TOL:
-        raise ConsistencyError(
-            f"direct ({direct!r}) and projectively conditioned "
-            f"({conditioned!r}) values disagree beyond {_PATH_AGREEMENT_TOL}"
-        )
-    return direct
+    return _alice_value(scenario, _energy_operands(scenario, observable), step)
 
 
 def bob_conditional(
-    scenario: CompositeScenario,
-    kernel: TimeKernel,
-    observable: Observable,
-    t: float,
+    scenario: CompositeScenario, kernel: TimeKernel, observable: Observable, t: float
 ) -> float:
     """Expected value given the clock reading, through the averaged state.
 
@@ -347,12 +332,14 @@ def bob_conditional(
     ``ZeroProbabilityError`` for readings the kernel excludes.
     """
     reading = scenario.clock.pointer_index(t)
-    return _condition(_bob_blocks(scenario, kernel)[reading], observable, reading)
+    ops = _energy_operands(scenario, observable)
+    return _condition(_bob_blocks(scenario, kernel, ops.rho)[reading], ops, reading)
 
 
 def unconditioned_expectation(
     scenario: CompositeScenario, kernel: TimeKernel, observable: Observable
 ) -> float:
     """Tr[(N (x) I) rho_averaged] = sum_r Tr[N B_r]: the watch-only answer."""
-    reduced = DensityMatrix(np.sum(_bob_blocks(scenario, kernel), axis=0))
-    return expectation(observable, reduced)
+    ops = _energy_operands(scenario, observable)
+    reduced = np.sum(_bob_blocks(scenario, kernel, ops.rho), axis=0).T
+    return _real_expectation(complex(np.sum(ops.n * reduced)), ops.scale, len(ops.n))

@@ -124,7 +124,7 @@ def _schur_state(state: DensityMatrix, phi: np.ndarray) -> np.ndarray:
     rho, bound = state.matrix, np.inf
     if np.isrealobj(phi) and np.array_equal(phi, phi.T) and _factors(phi, PSD_TOL / 4):
         d = len(phi)
-        g = (d + 1) / (2.0**53 - (d + 1))  # gamma_{d+1} = (d+1)u / (1 - (d+1)u)
+        g = _roundoff(1.0, d + 1)  # gamma_{d+1}
         a = state._margin + g * (np.trace(rho).real + d * PSD_TOL / 2)
         b = PSD_TOL / 4 + 2.0**-53 + g * (np.trace(phi) + d * PSD_TOL / 4)
         bound = float(np.max(a * phi.diagonal() + b * rho.diagonal().real)) + a * b
@@ -307,24 +307,38 @@ def partial_trace(
 
 
 def expectation(observable: Observable, rho: DensityMatrix) -> float:
-    """Expectation value Re Tr(N rho) = Re sum_ij N_ij rho_ji.
-
-    Both operands are Hermitian so the trace is real analytically; a
-    residual imaginary part above 1e-9 signals corrupted inputs and raises.
-    """
+    """Expectation value Re Tr(N rho) = Re sum_ij N_ij rho_ji, which Hermitian
+    operands make real: an imaginary part beyond roundoff raises."""
     if observable.dim != rho.dim:
         raise DimensionMismatchError(
             f"observable dim {observable.dim} != state dim {rho.dim}"
         )
-    return _real_expectation(complex(np.sum(observable.matrix * rho.matrix.T)))
+    terms = observable.matrix * rho.matrix.T
+    return _real_expectation(complex(np.sum(terms)), np.sum(np.abs(terms)), rho.dim)
 
 
-def _real_expectation(value: complex) -> float:
-    """Re of an expectation value, which Hermitian operands make real."""
-    if abs(value.imag) > 1e-9:
+def _roundoff(scale: float, n: float) -> float:
+    """gamma_n scale, gamma_n = n u / (1 - n u), u = 2^-53: the most n roundings
+    move a sum of terms of total magnitude ``scale`` (Higham, ch. 3)."""
+    return n / (2.0**53 - n) * scale
+
+
+def _expect(p: np.ndarray, weighted: np.ndarray, scale: float) -> float:
+    """Tr[N D X D*] = Re p^T weighted p* for weighted = X * N^T, D = diag(p)."""
+    return _real_expectation(complex(p @ weighted @ p.conj()), scale, len(weighted))
+
+
+def _real_expectation(value: complex, scale: float, d: int) -> float:
+    """Re of Tr(N rho) = p^T W p* (|p_i| <= 1), W = rho * N^T for a unit-trace state
+    and an observable in one d-dim basis, scale = sum |W_ij|. Its imaginary part
+    is roundoff, gamma_{4d} scale (gamma_{2d+2} for two chained complex dot
+    products, the rest for the rotation into that basis), and the skew part K of N
+    that its check admits, |Tr K rho| <= ||K||_2 <= d HERMITICITY_TOL / 2."""
+    bound = _roundoff(scale, 4 * d) + d * HERMITICITY_TOL / 2
+    if abs(value.imag) > bound:
         raise QuantumStateError(
-            f"expectation has imaginary part {value.imag:.3e}; inputs are "
-            "not Hermitian enough"
+            f"expectation has imaginary part {value.imag:.3e} beyond its "
+            f"bound {bound:.3e}; inputs are not Hermitian enough"
         )
     return float(value.real)
 

@@ -51,12 +51,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, qmat
-# bench/traced_job.py wraps bob_conditional here; the runner does not call it.
+# bench/traced_job.py wraps alice_ and bob_conditional here; the runner calls neither.
 from .clockmodel import (  # noqa: F401
     ClockSystem,
     CompositeScenario,
+    _alice_value,
     _bob_blocks,
     _condition,
+    _energy_operands,
     alice_conditional,
     bob_conditional,
     pointer_weights,
@@ -92,7 +94,7 @@ from .kernels import (
 )
 from .qmat import DIMENSION_CAP, DensityMatrix, Hamiltonian, Observable, purity
 # bench/traced_job.py wraps expectation here; the runners do not call it.
-from .qmat import _real_expectation, expectation  # noqa: F401
+from .qmat import expectation  # noqa: F401
 
 __all__ = [
     "ScenarioFile",
@@ -806,11 +808,6 @@ def _max_offdiag(rho_e: np.ndarray, distinct: np.ndarray) -> float:
     return float(np.max(np.abs(rho_e), where=distinct, initial=0.0))
 
 
-def _expect(p: np.ndarray, weighted: np.ndarray) -> float:
-    """Tr[N D X D*] = Re p^T weighted p* for weighted = X * N^T, D = diag(p)."""
-    return _real_expectation(complex(p @ weighted @ p.conj()))
-
-
 PEARLE_NODES = 64  # Gauss-Hermite nodes of the collapse comparison
 SWEEP_CELL_CAP = 2**24  # most cells, steps x (6 + gaps), a sweep table may have
 _CSV_CELLS = 2**16  # cells per ResultTable.write_csv write; a wider row goes alone
@@ -858,9 +855,9 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
         ])
     state_e = _finish_state(_to_eigenbasis(scn.initial_state.matrix, hamiltonian))
     rho_s, purity_a = state_e.matrix, purity(state_e)
-    # Tr[N D X D*] = p^T (X * N^T) p*, and X * N^T = alice_e * envelope. N is
-    # Hermitian already: its rotation's roundoff is not checked again.
+    # Tr[N D X D*] = p^T (X * N^T) p*, X * N^T = alice_e * envelope, |envelope| <= 1
     alice_e = rho_s * _to_eigenbasis(scn.observable.matrix, hamiltonian).T
+    scale = float(np.sum(np.abs(alice_e)))  # bounds both values' roundoff
     omega = spectrum[:, None] - spectrum[None, :]
     distinct = _distinct_gap_mask(spectrum)
 
@@ -880,7 +877,7 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
             x = qmat._schur_state(state_e, envelope)  # Bob's state in D's frame
             bob = float(np.vdot(x, x).real), _max_offdiag(x, distinct)
             del x  # read off and dropped before alice_e * envelope forms
-            expect = _expect(p, alice_e), _expect(p, alice_e * envelope)
+            expect = [qmat._expect(p, w, scale) for w in (alice_e, alice_e * envelope)]
             rows.append((*expect, purity_a, *bob))
         factors[k] = np.abs(kernel._envelope(gaps))
 
@@ -918,13 +915,14 @@ def run_clock_recovery(scn: ScenarioFile) -> ResultTable:
             ["kernel supports no pointer time inside the readout window"]
         )
 
-    blocks = _bob_blocks(composite, kernel)
+    ops = _energy_operands(composite, scn.observable)
+    blocks = _bob_blocks(composite, kernel, ops.rho)
     rows = []
     for step in np.flatnonzero(readout):
         t = float(times[step])
         with _at(f"readout t = {t!r}"):
-            a = alice_conditional(composite, scn.observable, t)
-            rows.append((t, a, _condition(blocks[step], scn.observable, step)))
+            a = _alice_value(composite, ops, step)
+            rows.append((t, a, _condition(blocks[step], ops, step)))
 
     t, alice, bob = np.transpose(rows)
     difference = np.abs(alice - bob)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from relatime import scenario as scenario_module
 from relatime.cli import _RUNNERS, build_parser, main
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, random_hermitian
 from test_clockmodel import scaled_clock_recovery
 from test_golden import CASES as GOLDEN_CASES
 from test_scenario import MINIMAL, PARSE_CASES, PARSE_EXPECTED, SWEEP_BLOCK, wide_sweep
@@ -69,6 +69,24 @@ def _alike_gaps(tmp_path):
     return path
 
 
+def _table(out: str) -> np.ndarray:
+    """The data rows of a CSV printed to stdout."""
+    rows = [line for line in out.splitlines() if line and not line.startswith("#")]
+    return np.array([row.split(",") for row in rows[1:]], dtype=float)
+
+
+def _dense_sweep(dim: int) -> str:
+    """A t_B sweep over a dense random H of dimension ``dim`` from |+>."""
+    h = random_hermitian(np.random.default_rng(0), dim, scale=2.0)
+    rows = "".join(
+        "    row " + " ".join(f"{z.real!r} {z.imag!r}" for z in row.tolist()) + "\n"
+        for row in h
+    )
+    text = (MINIMAL + SWEEP_BLOCK).replace("dimension 2", f"dimension {dim}")
+    text = text.replace("spectrum 0.0 1.0", "hamiltonian {\n" + rows + "  }")
+    return text.replace("preset pauli_x", "preset number_op")
+
+
 class TestRunners:
     def test_sweep_to_stdout(self, capsys):
         assert main(["sweep", str(QUBIT)]) == 0
@@ -97,6 +115,38 @@ class TestRunners:
         assert err == ""
         footer = next(l for l in out.splitlines() if "max_abs_difference" in l)
         assert float(footer.split(":")[1]) <= 1e-8
+
+    def test_clock_recovery_of_a_1e8_observable(self, tmp_path, capsys):
+        # the bundled readout in a unit of the observable 1e8 times finer:
+        # its values scale, and no absolute bound refuses them
+        sigma_x = "matrix {\n    row 0 0 1e8 0\n    row 1e8 0 0 0\n  }"
+        path = tmp_path / "large.scn"
+        path.write_text(CLOCKED.read_text().replace("preset pauli_x", sigma_x))
+        assert main(["clock-recovery", str(path)]) == 0
+        large = _table(capsys.readouterr().out)
+        assert main(["clock-recovery", str(CLOCKED)]) == 0
+        bundled = _table(capsys.readouterr().out)
+        np.testing.assert_array_equal(large[:, 0], bundled[:, 0])
+        np.testing.assert_allclose(large[:, 1:3], 1e8 * bundled[:, 1:3], rtol=1e-12)
+
+    def test_sweep_of_a_1e6_observable(self, tmp_path, capsys):
+        # a dense d = 64 H leaves roundoff in the imaginary part that grows
+        # with N; diag(k * 1e6) reads 1e6 times diag(k)
+        text = _dense_sweep(64)
+        assert "preset number_op" in text
+        large = "matrix {\n" + "".join(
+            f"    row {' '.join(['0 0'] * k + [f'{k}e6 0'] + ['0 0'] * (63 - k))}\n"
+            for k in range(64)
+        ) + "  }"
+        tables = []
+        for observable in (large, "preset number_op"):
+            path = tmp_path / "dense.scn"
+            path.write_text(text.replace("preset number_op", observable))
+            assert main(["sweep", str(path)]) == 0
+            tables.append(_table(capsys.readouterr().out))
+        scaled, unit = tables
+        np.testing.assert_array_equal(scaled[:, 3:], unit[:, 3:])
+        np.testing.assert_allclose(scaled[:, 1:3], 1e6 * unit[:, 1:3], rtol=1e-12)
 
     def test_pearle_compare(self, capsys):
         assert main(["pearle-compare", str(PEARLE)]) == 0

@@ -37,7 +37,7 @@ from relatime import (
     run_clock_recovery,
     unconditioned_expectation,
 )
-from relatime import clockmodel
+from relatime import clockmodel, evolution, scenario as scenario_module
 from conftest import (
     SCENARIO_DIR,
     plus_density,
@@ -312,11 +312,13 @@ class TestBobConditional:
         # that is not a state; conditioning must not read it
         scenario = precession_scenario()
         kernel = TabulatedKernel(scenario.clock.pointer_times, np.ones(8))
-        original = clockmodel._system_state_at
+        original = clockmodel._energy_operands
         monkeypatch.setattr(
             clockmodel,
-            "_system_state_at",
-            lambda scenario, step: original(scenario, step) + np.diag([2.0, -2.0]),
+            "_energy_operands",
+            lambda scenario, n: original(scenario, n)._replace(
+                rho=original(scenario, n).rho + np.diag([2.0, -2.0])
+            ),
         )
         with pytest.raises(NotPositiveError):
             bob_conditional(scenario, kernel, PAULI_X, 0.4)
@@ -326,12 +328,14 @@ class TestBobConditional:
         # must be read off the raw mixture
         scenario = precession_scenario()
         kernel = TabulatedKernel(scenario.clock.pointer_times, np.ones(8))
-        original = clockmodel._system_state_at
+        original = clockmodel._energy_operands
         skew = np.array([[0.0, 1e-4], [0.0, 0.0]])
         monkeypatch.setattr(
             clockmodel,
-            "_system_state_at",
-            lambda scenario, step: original(scenario, step) + skew,
+            "_energy_operands",
+            lambda scenario, n: original(scenario, n)._replace(
+                rho=original(scenario, n).rho + skew
+            ),
         )
         with pytest.raises(NotHermitianError, match="kernel-averaged state"):
             bob_conditional(scenario, kernel, PAULI_X, 0.4)
@@ -418,14 +422,38 @@ def test_alice_cross_check_fires_on_wrong_phases(monkeypatch):
         "preset pauli_x", "matrix {\n    row 0 0 0 -1\n    row 0 1 0 0\n  }"
     )
     scn = parse_scenario(text)
-    original = clockmodel._unitary_multiplier
+    original = clockmodel._phases
     monkeypatch.setattr(
-        clockmodel,
-        "_unitary_multiplier",
-        lambda spectrum, t: original(spectrum, t).conj(),
+        clockmodel, "_phases", lambda spectrum, t: original(spectrum, t).conj()
     )
     with pytest.raises(ConsistencyError, match="^at readout t = 0.4: direct"):
         run_clock_recovery(scn)
+
+
+def pointer_table_readout(dim: int) -> str:
+    """``clock_recovery.scn`` on a ``dim``-state clock, read at every pointer."""
+    text = (SCENARIO_DIR / "clock_recovery.scn").read_text()
+    start, stop = text.index("  table {"), text.index("clock {")
+    table = "".join(f"    {m * 0.1!r} {m + 1}\n" for m in range(dim))
+    text = text[:start] + "  table {\n" + table + "  }\n}\n" + text[stop:]
+    return text.replace("dimension 8\n  tick 0.4", f"dimension {dim}\n  tick 0.1")
+
+
+@pytest.mark.parametrize("dim", [8, 32])
+def test_readout_changes_basis_twice_per_run(dim, monkeypatch):
+    # the state and the observable go into H_S's eigenbasis once per run,
+    # and every value is read there: nothing rotates back
+    calls = {"_to_eigenbasis": 0, "_from_eigenbasis": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(evolution, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (clockmodel, scenario_module):
+            monkeypatch.setattr(module, name, counted)
+    result = run_clock_recovery(parse_scenario(pointer_table_readout(dim)))
+    assert len(result.columns["t"]) == dim
+    assert calls == {"_to_eigenbasis": 2, "_from_eigenbasis": 0}
 
 
 @pytest.mark.parametrize("wrong", [

@@ -5,7 +5,8 @@ committed golden file in ``tests/golden``. The header row and the footer
 lines must match exactly and every numeric cell within ``ABS_TOL``. The
 leading ``#`` metadata block (version, digest, provenance) is not
 compared. ``dense_d8.scn`` has a dense Hamiltonian, state and observable,
-so a basis-change error shows in every column.
+so a basis-change error shows in every column; ``dense_clock_d8.scn``
+reads the same system through an 8-state clock.
 
 Regenerate (only when a change is meant to move the numbers)::
 
@@ -28,6 +29,7 @@ CASES = [
     ("pearle-compare", SCENARIO_DIR / "pearle_compare.scn"),
     ("sweep", GOLDEN_DIR / "dense_d8.scn"),
     ("report", GOLDEN_DIR / "dense_d8.scn"),
+    ("clock-recovery", GOLDEN_DIR / "dense_clock_d8.scn"),
 ]
 
 

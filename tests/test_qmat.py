@@ -20,7 +20,7 @@ from relatime import (
     tensor,
 )
 from relatime import qmat
-from relatime.qmat import PSD_TOL, _check_state, _schur_state
+from relatime.qmat import HERMITICITY_TOL, PSD_TOL, _check_state, _schur_state
 from conftest import plus_density, random_density, random_hermitian
 
 
@@ -600,6 +600,22 @@ class TestExpectation:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
             expectation(Observable(np.eye(3)), random_density(rng, 2))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8])
+    def test_imaginary_part_is_judged_against_its_operands(self, scale, rng):
+        # roundoff scales with N; a skew part that Observable admits is
+        # allowed for; an unchecked non-Hermitian operand is refused
+        n = random_hermitian(rng, 64, scale=scale)
+        rho = random_density(rng, 64)
+        assert expectation(Observable(n), rho) == pytest.approx(
+            float(np.sum(n * rho.matrix.T).real), rel=1e-12
+        )
+        skewed = Observable(n + np.diag(np.full(64, 0.45j * HERMITICITY_TOL)))
+        assert expectation(skewed, rho) == pytest.approx(
+            float(np.sum(n * rho.matrix.T).real), rel=1e-9, abs=1e-9
+        )
+        with pytest.raises(QuantumStateError, match="imaginary part"):
+            qmat._real_expectation(complex(1.0, 1e-3 * scale + 1e-8), scale, 64)
 
 
 class TestPurity:
