@@ -28,6 +28,7 @@ from .errors import (
     KernelOffGridError,
     NotPointerTimeError,
     ZeroProbabilityError,
+    _at,
 )
 from .evolution import _from_eigenbasis, _phases, _to_eigenbasis, _unitary_multiplier
 from .kernels import DeltaKernel, TabulatedKernel, TimeKernel
@@ -39,6 +40,7 @@ from .qmat import (
     _check_product_dim,
     _check_state,
     _expect,
+    _imaginary_bound,
     _real_expectation,
     _roundoff,
     tensor,
@@ -215,7 +217,7 @@ def pointer_weights(kernel: TimeKernel, clock: ClockSystem) -> np.ndarray:
 
 
 # rho_S, N in H_S's eigenbasis; Re p^T weighted p* = Tr[N D rho D*], D = diag(p)
-_Operands = namedtuple("_Operands", "rho n weighted scale")
+_Operands = namedtuple("_Operands", "rho n weighted scale bound")
 
 
 def _energy_operands(scenario: CompositeScenario, observable: Observable):
@@ -228,7 +230,8 @@ def _energy_operands(scenario: CompositeScenario, observable: Observable):
     rho_e = _to_eigenbasis(scenario.system_state.matrix, system)
     n_e = _to_eigenbasis(observable.matrix, system)
     weighted = rho_e * n_e.T
-    return _Operands(rho_e, n_e, weighted, float(np.sum(np.abs(weighted))))
+    scale = float(np.sum(np.abs(weighted)))
+    return _Operands(rho_e, n_e, weighted, scale, _imaginary_bound(scale, n_e))
 
 
 def _bob_blocks(scenario: CompositeScenario, kernel: TimeKernel, rho_e) -> np.ndarray:
@@ -267,8 +270,8 @@ def _alice_value(scenario: CompositeScenario, ops: _Operands, step: int) -> floa
             f"the clock shows reading {step} at t = {float(t)!r} with probability "
             f"{shown!r}, not 1 within {_SHIFT_TOL}"
         )
-    conditioned = _expect(amplitude, ops.weighted, ops.scale) / shown
-    direct = _expect(_phases(system.spectrum, t), ops.weighted, ops.scale)
+    conditioned = _expect(amplitude, ops.weighted, ops.bound) / shown
+    direct = _expect(_phases(system.spectrum, t), ops.weighted, ops.bound)
     theta = float(np.max(np.abs(arguments)))
     tolerance = _roundoff(ops.scale, 8 * len(ops.rho) + 4 * d + 6 * theta)
     if abs(direct - conditioned) > tolerance:
@@ -288,7 +291,20 @@ def _condition(block: np.ndarray, ops: _Operands, reading: int) -> float:
             f"{denominator:.3e}; conditioning is undefined there"
         )
     value = complex(np.sum(ops.n * block.T)) / denominator
-    return _real_expectation(value, ops.scale, len(block))
+    return _real_expectation(value, ops.bound)
+
+
+def _read_clock(scenario: CompositeScenario, kernel, observable, steps) -> np.ndarray:
+    """Alice's and Bob's values at each of ``steps``, as two rows, off one rotation
+    of rho_S and N and one block stack; an error names the readout it arose at."""
+    ops = _energy_operands(scenario, observable)
+    blocks = _bob_blocks(scenario, kernel, ops.rho)
+    values = np.empty((2, len(steps)))
+    for k, step in enumerate(steps):
+        with _at(f"readout t = {float(scenario.clock.pointer_times[step])!r}"):
+            alice = _alice_value(scenario, ops, step)
+            values[:, k] = alice, _condition(blocks[step], ops, step)
+    return values
 
 
 def bob_state(scenario: CompositeScenario, kernel: TimeKernel) -> DensityMatrix:
@@ -342,4 +358,4 @@ def unconditioned_expectation(
     """Tr[(N (x) I) rho_averaged] = sum_r Tr[N B_r]: the watch-only answer."""
     ops = _energy_operands(scenario, observable)
     reduced = np.sum(_bob_blocks(scenario, kernel, ops.rho), axis=0).T
-    return _real_expectation(complex(np.sum(ops.n * reduced)), ops.scale, len(ops.n))
+    return _real_expectation(complex(np.sum(ops.n * reduced)), ops.bound)

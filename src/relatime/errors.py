@@ -5,9 +5,21 @@ Hermiticity defect, the trace, the smallest eigenvalue), so a caller can
 see how far outside the fixed tolerances of ``qmat`` an input lies.
 """
 
+from contextlib import contextmanager
+
 
 class RelatimeError(Exception):
     """Base class for all package-specific errors."""
+
+
+@contextmanager
+def _at(point: str):
+    """Prefix a library error raised inside with the point it arose at."""
+    try:
+        yield
+    except RelatimeError as exc:
+        exc.args = (f"at {point}: {exc}",)
+        raise
 
 
 class QuantumStateError(RelatimeError, ValueError):

@@ -314,7 +314,8 @@ def expectation(observable: Observable, rho: DensityMatrix) -> float:
             f"observable dim {observable.dim} != state dim {rho.dim}"
         )
     terms = observable.matrix * rho.matrix.T
-    return _real_expectation(complex(np.sum(terms)), np.sum(np.abs(terms)), rho.dim)
+    bound = _imaginary_bound(np.sum(np.abs(terms)), observable.matrix)
+    return _real_expectation(complex(np.sum(terms)), bound)
 
 
 def _roundoff(scale: float, n: float) -> float:
@@ -323,18 +324,23 @@ def _roundoff(scale: float, n: float) -> float:
     return n / (2.0**53 - n) * scale
 
 
-def _expect(p: np.ndarray, weighted: np.ndarray, scale: float) -> float:
+def _imaginary_bound(scale: float, n: np.ndarray) -> float:
+    """Most |Im Tr(N rho)| for a checked unit-trace rho and observable N, with
+    W = rho * N^T in one d-dim basis and scale = sum |W_ij|: roundoff gamma_{4d}
+    scale, and the skew parts the checks admit (||K||_F <= d HERMITICITY_TOL / 2,
+    |Tr K_N rho| <= ||K_N||_F, |Tr N K_rho| <= ||N||_F ||K_rho||_F)."""
+    d = len(n)
+    skew = d * HERMITICITY_TOL / 2 * (1.0 + float(np.linalg.norm(n)))
+    return _roundoff(scale, 4 * d) + skew
+
+
+def _expect(p: np.ndarray, weighted: np.ndarray, bound: float) -> float:
     """Tr[N D X D*] = Re p^T weighted p* for weighted = X * N^T, D = diag(p)."""
-    return _real_expectation(complex(p @ weighted @ p.conj()), scale, len(weighted))
+    return _real_expectation(complex(p @ weighted @ p.conj()), bound)
 
 
-def _real_expectation(value: complex, scale: float, d: int) -> float:
-    """Re of Tr(N rho) = p^T W p* (|p_i| <= 1), W = rho * N^T for a unit-trace state
-    and an observable in one d-dim basis, scale = sum |W_ij|. Its imaginary part
-    is roundoff, gamma_{4d} scale (gamma_{2d+2} for two chained complex dot
-    products, the rest for the rotation into that basis), and the skew part K of N
-    that its check admits, |Tr K rho| <= ||K||_2 <= d HERMITICITY_TOL / 2."""
-    bound = _roundoff(scale, 4 * d) + d * HERMITICITY_TOL / 2
+def _real_expectation(value: complex, bound: float) -> float:
+    """Re of an expectation value whose |Im| ``_imaginary_bound`` bounds."""
     if abs(value.imag) > bound:
         raise QuantumStateError(
             f"expectation has imaginary part {value.imag:.3e} beyond its "

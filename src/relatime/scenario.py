@@ -44,7 +44,6 @@ from __future__ import annotations
 import io
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -55,10 +54,7 @@ from . import __version__, qmat
 from .clockmodel import (  # noqa: F401
     ClockSystem,
     CompositeScenario,
-    _alice_value,
-    _bob_blocks,
-    _condition,
-    _energy_operands,
+    _read_clock,
     alice_conditional,
     bob_conditional,
     pointer_weights,
@@ -68,6 +64,7 @@ from .errors import (
     RelatimeError,
     ScenarioParseError,
     ScenarioValidationError,
+    _at,
 )
 # bench/traced_job.py wraps every engine here; runners call only coherence_report.
 from .evolution import (  # noqa: F401
@@ -785,16 +782,6 @@ def _base_metadata(scn: ScenarioFile, *, nodes=None, threshold=None) -> dict:
     return meta
 
 
-@contextmanager
-def _at(point: str):
-    """Prefix a library error raised inside with the point it arose at."""
-    try:
-        yield
-    except RelatimeError as exc:
-        exc.args = (f"at {point}: {exc}",)
-        raise
-
-
 def _distinct_gaps(hamiltonian: Hamiltonian) -> np.ndarray:
     energies = hamiltonian.spectrum
     gaps = np.abs(energies[:, None] - energies[None, :])
@@ -858,6 +845,7 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
     # Tr[N D X D*] = p^T (X * N^T) p*, X * N^T = alice_e * envelope, |envelope| <= 1
     alice_e = rho_s * _to_eigenbasis(scn.observable.matrix, hamiltonian).T
     scale = float(np.sum(np.abs(alice_e)))  # bounds both values' roundoff
+    bound = qmat._imaginary_bound(scale, scn.observable.matrix)
     omega = spectrum[:, None] - spectrum[None, :]
     distinct = _distinct_gap_mask(spectrum)
 
@@ -877,7 +865,7 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
             x = qmat._schur_state(state_e, envelope)  # Bob's state in D's frame
             bob = float(np.vdot(x, x).real), _max_offdiag(x, distinct)
             del x  # read off and dropped before alice_e * envelope forms
-            expect = [qmat._expect(p, w, scale) for w in (alice_e, alice_e * envelope)]
+            expect = [qmat._expect(p, w, bound) for w in (alice_e, alice_e * envelope)]
             rows.append((*expect, purity_a, *bob))
         factors[k] = np.abs(kernel._envelope(gaps))
 
@@ -904,10 +892,9 @@ def run_clock_recovery(scn: ScenarioFile) -> ResultTable:
         )
     composite = CompositeScenario(scn.system_hamiltonian, scn.initial_state, scn.clock)
     kernel = scn.kernel()
-    weights = pointer_weights(kernel, scn.clock)
 
     times = scn.clock.pointer_times
-    readout = weights > 0
+    readout = pointer_weights(kernel, scn.clock) > 0
     if scn.sweep is not None:
         readout &= (scn.sweep.start <= times) & (times <= scn.sweep.stop)
     if not readout.any():
@@ -915,17 +902,9 @@ def run_clock_recovery(scn: ScenarioFile) -> ResultTable:
             ["kernel supports no pointer time inside the readout window"]
         )
 
-    ops = _energy_operands(composite, scn.observable)
-    blocks = _bob_blocks(composite, kernel, ops.rho)
-    rows = []
-    for step in np.flatnonzero(readout):
-        t = float(times[step])
-        with _at(f"readout t = {t!r}"):
-            a = _alice_value(composite, ops, step)
-            rows.append((t, a, _condition(blocks[step], ops, step)))
-
-    t, alice, bob = np.transpose(rows)
-    difference = np.abs(alice - bob)
+    steps = np.flatnonzero(readout)
+    alice, bob = _read_clock(composite, kernel, scn.observable, steps)
+    t, difference = times[steps], np.abs(alice - bob)
     return ResultTable(
         {"t": t, "alice_value": alice, "bob_value": bob, "abs_difference": difference},
         _base_metadata(scn), {"max_abs_difference": repr(float(difference.max()))},

@@ -129,6 +129,22 @@ class TestRunners:
         np.testing.assert_array_equal(large[:, 0], bundled[:, 0])
         np.testing.assert_allclose(large[:, 1:3], 1e8 * bundled[:, 1:3], rtol=1e-12)
 
+    @pytest.mark.parametrize("scale", ["100", "1e8"])
+    def test_clock_recovery_of_a_skewed_state(self, scale, tmp_path, capsys):
+        # the state keeps the skew part DensityMatrix admits, and its share of
+        # each value's imaginary part grows with the observable
+        state = "state {\n    row 0.5 0 0.5 1e-11\n    row 0.5 0 0.5 0\n  }"
+        sigma_x = f"matrix {{\n    row 0 0 {scale} 0\n    row {scale} 0 0 0\n  }}"
+        text = CLOCKED.read_text().replace("state plus_state", state)
+        path = tmp_path / "skewed.scn"
+        path.write_text(text.replace("preset pauli_x", sigma_x))
+        assert main(["clock-recovery", str(path)]) == 0
+        skewed = _table(capsys.readouterr().out)
+        assert main(["clock-recovery", str(CLOCKED)]) == 0
+        bundled = _table(capsys.readouterr().out)
+        expected = float(scale) * bundled[:, 1:3]
+        np.testing.assert_allclose(skewed[:, 1:3], expected, rtol=1e-9)
+
     def test_sweep_of_a_1e6_observable(self, tmp_path, capsys):
         # a dense d = 64 H leaves roundoff in the imaginary part that grows
         # with N; diag(k * 1e6) reads 1e6 times diag(k)

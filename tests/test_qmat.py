@@ -614,8 +614,17 @@ class TestExpectation:
         assert expectation(skewed, rho) == pytest.approx(
             float(np.sum(n * rho.matrix.T).real), rel=1e-9, abs=1e-9
         )
+        bound = qmat._imaginary_bound(scale, n)
         with pytest.raises(QuantumStateError, match="imaginary part"):
-            qmat._real_expectation(complex(1.0, 1e-3 * scale + 1e-8), scale, 64)
+            qmat._real_expectation(complex(1.0, 1e-3 * scale + 1e-8), bound)
+
+    @pytest.mark.parametrize("scale", [50.0, 1e8])
+    def test_state_skew_is_allowed_for(self, scale):
+        # DensityMatrix keeps the skew part its check admits; that part's
+        # imaginary share of Tr(N rho) grows with N (5e-10 at N = 50 sigma_x)
+        rho = DensityMatrix([[0.5, 0.5 + 1e-11j], [0.5, 0.5]])
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert expectation(Observable(scale * sigma_x), rho) == pytest.approx(scale)
 
 
 class TestPurity:
