@@ -7,12 +7,13 @@ which with the pointer times are all a ``ClockSystem`` holds. It is periodic
 (period d * tick): later times alias and are refused.
 
 ``CompositeScenario`` couples a system S to such a clock with no interaction,
-from rho_S with the clock on pointer 0. Conditioned on reading m, the
-kernel-averaged composite state (``bob_conditional``) gives the exact-time
-value at t_m (``alice_conditional``), however broad the kernel. Readout forms
-nothing D x D (D = d_S * d_C, capped in ``CompositeScenario``): rho_S and N go
-into H_S's eigenbasis once, and every value is read there, Bob's off one block
-per reading, validated as a stack.
+from rho_S with the clock on pointer 0. Bob mixes the branches at the kernel's
+pointer times t_r and conditions on reading r' through the clock's transition
+probabilities P[r', r] = |<r'|U_C(t_r)|0>|^2 (``bob_conditional``). P is the
+identity on an ideal clock's grid, so he gets the exact-time value at t_r'
+(``alice_conditional``), however broad the kernel. Readout forms nothing D x D
+(D = d_S * d_C, capped in ``CompositeScenario``): it reads every value in H_S's
+eigenbasis, into which rho_S and N go once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     ZeroProbabilityError,
     _at,
 )
-from .evolution import _from_eigenbasis, _phases, _to_eigenbasis, _unitary_multiplier
+from .evolution import _phases, _to_eigenbasis, evolve_relational_dephasing
 from .kernels import DeltaKernel, TabulatedKernel, TimeKernel
 from .qmat import (
     DensityMatrix,
@@ -41,7 +42,6 @@ from .qmat import (
     _check_state,
     _expect,
     _imaginary_bound,
-    _real_expectation,
     _roundoff,
     tensor,
 )
@@ -217,7 +217,7 @@ def pointer_weights(kernel: TimeKernel, clock: ClockSystem) -> np.ndarray:
 
 
 # rho_S, N in H_S's eigenbasis; Re p^T weighted p* = Tr[N D rho D*], D = diag(p)
-_Operands = namedtuple("_Operands", "rho n weighted scale bound")
+_Operands = namedtuple("_Operands", "rho weighted scale bound")
 
 
 def _energy_operands(scenario: CompositeScenario, observable: Observable):
@@ -231,25 +231,26 @@ def _energy_operands(scenario: CompositeScenario, observable: Observable):
     n_e = _to_eigenbasis(observable.matrix, system)
     weighted = rho_e * n_e.T
     scale = float(np.sum(np.abs(weighted)))
-    return _Operands(rho_e, n_e, weighted, scale, _imaginary_bound(scale, n_e))
+    return _Operands(rho_e, weighted, scale, _imaginary_bound(scale, n_e))
 
 
-def _bob_blocks(scenario: CompositeScenario, kernel: TimeKernel, rho_e) -> np.ndarray:
-    """The kernel-averaged composite state as its ``(d_C, d_S, d_S)`` stack of
-    pointer-basis blocks, in H_S's eigenbasis (which keeps their spectra):
-    block r is w_r rho_S(t_r), normalized and validated as a whole."""
+def _bob_rows(scenario: CompositeScenario, kernel: TimeKernel, ops: _Operands):
+    """Per reading r', sum_r w_r P[r', r] (its probability in the averaged state)
+    and sum_r w_r P[r', r] v_r, v_r = Tr[N rho_S(t_r)], with P[:, r] the clock's
+    distribution |ifft(exp(-i omega t_r))|^2 at t_r. rho_e is checked once: every
+    branch, and so every mixture, is then a state."""
     weights = pointer_weights(kernel, scenario.clock)
-    steps = np.flatnonzero(weights)
-    d_s, d_c = scenario.dims
-    times = scenario.clock.pointer_times[steps]
-    branches = rho_e * _unitary_multiplier(scenario.system_hamiltonian.spectrum, times)
-    blocks = np.zeros((d_c, d_s, d_s), dtype=np.complex128)
-    blocks[steps] = weights[steps, None, None] * branches  # w_r rho_S(t_r)
-    blocks /= np.sum(np.trace(blocks, axis1=1, axis2=2)).real
-    _check_hermitian(blocks, "kernel-averaged state")  # before symmetrizing hides it
-    blocks = 0.5 * (blocks + blocks.conj().swapaxes(1, 2))
-    _check_state(blocks)
-    return blocks
+    _check_hermitian(ops.rho, "kernel-averaged state")
+    _check_state(ops.rho)
+    clock, spectrum = scenario.clock, scenario.system_hamiltonian.spectrum
+    rows = np.zeros((2, clock.dim))
+    for r in np.flatnonzero(weights):
+        t = clock.pointer_times[r]
+        with _at(f"readout t = {float(t)!r}"):
+            value = _expect(_phases(spectrum, t), ops.weighted, ops.bound)
+        shown = np.abs(np.fft.ifft(np.exp(-1j * t * clock.frequencies))) ** 2
+        rows += np.outer([1.0, value], weights[r] * shown)
+    return rows
 
 
 def _alice_value(scenario: CompositeScenario, ops: _Operands, step: int) -> float:
@@ -282,44 +283,41 @@ def _alice_value(scenario: CompositeScenario, ops: _Operands, step: int) -> floa
     return direct
 
 
-def _condition(block: np.ndarray, ops: _Operands, reading: int) -> float:
-    """Tr[N B_r] / Tr[B_r]: the observable given reading r, from its block."""
-    denominator = float(np.trace(block).real)
-    if denominator < _ZERO_PROBABILITY:
+def _condition(rows: np.ndarray, reading: int) -> float:
+    """The observable given clock reading ``reading``, off ``_bob_rows``."""
+    probability, weighted = rows[:, reading]
+    if probability < _ZERO_PROBABILITY:
         raise ZeroProbabilityError(
             f"clock reading index {reading} has probability "
-            f"{denominator:.3e}; conditioning is undefined there"
+            f"{probability:.3e}; conditioning is undefined there"
         )
-    value = complex(np.sum(ops.n * block.T)) / denominator
-    return _real_expectation(value, ops.bound)
+    return float(weighted / probability)
 
 
 def _read_clock(scenario: CompositeScenario, kernel, observable, steps) -> np.ndarray:
     """Alice's and Bob's values at each of ``steps``, as two rows, off one rotation
-    of rho_S and N and one block stack; an error names the readout it arose at."""
+    of rho_S and N and Bob's two rows; an error names the readout it arose at."""
     ops = _energy_operands(scenario, observable)
-    blocks = _bob_blocks(scenario, kernel, ops.rho)
+    rows = _bob_rows(scenario, kernel, ops)
     values = np.empty((2, len(steps)))
     for k, step in enumerate(steps):
         with _at(f"readout t = {float(scenario.clock.pointer_times[step])!r}"):
             alice = _alice_value(scenario, ops, step)
-            values[:, k] = alice, _condition(blocks[step], ops, step)
+            values[:, k] = alice, _condition(rows, step)
     return values
 
 
 def bob_state(scenario: CompositeScenario, kernel: TimeKernel) -> DensityMatrix:
     """Kernel-averaged composite state (discrete mixture over pointer times).
 
-    Each branch pairs the exact-time system state at a pointer time with
-    the clock reading shown then, weighted by the kernel: what an observer
-    who consulted only the inaccurate watch assigns. The dense D x D matrix
-    is ``_bob_blocks`` rotated back out of H_S's eigenbasis.
+    What an observer who consulted only the inaccurate watch assigns: the
+    kernel average of the evolved D x D composite, for a kernel on the
+    pointer grid. Dense, through an O(D^3) eigendecomposition; readout never
+    forms it.
     """
-    (d_s, d_c), system = scenario.dims, scenario.system_hamiltonian
-    rho_e = _to_eigenbasis(scenario.system_state.matrix, system)
-    blocks = _from_eigenbasis(_bob_blocks(scenario, kernel, rho_e), system)
-    dense = np.einsum("rab,rs->arbs", blocks, np.eye(d_c))
-    return DensityMatrix(dense.reshape(d_s * d_c, d_s * d_c))
+    pointer_weights(kernel, scenario.clock)  # refuses a kernel off the grid
+    composite = scenario.hamiltonian
+    return evolve_relational_dephasing(scenario.initial_state, composite, kernel)
 
 
 def alice_conditional(
@@ -341,21 +339,22 @@ def bob_conditional(
 ) -> float:
     """Expected value given the clock reading, through the averaged state.
 
-    Builds the kernel-averaged composite state and conditions it on the
-    reading shown at pointer time ``t``. Equals ``alice_conditional`` at
-    every reading the kernel gives nonzero weight - conditioning on the
-    internal clock undoes the watch's ignorance. Raises
-    ``ZeroProbabilityError`` for readings the kernel excludes.
+    Mixes the kernel's branches and conditions them on the reading shown at
+    pointer time ``t`` through the clock's transition probabilities P. On
+    an ideal clock's grid P is the identity, so this equals
+    ``alice_conditional`` at every reading the kernel gives nonzero weight:
+    conditioning on the internal clock undoes the watch's ignorance. Raises
+    ``ZeroProbabilityError`` for readings the averaged state does not show.
     """
     reading = scenario.clock.pointer_index(t)
     ops = _energy_operands(scenario, observable)
-    return _condition(_bob_blocks(scenario, kernel, ops.rho)[reading], ops, reading)
+    return _condition(_bob_rows(scenario, kernel, ops), reading)
 
 
 def unconditioned_expectation(
     scenario: CompositeScenario, kernel: TimeKernel, observable: Observable
 ) -> float:
-    """Tr[(N (x) I) rho_averaged] = sum_r Tr[N B_r]: the watch-only answer."""
-    ops = _energy_operands(scenario, observable)
-    reduced = np.sum(_bob_blocks(scenario, kernel, ops.rho), axis=0).T
-    return _real_expectation(complex(np.sum(ops.n * reduced)), ops.bound)
+    """Tr[(N (x) I) rho_averaged] = sum_r w_r v_r: the watch-only answer, as
+    each column of P sums to 1."""
+    rows = _bob_rows(scenario, kernel, _energy_operands(scenario, observable))
+    return float(np.sum(rows[1]))

@@ -81,16 +81,16 @@ def _require_square(arr: np.ndarray) -> int:
 def _check_hermitian(arr: np.ndarray, what: str) -> None:
     b = _HERMITIAN_BAND  # max |arr - arr^H|, NaN kept, over upper-triangle bands
     defect = float(np.max([np.max(np.abs(
-        arr[..., r:r + b, r:] - np.swapaxes(arr[..., r:, r:r + b], -1, -2).conj()
-    ), initial=0.0) for r in range(0, arr.shape[-1], b)], initial=0.0))
+        arr[r:r + b, r:] - arr[r:, r:r + b].T.conj()
+    ), initial=0.0) for r in range(0, len(arr), b)], initial=0.0))
     if defect > HERMITICITY_TOL:
         raise NotHermitianError(defect, what=what)
 
 
 def _factors(arr: np.ndarray, shift: float) -> bool:
-    """Whether arr + shift I (each block of a stack) has a Cholesky factor."""
-    shifted, diag = arr.copy(), np.arange(arr.shape[-1])
-    shifted[..., diag, diag] += shift
+    """Whether arr + shift I has a Cholesky factor."""
+    shifted, diag = arr.copy(), np.arange(len(arr))
+    shifted[diag, diag] += shift
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -99,14 +99,13 @@ def _factors(arr: np.ndarray, shift: float) -> bool:
 
 
 def _check_state(arr: np.ndarray, proved: float = np.inf) -> float:
-    """Raise unless ``arr`` is a density matrix, or the ``(..., d, d)`` stack
-    of its diagonal blocks (whose spectra together are its spectrum); return m
-    <= PSD_TOL with lambda_min >= -m proved: ``proved``, else PSD_TOL/2 by a
-    factor of arr + PSD_TOL/2 I, else |lambda_min| as eigvalsh decides."""
+    """Raise unless ``arr`` is a density matrix; return m <= PSD_TOL with
+    lambda_min >= -m proved: ``proved``, else PSD_TOL/2 by a factor of
+    arr + PSD_TOL/2 I, else |lambda_min| as eigvalsh decides."""
     if not np.isfinite(arr).all():
         raise QuantumStateError("density matrix has non-finite entries")
     _check_hermitian(arr, "density matrix")
-    tr = complex(np.sum(np.trace(arr, axis1=-2, axis2=-1)))
+    tr = complex(np.trace(arr))
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOneError(tr)
     if proved < PSD_TOL:

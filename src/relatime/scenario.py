@@ -881,7 +881,7 @@ def run_clock_recovery(scn: ScenarioFile) -> ResultTable:
     Rows cover every pointer time the kernel supports (optionally windowed
     by a ``variable t_A`` sweep block); the footer reports the largest
     absolute difference, which the central identity makes vanish. Bob's
-    values all read one block stack.
+    values are read through the clock's transition probabilities.
     """
     if scn.clock is None:
         raise ScenarioValidationError(["clock recovery needs a clock block"])

@@ -450,7 +450,8 @@ def test_readout_changes_basis_twice_per_run(dim, monkeypatch):
             return _original(*args)
 
         for module in (clockmodel, scenario_module):
-            monkeypatch.setattr(module, name, counted)
+            if hasattr(module, name):  # patched only where it is imported
+                monkeypatch.setattr(module, name, counted)
     result = run_clock_recovery(parse_scenario(pointer_table_readout(dim)))
     assert len(result.columns["t"]) == dim
     assert calls == {"_to_eigenbasis": 2, "_from_eigenbasis": 0}
@@ -462,13 +463,80 @@ def test_readout_changes_basis_twice_per_run(dim, monkeypatch):
     lambda freqs: freqs / (2 * np.pi),
 ], ids=["scaled", "sign-flipped", "no-2pi"])
 def test_readout_checks_the_clock_it_reads(wrong):
-    # conditioning divides the clock's factor out of the composite route, so
-    # no alice or bob value sees a wrong clock: the probability that the
-    # clock shows reading m at t_m is what must be 1
+    # Alice's composite route divides the clock's factor out, so her value
+    # does not see a wrong clock: the probability that the clock shows
+    # reading m at t_m is what must be 1, and it is checked before Bob's
+    # value, which does see it, is read at the same readout
     scn = parse_scenario((SCENARIO_DIR / "clock_recovery.scn").read_text())
     object.__setattr__(scn.clock, "frequencies", wrong(scn.clock.frequencies))
     with pytest.raises(ConsistencyError, match="^at readout t = 0.4: "):
         run_clock_recovery(scn)
+
+
+def recovery_composite(wrong=lambda freqs: freqs):
+    """``clock_recovery.scn`` as a composite, with ``wrong`` applied to its
+    clock's frequencies, its kernel and its observable."""
+    scn = parse_scenario((SCENARIO_DIR / "clock_recovery.scn").read_text())
+    object.__setattr__(scn.clock, "frequencies", wrong(scn.clock.frequencies))
+    composite = CompositeScenario(scn.system_hamiltonian, scn.initial_state, scn.clock)
+    return composite, scn.kernel(), scn.observable
+
+
+@pytest.mark.parametrize("wrong, least", [
+    (lambda freqs: freqs * 1.001, 1e-4),
+    (lambda freqs: -freqs, 1.0),
+    (lambda freqs: freqs / (2 * np.pi), 1.0),
+], ids=["scaled", "sign-flipped", "no-2pi"])
+def test_bob_sees_a_wrong_clock(wrong, least):
+    # Bob conditions through the clock's own transition probabilities, so a
+    # clock that does not show reading r at t_r mixes other branches in
+    def values(composite, kernel, n):
+        times = composite.clock.pointer_times
+        return np.array([bob_conditional(composite, kernel, n, t) for t in times])
+
+    moved = values(*recovery_composite(wrong)) - values(*recovery_composite())
+    assert np.max(np.abs(moved)) > least
+
+
+def test_bob_finds_a_sign_flipped_clock_at_the_reading_it_shows():
+    # with its frequencies negated the clock runs backwards: at t = 0.4 it
+    # shows reading 7, so reading 1 has no weight and reading 7 holds t = 0.4
+    wrong, kernel, n = recovery_composite(lambda freqs: -freqs)
+    with pytest.raises(ZeroProbabilityError, match="reading index 1 "):
+        bob_conditional(wrong, DeltaKernel(0.4), n, 0.4)
+    right, _, _ = recovery_composite()
+    want = bob_conditional(right, DeltaKernel(0.4), n, 0.4)
+    got = bob_conditional(wrong, DeltaKernel(0.4), n, 2.8)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def traced_readout_peak(d_s, d_c, rng):
+    """Tracemalloc peak of one readout at every pointer time of a d_c-state
+    clock, for a dense d_s-level system, with the operands built outside."""
+    clock = ClockSystem(d_c, 3.0 / d_c)
+    composite = CompositeScenario(
+        random_hamiltonian(rng, d_s, scale=2.0), random_density(rng, d_s), clock
+    )
+    kernel = TabulatedKernel(clock.pointer_times, np.ones(d_c))
+    n = Observable(random_hermitian(rng, d_s))
+    tracemalloc.start()
+    try:
+        values = clockmodel._read_clock(composite, kernel, n, np.arange(d_c))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(values[0] - values[1])) <= 1e-9
+    return peak
+
+
+def test_readout_memory_stays_a_few_system_matrices(rng):
+    # no (d_C, d_S, d_S) stack: at most 6 d_S x d_S complex arrays (24 MiB)
+    assert traced_readout_peak(512, 8, rng) <= 6 * 512**2 * 16
+
+
+def test_readout_memory_is_linear_in_the_clock_dimension(rng):
+    # thousands of supported times, one length-d_C transform each: no d_C^2
+    assert traced_readout_peak(2, 2048, rng) < 2**20
 
 
 def scaled_clock_recovery(s):

@@ -58,7 +58,7 @@ class TestMakeDensity:
             with pytest.raises(QuantumStateError, match=message):
                 DensityMatrix(arr)
             with pytest.raises(QuantumStateError, match=message):
-                _check_state(np.asarray(arr, dtype=complex)[None])
+                _check_state(np.asarray(arr, dtype=complex))
 
     @pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
     @pytest.mark.parametrize("make", [DensityMatrix, Hamiltonian, Observable])
@@ -128,17 +128,17 @@ def _block_diagonal(blocks):
     ids=["valid", "not_positive", "not_hermitian", "trace_not_one"],
 )
 def test_block_stack_check_matches_dense_check(rng, shift, error):
-    # the stack of diagonal blocks passes exactly when the block-diagonal
-    # matrix they form is a valid density matrix
+    # a matrix of diagonal blocks, one of them shifted, passes the state check
+    # exactly when it is a valid density matrix
     blocks = np.stack([random_density(rng, 2).matrix / 3 for _ in range(3)])
     blocks[1] = blocks[1] + shift
     dense = _block_diagonal(blocks)
     if error is None:
-        _check_state(blocks)
+        _check_state(dense)
         DensityMatrix(dense)
         return
     with pytest.raises(error):
-        _check_state(blocks)
+        _check_state(dense)
     with pytest.raises(error):
         DensityMatrix(dense)
 
@@ -155,11 +155,11 @@ def _state_with_smallest(rng, dim: int, smallest: float, trace: float = 1.0):
 
 
 def _block_stack(rng, smallest: float):
-    """Three 4x4 blocks of trace 1/3; the middle one has lowest eigenvalue
-    ``smallest``."""
+    """Block-diagonal matrix of three 4x4 blocks of trace 1/3; the middle one
+    has lowest eigenvalue ``smallest``."""
     blocks = [_state_with_smallest(rng, 4, 0.05, 1 / 3) for _ in range(3)]
     blocks[1] = _state_with_smallest(rng, 4, smallest, 1 / 3)
-    return np.stack(blocks)
+    return _block_diagonal(np.stack(blocks))
 
 
 class TestPositivityCertificate:
@@ -208,7 +208,7 @@ class TestPositivityCertificate:
         # every comparison with NaN is False, and Cholesky returns a NaN
         # factor without raising, so only an explicit test refuses these
         with pytest.raises(QuantumStateError, match="non-finite"):
-            _check_state(np.full((3, 2, 2), np.nan))
+            _check_state(_block_diagonal(np.full((3, 2, 2), np.nan)))
         inf = np.diag([np.inf, 0.5]).astype(complex)
         with pytest.raises(QuantumStateError, match="non-finite"):
             _check_state(inf)
@@ -225,7 +225,7 @@ class TestPositivityCertificate:
         if stack:
             blocks = [_state_with_smallest(rng, dim, 0.05, 0.5)]
             blocks.append(_state_with_smallest(rng, dim, factor * PSD_TOL, 0.5))
-            arr = np.stack(blocks)
+            arr = _block_diagonal(np.stack(blocks))
         else:
             arr = _state_with_smallest(rng, dim, factor * PSD_TOL)
         smallest = float(np.min(np.linalg.eigvalsh(arr)))
@@ -390,8 +390,10 @@ class TestHermitianDefect:
         if poison is not None:
             index = tuple(rng.integers(0, n) for n in shape)
             a[index] = rng.choice([complex(poison, 0.0), complex(0.0, poison)])
+        if stack:  # the blocks as one block-diagonal matrix
+            a = _block_diagonal(a)
         with np.errstate(invalid="ignore"), pytest.MonkeyPatch.context() as patch:
-            expected = np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()))
+            expected = np.max(np.abs(a - a.T.conj()))
             patch.setattr(qmat, "HERMITICITY_TOL", -np.inf)
             if np.isnan(expected):  # NaN > -inf is False: no report, as before
                 qmat._check_hermitian(a, "matrix")
