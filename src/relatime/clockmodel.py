@@ -18,8 +18,6 @@ eigenbasis, into which rho_S and N go once.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 import numpy as np
 
 from .errors import (
@@ -31,17 +29,14 @@ from .errors import (
     ZeroProbabilityError,
     _at,
 )
-from .evolution import _phases, _to_eigenbasis, evolve_relational_dephasing
+from .evolution import _energy_frame, _Frame, _phases, evolve_relational_dephasing
 from .kernels import DeltaKernel, TabulatedKernel, TimeKernel
 from .qmat import (
     DensityMatrix,
     Hamiltonian,
     Observable,
-    _check_hermitian,
     _check_product_dim,
-    _check_state,
     _expect,
-    _imaginary_bound,
     _roundoff,
     tensor,
 )
@@ -216,44 +211,28 @@ def pointer_weights(kernel: TimeKernel, clock: ClockSystem) -> np.ndarray:
     return weights
 
 
-# rho_S, N in H_S's eigenbasis; Re p^T weighted p* = Tr[N D rho D*], D = diag(p)
-_Operands = namedtuple("_Operands", "rho weighted scale bound")
+def _system_frame(scenario: CompositeScenario, observable: Observable) -> _Frame:
+    return _energy_frame(scenario.system_state, scenario.system_hamiltonian, observable)
 
 
-def _energy_operands(scenario: CompositeScenario, observable: Observable):
-    """Rotate rho_S and N into H_S's eigenbasis, after the dimension check."""
-    system = scenario.system_hamiltonian
-    if observable.dim != system.dim:
-        raise DimensionMismatchError(
-            f"observable dim {observable.dim} != system dim {system.dim}"
-        )
-    rho_e = _to_eigenbasis(scenario.system_state.matrix, system)
-    n_e = _to_eigenbasis(observable.matrix, system)
-    weighted = rho_e * n_e.T
-    scale = float(np.sum(np.abs(weighted)))
-    return _Operands(rho_e, weighted, scale, _imaginary_bound(scale, n_e))
-
-
-def _bob_rows(scenario: CompositeScenario, kernel: TimeKernel, ops: _Operands):
+def _bob_rows(scenario: CompositeScenario, kernel: TimeKernel, frame: _Frame):
     """Per reading r', sum_r w_r P[r', r] (its probability in the averaged state)
     and sum_r w_r P[r', r] v_r, v_r = Tr[N rho_S(t_r)], with P[:, r] the clock's
-    distribution |ifft(exp(-i omega t_r))|^2 at t_r. rho_e is checked once: every
-    branch, and so every mixture, is then a state."""
+    distribution |ifft(exp(-i omega t_r))|^2 at t_r. The frame's state is checked:
+    every branch, and so every mixture, is then a state."""
     weights = pointer_weights(kernel, scenario.clock)
-    _check_hermitian(ops.rho, "kernel-averaged state")
-    _check_state(ops.rho)
     clock, spectrum = scenario.clock, scenario.system_hamiltonian.spectrum
     rows = np.zeros((2, clock.dim))
     for r in np.flatnonzero(weights):
         t = clock.pointer_times[r]
         with _at(f"readout t = {float(t)!r}"):
-            value = _expect(_phases(spectrum, t), ops.weighted, ops.bound)
+            value = _expect(_phases(spectrum, t), frame.weighted, frame.bound)
         shown = np.abs(np.fft.ifft(np.exp(-1j * t * clock.frequencies))) ** 2
         rows += np.outer([1.0, value], weights[r] * shown)
     return rows
 
 
-def _alice_value(scenario: CompositeScenario, ops: _Operands, step: int) -> float:
+def _alice_value(scenario: CompositeScenario, frame: _Frame, step: int) -> float:
     """The observable after ``step`` ticks, directly (p = exp(-i E t)) and by
     conditioning the composite on reading ``step``: phases exp(-i (E_i + omega_k)
     t) summed with F[step, k] F[0, k]* = exp(2 pi i step k / d) / d, rounded as
@@ -265,16 +244,16 @@ def _alice_value(scenario: CompositeScenario, ops: _Operands, step: int) -> floa
     row = np.exp(2j * np.pi * (step * k) / d) / np.sqrt(d) * (1 / np.sqrt(d))
     arguments = np.add.outer(system.spectrum, clock.frequencies) * t
     amplitude = np.exp(-1j * arguments) @ row
-    shown = float(np.sum(np.abs(amplitude) ** 2 * ops.rho.diagonal().real))
+    shown = float(np.sum(np.abs(amplitude) ** 2 * frame.state.matrix.diagonal().real))
     if not abs(shown - 1.0) <= _SHIFT_TOL:  # NaN fails too
         raise ConsistencyError(
             f"the clock shows reading {step} at t = {float(t)!r} with probability "
             f"{shown!r}, not 1 within {_SHIFT_TOL}"
         )
-    conditioned = _expect(amplitude, ops.weighted, ops.bound) / shown
-    direct = _expect(_phases(system.spectrum, t), ops.weighted, ops.bound)
+    conditioned = _expect(amplitude, frame.weighted, frame.bound) / shown
+    direct = _expect(_phases(system.spectrum, t), frame.weighted, frame.bound)
     theta = float(np.max(np.abs(arguments)))
-    tolerance = _roundoff(ops.scale, 8 * len(ops.rho) + 4 * d + 6 * theta)
+    tolerance = _roundoff(frame.scale, 8 * frame.state.dim + 4 * d + 6 * theta)
     if abs(direct - conditioned) > tolerance:
         raise ConsistencyError(
             f"direct ({direct!r}) and projectively conditioned "
@@ -297,12 +276,12 @@ def _condition(rows: np.ndarray, reading: int) -> float:
 def _read_clock(scenario: CompositeScenario, kernel, observable, steps) -> np.ndarray:
     """Alice's and Bob's values at each of ``steps``, as two rows, off one rotation
     of rho_S and N and Bob's two rows; an error names the readout it arose at."""
-    ops = _energy_operands(scenario, observable)
-    rows = _bob_rows(scenario, kernel, ops)
+    frame = _system_frame(scenario, observable)
+    rows = _bob_rows(scenario, kernel, frame)
     values = np.empty((2, len(steps)))
     for k, step in enumerate(steps):
         with _at(f"readout t = {float(scenario.clock.pointer_times[step])!r}"):
-            alice = _alice_value(scenario, ops, step)
+            alice = _alice_value(scenario, frame, step)
             values[:, k] = alice, _condition(rows, step)
     return values
 
@@ -331,7 +310,7 @@ def alice_conditional(
     cross-checked. ``t_a`` must be a pointer time within the first period.
     """
     step = scenario.clock.pointer_index(t_a)
-    return _alice_value(scenario, _energy_operands(scenario, observable), step)
+    return _alice_value(scenario, _system_frame(scenario, observable), step)
 
 
 def bob_conditional(
@@ -347,8 +326,8 @@ def bob_conditional(
     ``ZeroProbabilityError`` for readings the averaged state does not show.
     """
     reading = scenario.clock.pointer_index(t)
-    ops = _energy_operands(scenario, observable)
-    return _condition(_bob_rows(scenario, kernel, ops), reading)
+    rows = _bob_rows(scenario, kernel, _system_frame(scenario, observable))
+    return _condition(rows, reading)
 
 
 def unconditioned_expectation(
@@ -356,5 +335,5 @@ def unconditioned_expectation(
 ) -> float:
     """Tr[(N (x) I) rho_averaged] = sum_r w_r v_r: the watch-only answer, as
     each column of P sums to 1."""
-    rows = _bob_rows(scenario, kernel, _energy_operands(scenario, observable))
+    rows = _bob_rows(scenario, kernel, _system_frame(scenario, observable))
     return float(np.sum(rows[1]))

@@ -23,6 +23,7 @@ are untouched. ``coherence_report`` tabulates that suppression per gap.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import (
     QuantumStateError,
 )
 from .kernels import QuadratureRule, TimeKernel, _hermgauss, quadrature_for
-from .qmat import DensityMatrix, Hamiltonian, _check_hermitian
+from .qmat import DensityMatrix, Hamiltonian, _check_hermitian, _imaginary_bound
 
 __all__ = [
     "CoherenceReport",
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 _TRACE_DRIFT_BUDGET = 1e-8
+_Frame = namedtuple("_Frame", "state weighted scale bound")  # see _energy_frame
 DECOHERENCE_THRESHOLD = 1e-6  # default cutoff for "completely decohered"
 
 
@@ -71,11 +73,12 @@ class CoherenceReport:
     threshold: float
 
 
-def _check_dims(rho: DensityMatrix, hamiltonian: Hamiltonian) -> None:
-    if rho.dim != hamiltonian.dim:
-        raise DimensionMismatchError(
-            f"state dim {rho.dim} != Hamiltonian dim {hamiltonian.dim}"
-        )
+def _check_dims(hamiltonian: Hamiltonian, **operands) -> None:
+    for name, operand in operands.items():
+        if operand.dim != hamiltonian.dim:
+            raise DimensionMismatchError(
+                f"{name} dim {operand.dim} != Hamiltonian dim {hamiltonian.dim}"
+            )
 
 
 def _to_eigenbasis(matrix: np.ndarray, hamiltonian: Hamiltonian) -> np.ndarray:
@@ -88,26 +91,44 @@ def _from_eigenbasis(matrix: np.ndarray, hamiltonian: Hamiltonian) -> np.ndarray
     return basis @ matrix @ basis.conj().T
 
 
+def _run_starts(ascending: np.ndarray, top: float) -> np.ndarray:
+    """True where a run of equal values starts: at a step above 1e-12 top."""
+    return np.diff(ascending, prepend=-np.inf) > 1e-12 * top
+
+
 def _distinct_gap_mask(spectrum: np.ndarray) -> np.ndarray:
-    """True at (i, j) where E_i and E_j differ by more than roundoff.
-
-    Closer eigenvalues are degenerate: averaging cannot touch elements
-    inside a degenerate subspace.
-    """
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(spectrum), initial=0.0)))
-    return np.abs(spectrum[:, None] - spectrum[None, :]) > tol
+    """True at (i, j) where E_i, E_j lie in different levels: runs of the ascending
+    spectrum split at steps above 1e-12 max|E|. Averaging cannot touch the rest."""
+    level = np.cumsum(_run_starts(spectrum, np.max(np.abs(spectrum), initial=0.0)))
+    return level[:, None] != level[None, :]
 
 
-def _finish_state(raw: np.ndarray) -> DensityMatrix:
+def _distinct_gaps(spectrum: np.ndarray) -> np.ndarray:
+    """One value per run of the ascending between-level gaps |E_i - E_j|, by the
+    levels' rule: the run's first gap g, as round(g / 2^k, 12) 2^k with
+    2^k <= max|E| < 2^(k+1), so that a power-of-two rescaling scales it exactly."""
+    top = float(np.max(np.abs(spectrum), initial=0.0))
+    below = np.tril(_distinct_gap_mask(spectrum))  # E_i > E_j
+    g = np.sort(np.subtract.outer(spectrum, spectrum)[below])
+    unit = np.ldexp(1.0, np.frexp(top)[1] - 1)
+    return np.round(g[_run_starts(g, top)] / unit, 12) * unit
+
+
+def _max_offdiag(rho_e: np.ndarray, distinct: np.ndarray) -> float:
+    """Largest |rho_e| where ``distinct`` (a ``_distinct_gap_mask``) holds."""
+    return float(np.max(np.abs(rho_e), where=distinct, initial=0.0))
+
+
+def _finish_state(raw: np.ndarray, what: str = "engine output") -> DensityMatrix:
     """Validate engine output: check Hermiticity and trace drift, then remove roundoff.
 
     Renormalization is only allowed inside the drift budget; a larger
     deviation means the multiplier does not average to 1 on the populations
     (too few quadrature nodes, or a kernel whose envelope is not 1 at gap 0)
     and is reported as an error instead of being papered over. ``raw``, a
-    fresh temporary, is changed.
+    fresh temporary, is changed; ``what`` names it in a Hermiticity error.
     """
-    _check_hermitian(raw, "engine output")  # symmetrizing below would hide it
+    _check_hermitian(raw, what)  # symmetrizing below would hide it
     tr = complex(np.trace(raw)).real
     if abs(tr - 1.0) > _TRACE_DRIFT_BUDGET:
         raise QuadratureDriftError(
@@ -123,6 +144,20 @@ def _finish_state(raw: np.ndarray) -> DensityMatrix:
 def _phases(spectrum: np.ndarray, t) -> np.ndarray:
     # p = exp(-i E t); one leading axis per axis of t.
     return np.exp(-1j * np.multiply.outer(t, spectrum))
+
+
+def _energy_frame(state: DensityMatrix, hamiltonian: Hamiltonian, observable) -> _Frame:
+    """``state`` and ``observable`` N in H's eigenbasis, after both dimension checks:
+    rho_e = U^dag rho U, validated by ``_finish_state`` (``_schur_state`` needs it
+    symmetric), W = rho_e * N_e^T (Tr[N D rho_e D*] = p^T W p*, D = diag(p)),
+    sum |W_ij| and the bound on such a value's imaginary part."""
+    _check_dims(hamiltonian, state=state, observable=observable)
+    rho_e = _to_eigenbasis(state.matrix, hamiltonian)
+    rho_e = _finish_state(rho_e, "energy-basis state")
+    n_e = _to_eigenbasis(observable.matrix, hamiltonian)
+    weighted = rho_e.matrix * n_e.T
+    scale = float(np.sum(np.abs(weighted)))
+    return _Frame(rho_e, weighted, scale, _imaginary_bound(scale, n_e))
 
 
 def _unitary_multiplier(spectrum: np.ndarray, t) -> np.ndarray:
@@ -162,7 +197,7 @@ def _dephase(
     multiplier: np.ndarray,
 ) -> DensityMatrix:
     """The state rho0 with its energy-basis elements scaled by ``multiplier``."""
-    _check_dims(rho0, hamiltonian)
+    _check_dims(hamiltonian, state=rho0)
     rho_e = _to_eigenbasis(rho0.matrix, hamiltonian) * multiplier
     return _finish_state(_from_eigenbasis(rho_e, hamiltonian))
 
@@ -216,7 +251,7 @@ def evolve_pearle(
     times may be negative; they are evolved with the same group formula,
     no clamping. At t = 0 the state is returned unchanged.
     """
-    _check_dims(rho0, hamiltonian)
+    _check_dims(hamiltonian, state=rho0)
     nodes = _collapse_nodes(nodes)
     if not lam > 0:
         raise NonPositiveLambdaError(f"lam must be > 0, got {lam}")
@@ -241,13 +276,12 @@ def coherence_report(
     rotates phases in the energy basis), so the comparison needs no
     reference time.
     """
-    _check_dims(rho0, hamiltonian)
+    _check_dims(hamiltonian, state=rho0)
     spectrum = hamiltonian.spectrum
     rows, cols = np.triu_indices(hamiltonian.dim, 1)
     mag_exact = np.abs(_to_eigenbasis(rho0.matrix, hamiltonian))[rows, cols]
     mag_avg = mag_exact * np.abs(kernel._chi(spectrum[rows] - spectrum[cols]))
-    distinct = _distinct_gap_mask(spectrum)[rows, cols]
-    max_offdiag = float(np.max(mag_avg[distinct], initial=0.0))
+    max_offdiag = _max_offdiag(mag_avg, _distinct_gap_mask(spectrum)[rows, cols])
     return CoherenceReport(
         i=rows,
         j=cols,

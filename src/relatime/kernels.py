@@ -48,6 +48,7 @@ __all__ = [
 
 _WEIGHT_SUM_TOL = 1e-8
 _SINC_SERIES_CUTOFF = 1e-8  # below this |x|, sin(x)/x -> 1 - x^2/6
+_ENVELOPE_CELLS = 2**18  # gap x atom phases a TabulatedKernel forms at once
 
 
 @lru_cache(maxsize=32)
@@ -249,8 +250,14 @@ class TabulatedKernel(TimeKernel):
         self.t_b = float(self.weights @ self.times)
 
     def _envelope(self, omega):
-        phases = np.exp(-1j * np.multiply.outer(omega, self.times - self.t_b))
-        return phases @ self.weights
+        # one dot product over every atom per gap, over blocks of gaps: O(gaps) memory
+        gaps, offsets = np.ravel(omega), self.times - self.t_b
+        out = np.empty(gaps.shape, dtype=np.complex128)
+        step = max(1, _ENVELOPE_CELLS // offsets.size)
+        for k in range(0, gaps.size, step):
+            phases = np.exp(-1j * np.multiply.outer(gaps[k:k + step], offsets))
+            out[k:k + step] = phases @ self.weights
+        return out.reshape(np.shape(omega))
 
     def quadrature(self, node_count: int) -> QuadratureRule:
         # The table IS the rule; the requested node count is ignored.

@@ -71,9 +71,12 @@ from .evolution import (  # noqa: F401
     DECOHERENCE_THRESHOLD,
     _collapse_nodes,
     _distinct_gap_mask,
+    _distinct_gaps,
+    _energy_frame,
     _finish_state,
     _from_eigenbasis,
     _kernel_multiplier,
+    _max_offdiag,
     _pearle_multiplier,
     _phases,
     _to_eigenbasis,
@@ -782,19 +785,6 @@ def _base_metadata(scn: ScenarioFile, *, nodes=None, threshold=None) -> dict:
     return meta
 
 
-def _distinct_gaps(hamiltonian: Hamiltonian) -> np.ndarray:
-    energies = hamiltonian.spectrum
-    gaps = np.abs(energies[:, None] - energies[None, :])
-    g = np.sort(np.round(gaps[_distinct_gap_mask(energies)], 12))
-    return np.concatenate([g[:1], g[1:][g[1:] != g[:-1]]])  # np.unique loads numpy.ma
-
-
-def _max_offdiag(rho_e: np.ndarray, distinct: np.ndarray) -> float:
-    """Largest energy-basis magnitude where ``distinct`` (the spectrum's
-    ``_distinct_gap_mask``) holds: averaging cannot touch the rest."""
-    return float(np.max(np.abs(rho_e), where=distinct, initial=0.0))
-
-
 PEARLE_NODES = 64  # Gauss-Hermite nodes of the collapse comparison
 SWEEP_CELL_CAP = 2**24  # most cells, steps x (6 + gaps), a sweep table may have
 _CSV_CELLS = 2**16  # cells per ResultTable.write_csv write; a wider row goes alone
@@ -831,21 +821,18 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
     if scn.sweep.variable == "t_B" and scn.kernel_spec.kind == "tabulated":
         raise ScenarioValidationError(["a tabulated kernel cannot sweep t_B"])
 
-    hamiltonian = scn.system_hamiltonian
-    spectrum = hamiltonian.spectrum
-    gaps = _distinct_gaps(hamiltonian)
+    spectrum = scn.system_hamiltonian.spectrum
+    gaps = _distinct_gaps(spectrum)
     cells = scn.sweep.steps * (6 + len(gaps))
     if cells > SWEEP_CELL_CAP:
         raise ScenarioValidationError([
             f"sweep table of {cells} cells ({scn.sweep.steps} steps x (6 + "
             f"{len(gaps)} gaps)) exceeds the limit of {SWEEP_CELL_CAP}"
         ])
-    state_e = _finish_state(_to_eigenbasis(scn.initial_state.matrix, hamiltonian))
-    rho_s, purity_a = state_e.matrix, purity(state_e)
+    frame = _energy_frame(scn.initial_state, scn.system_hamiltonian, scn.observable)
     # Tr[N D X D*] = p^T (X * N^T) p*, X * N^T = alice_e * envelope, |envelope| <= 1
-    alice_e = rho_s * _to_eigenbasis(scn.observable.matrix, hamiltonian).T
-    scale = float(np.sum(np.abs(alice_e)))  # bounds both values' roundoff
-    bound = qmat._imaginary_bound(scale, scn.observable.matrix)
+    state_e, alice_e, bound = frame.state, frame.weighted, frame.bound
+    purity_a = purity(state_e)
     omega = spectrum[:, None] - spectrum[None, :]
     distinct = _distinct_gap_mask(spectrum)
 

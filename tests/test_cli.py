@@ -261,7 +261,7 @@ class TestRunners:
         def no_point(*args, **kwargs):
             raise AssertionError("a sweep point ran")
 
-        monkeypatch.setattr(scenario_module, "_finish_state", no_point)
+        monkeypatch.setattr(scenario_module, "_energy_frame", no_point)
         path = tmp_path / "wide.scn"
         path.write_text(wide_sweep())
         assert main(["sweep", str(path)]) == 2
@@ -448,6 +448,22 @@ def test_overflowing_hamiltonian_exits_2(tmp_path):
         "E_VALIDATION: 1 validation issue(s):\n"
         "  - system hamiltonian: spectrum is not finite: [0..inf]\n"
     )
+
+
+def test_eigensolver_failure_exits_2(tmp_path, monkeypatch):
+    def no_convergence(arr):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    path = tmp_path / "dense.scn"
+    path.write_text(MINIMAL.replace(
+        "  spectrum 0.0 1.0\n", "  hamiltonian {\n    row 0 0 1 0\n    row 1 0 0 0\n  }\n",
+    ))
+    assert _validate(path) == (2, (
+        "E_VALIDATION: 1 validation issue(s):\n"
+        "  - system hamiltonian: eigensolver did not converge: "
+        "Eigenvalues did not converge\n"
+    ))
 
 
 @pytest.mark.parametrize(

@@ -77,10 +77,16 @@ def no_kron(*args):
     raise AssertionError("np.kron called")
 
 
-def precession_scenario(omega=1.0, dim=8, tick=0.4):
-    """Qubit with gap omega, |+> start: <pauli_x>(t) = cos(omega t)."""
+def precession_scenario(omega=1.0, dim=8, tick=0.4, state=None):
+    """Qubit with gap omega, |+> start: <pauli_x>(t) = cos(omega t). A ``state``
+    matrix replaces |+> unvalidated, so that readout's own check meets it."""
     h_s = Hamiltonian(np.diag([0.0, omega]))
-    return CompositeScenario(h_s, plus_density(), ClockSystem(dim, tick))
+    rho_s = plus_density()
+    if state is not None:
+        rho_s = object.__new__(DensityMatrix)
+        object.__setattr__(rho_s, "dim", len(state))
+        object.__setattr__(rho_s, "matrix", state)
+    return CompositeScenario(h_s, rho_s, ClockSystem(dim, tick))
 
 
 class TestIdealClock:
@@ -307,37 +313,21 @@ class TestBobConditional:
         )
         assert np.max(np.abs(mixture.matrix - engine.matrix)) <= 1e-10
 
-    def test_invalid_averaged_state_rejected(self, monkeypatch):
-        # branches with trace 1 but a negative eigenvalue make a stack
-        # that is not a state; conditioning must not read it
-        scenario = precession_scenario()
+    def test_invalid_averaged_state_rejected(self):
+        # a system state with trace 1 but a negative eigenvalue makes branches
+        # that are not states; conditioning must not read them
+        scenario = precession_scenario(state=plus_density().matrix + np.diag([2.0, -2.0]))
         kernel = TabulatedKernel(scenario.clock.pointer_times, np.ones(8))
-        original = clockmodel._energy_operands
-        monkeypatch.setattr(
-            clockmodel,
-            "_energy_operands",
-            lambda scenario, n: original(scenario, n)._replace(
-                rho=original(scenario, n).rho + np.diag([2.0, -2.0])
-            ),
-        )
         with pytest.raises(NotPositiveError):
             bob_conditional(scenario, kernel, PAULI_X, 0.4)
 
-    def test_non_hermitian_averaged_state_rejected(self, monkeypatch):
-        # the stack is symmetrized before it is validated, so the defect
-        # must be read off the raw mixture
-        scenario = precession_scenario()
-        kernel = TabulatedKernel(scenario.clock.pointer_times, np.ones(8))
-        original = clockmodel._energy_operands
+    def test_non_hermitian_averaged_state_rejected(self):
+        # the energy-basis state is symmetrized before it is validated, so the
+        # defect must be read off it first
         skew = np.array([[0.0, 1e-4], [0.0, 0.0]])
-        monkeypatch.setattr(
-            clockmodel,
-            "_energy_operands",
-            lambda scenario, n: original(scenario, n)._replace(
-                rho=original(scenario, n).rho + skew
-            ),
-        )
-        with pytest.raises(NotHermitianError, match="kernel-averaged state"):
+        scenario = precession_scenario(state=plus_density().matrix + skew)
+        kernel = TabulatedKernel(scenario.clock.pointer_times, np.ones(8))
+        with pytest.raises(NotHermitianError, match="energy-basis state"):
             bob_conditional(scenario, kernel, PAULI_X, 0.4)
 
 
@@ -441,15 +431,15 @@ def pointer_table_readout(dim: int) -> str:
 
 @pytest.mark.parametrize("dim", [8, 32])
 def test_readout_changes_basis_twice_per_run(dim, monkeypatch):
-    # the state and the observable go into H_S's eigenbasis once per run,
-    # and every value is read there: nothing rotates back
+    # the state and the observable go into H_S's eigenbasis once per run, in
+    # evolution._energy_frame, and every value is read there: nothing rotates back
     calls = {"_to_eigenbasis": 0, "_from_eigenbasis": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(evolution, name)):
             calls[_name] += 1
             return _original(*args)
 
-        for module in (clockmodel, scenario_module):
+        for module in (clockmodel, scenario_module, evolution):
             if hasattr(module, name):  # patched only where it is imported
                 monkeypatch.setattr(module, name, counted)
     result = run_clock_recovery(parse_scenario(pointer_table_readout(dim)))

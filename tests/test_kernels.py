@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from relatime import (
     DeltaKernel,
+    DensityMatrix,
     EmptyTableError,
     GaussianKernel,
+    Hamiltonian,
     NonPositiveLambdaError,
     QuadratureRule,
     QuantumStateError,
@@ -13,10 +17,12 @@ from relatime import (
     ScenarioValidationError,
     TabulatedKernel,
     UniformKernel,
+    evolve_relational_dephasing,
     make_gaussian_kernel,
     parse_scenario,
     quadrature_for,
 )
+from relatime import kernels
 
 _TIMES = st.floats(-10.0, 10.0)
 _WIDTHS = st.floats(1e-3, 10.0)
@@ -288,6 +294,33 @@ class TestTabulated:
             table_kernel("zero 1")
         with pytest.raises(ScenarioValidationError, match="at least one row"):
             table_kernel("# only a comment")
+
+
+    @pytest.mark.parametrize("rows", [2, 3, 7, 12, 84, 10**6])
+    def test_envelope_in_blocks_equals_the_one_product(self, monkeypatch, rows):
+        # every gap is one dot product over all atoms, whatever its block
+        rng = np.random.default_rng(3)
+        kernel = TabulatedKernel(rng.uniform(0, 5, 16), rng.uniform(0.1, 1, 16))
+        omega = rng.uniform(-3, 3, (12, 7))  # 84 gaps
+        want = np.exp(-1j * np.multiply.outer(omega, kernel.times - kernel.t_b))
+        monkeypatch.setattr(kernels, "_ENVELOPE_CELLS", rows * 16)
+        got = kernel._envelope(omega)
+        assert got.shape == omega.shape
+        np.testing.assert_array_equal(got, want @ kernel.weights)
+
+    def test_envelope_memory_is_linear_in_the_gaps(self):
+        # d = 256 with 128 atoms: the whole gap x atom table was 257 MiB
+        d, rng = 256, np.random.default_rng(4)
+        rho = DensityMatrix(np.full((d, d), 1.0 / d))
+        h = Hamiltonian(np.diag(np.linspace(0.0, 3.0, d)))
+        kernel = TabulatedKernel(np.linspace(0, 5, 128), rng.uniform(0.1, 1, 128))
+        tracemalloc.start()
+        try:
+            evolve_relational_dephasing(rho, h, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 class TestEnvelope:

@@ -475,6 +475,20 @@ class TestSpectralDecompose:
                 ):
                     Hamiltonian(np.full((2, 2), entry))
 
+    def test_eigensolver_failure_is_refused(self, monkeypatch):
+        from relatime import EigensolverError
+
+        def no_convergence(arr):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(
+            EigensolverError,
+            match=r"^eigensolver did not converge: Eigenvalues did not converge$",
+        ) as caught:
+            Hamiltonian(np.eye(2))
+        assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
+
 
 class TestTensor:
     def test_identity_product(self):

@@ -40,7 +40,8 @@ from relatime import (
 )
 from relatime import qmat
 from relatime import scenario as scenario_module
-from relatime.scenario import _distinct_gaps, _gap_names
+from relatime.evolution import _distinct_gaps
+from relatime.scenario import _gap_names
 from conftest import SCENARIO_DIR, random_hermitian
 
 MINIMAL = """
@@ -571,7 +572,7 @@ class TestDecoherenceSweep:
         scn = parse_scenario(dense_scenario(rng, dim, kind, variable))
         h, rho0 = scn.system_hamiltonian, scn.initial_state
         table = run_decoherence_sweep(scn)
-        gaps = _distinct_gaps(h)
+        gaps = _distinct_gaps(h.spectrum)
         gap_columns = _gap_columns(table)
         gap_names = list(gap_columns)
         assert len(gap_names) == gaps.size
@@ -643,7 +644,9 @@ class TestDecoherenceSweep:
         monkeypatch.setattr(scenario_module, "Observable", lambda m: unchecked(matrix=m))
         scn = dataclasses.replace(
             parse_scenario(MINIMAL + SWEEP_BLOCK),
-            observable=unchecked(matrix=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)),
+            observable=unchecked(
+                dim=2, matrix=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+            ),
         )
         with pytest.raises(
             QuantumStateError,
@@ -780,7 +783,7 @@ class TestDecoherenceSweep:
         # alike to 6 digits; only those names widen, to the gap's repr
         levels = [b + k * 10.0**-e for b in bases for k, e in [(0, 0), *offsets]]
         spectrum = np.unique(levels)
-        gaps = _distinct_gaps(Hamiltonian(np.diag(spectrum)))
+        gaps = _distinct_gaps(Hamiltonian(np.diag(spectrum)).spectrum)
         names = _gap_names(gaps)
         assert len(set(names)) == len(names) == gaps.size
         short = [f"dephase_gap_{g:.6g}" for g in gaps.tolist()]
@@ -797,14 +800,14 @@ class TestDecoherenceSweep:
         ([0.0, 1.0, 2.0 + 1e-13], [1.0, 2.0]),
     ])
     def test_distinct_gaps_are_sorted_and_rounded_once_each(self, spectrum, gaps):
-        got = _distinct_gaps(Hamiltonian(np.diag(spectrum)))
+        got = _distinct_gaps(Hamiltonian(np.diag(spectrum)).spectrum)
         assert got.dtype == np.float64 and got.tolist() == gaps
 
     def test_oversized_table_refused_before_any_point(self, monkeypatch):
         def no_point(*args, **kwargs):
             raise AssertionError("a sweep point ran")
 
-        monkeypatch.setattr(scenario_module, "_finish_state", no_point)
+        monkeypatch.setattr(scenario_module, "_energy_frame", no_point)
         with pytest.raises(
             ScenarioValidationError,
             match=r"sweep table of 17970600 cells \(100 steps x \(6 \+ 179700 "
@@ -1051,6 +1054,71 @@ class TestResultTable:
         table = run_report(parse_scenario(MINIMAL))
         lines = [l for l in table.to_csv().splitlines() if not l.startswith("#")]
         assert lines[1].split(",")[0] == "0"
+
+
+LADDER = np.arange(8) / 3  # 7 gaps, each between several pairs of levels
+_UNITARY = np.linalg.qr(
+    np.random.default_rng(9).standard_normal((8, 16)).view(np.complex128)
+)[0]
+UNIT_SCALES = [2.0**-40, 1e-13, 1e-9, 1e-6, 1.0, 3e5, 1e6]
+# the eigensystem's absolute reconstruction budget still refuses a dense H near 1e6
+_SCALED_CASES = [(s, False) for s in UNIT_SCALES] + [
+    (s, True) for s in UNIT_SCALES if s <= 1e4
+]
+
+
+def unit_scaled(s: float, dense: bool) -> str:
+    """The 8-level ladder with energies in a unit 1/s of the usual: its spectrum
+    (a dense H = U diag(E) U^dag if ``dense``) times s, t_b, lambda, start and
+    stop over s."""
+    energies = s * LADDER
+    if dense:
+        h = (_UNITARY * energies) @ _UNITARY.conj().T
+        system = _matrix_block("hamiltonian", 0.5 * (h + h.conj().T))
+    else:
+        system = f"  spectrum {' '.join(map(repr, energies.tolist()))}\n"
+    return (
+        f"system {{\n  dimension 8\n{system}  state plus_state\n}}\n"
+        f"kernel {{\n  kind gaussian\n  lambda {0.1 / s!r}\n  t_b {2.0 / s!r}\n}}\n"
+        "observable {\n  preset number_op\n}\n"
+        f"sweep {{\n  variable t_B\n  start {0.1 / s!r}\n  stop {10.0 / s!r}\n"
+        "  steps 7\n}\n"
+    )
+
+
+@pytest.mark.parametrize("s, dense", _SCALED_CASES)
+def test_runners_do_not_depend_on_the_unit_of_energy(s, dense):
+    # with hbar = 1, rescaling energies by s and times by 1/s changes no
+    # dimensionless cell; energy columns scale by s, time columns by 1/s,
+    # and the sweep writes the same 7 gap columns, its gaps scaled by s
+    scaled = parse_scenario(unit_scaled(s, dense))
+    unit = parse_scenario(unit_scaled(1.0, dense))
+    powers = {"t_B": -1, "t": -1, "energy_i": 1, "energy_j": 1}
+    runners = (run_decoherence_sweep, run_report, run_pearle_compare)
+    tables = {runner: (runner(scaled), runner(unit)) for runner in runners}
+    for runner, (got, want) in tables.items():
+        assert list(got.columns) == list(want.columns)
+        for name, column in want.columns.items():
+            power, column = powers.get(name, 0), np.asarray(column, dtype=float)
+            scale = np.max(np.abs(column)) if power else 1.0
+            np.testing.assert_allclose(
+                np.asarray(got.columns[name]) / s**power, column,
+                rtol=1e-11, atol=1e-11 * scale, err_msg=f"{runner.__name__}: {name}",
+            )
+        assert got.footer.keys() == want.footer.keys()
+        if want.footer:
+            assert got.footer["complete_decoherence"] == "false"
+            assert float(got.footer["max_offdiag_B"]) == pytest.approx(
+                float(want.footer["max_offdiag_B"]), rel=1e-11
+            )
+    got, want = tables[run_decoherence_sweep]
+    (names, factors), = got.blocks.items()
+    (want_names, want_factors), = want.blocks.items()
+    gaps = [float(name.removeprefix("dephase_gap_")) for name in names]
+    want_gaps = [float(name.removeprefix("dephase_gap_")) for name in want_names]
+    np.testing.assert_allclose(want_gaps, LADDER[1:], rtol=1e-5)  # 6 digits
+    np.testing.assert_allclose(np.divide(gaps, s), want_gaps, rtol=1e-5)
+    np.testing.assert_allclose(factors, want_factors, rtol=1e-11, atol=1e-11)
 
 
 def wide_sweep() -> str:
