@@ -2,8 +2,8 @@
 
 Everything downstream works with three operator types built on numpy
 arrays: ``DensityMatrix`` (Hermitian, unit trace, positive semidefinite),
-``Hamiltonian`` (Hermitian with a cached spectral decomposition, energy
-units with hbar = 1) and ``Observable`` (Hermitian). Validation happens at
+``Hamiltonian`` (its spectrum and eigenbasis only, energy units with
+hbar = 1) and ``Observable`` (Hermitian). Validation happens at
 construction: no instance can exist that violates its invariants beyond
 the fixed tolerances ``HERMITICITY_TOL``, ``TRACE_TOL`` and ``PSD_TOL``.
 PSD is proved by a Cholesky factor; ``eigvalsh`` runs only to judge and
@@ -56,13 +56,15 @@ PSD_TOL = 1e-9
 # Largest composite dimension tensor() or a CompositeScenario may have.
 DIMENSION_CAP = 4096
 
-_EIGENBASIS_TOL = 1e-9  # unitarity and reconstruction budget
+# c of the eigensystem probe's budget c d u: valid H read up to 12.3 d u (d <= 6),
+# defects of 1e-9 in U or 1e-7 in an energy at least 7.4e3 d u (d <= 1024).
+_PROBE = 64
 _HERMITIAN_BAND = 128  # rows per slice of the Hermiticity defect
 
 
 def _as_matrix(m, finite: bool = True) -> np.ndarray:
     """Coerce input to a complex 2-d array, finite unless told otherwise."""
-    if isinstance(m, (DensityMatrix, Hamiltonian, Observable)):
+    if isinstance(m, (DensityMatrix, Observable)):
         return m.matrix
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
@@ -172,20 +174,20 @@ class DensityMatrix:
 
 
 class Hamiltonian:
-    """Hermitian operator with a cached spectral decomposition.
+    """Hermitian operator held as its spectral decomposition alone.
 
     ``spectrum`` holds the eigenvalues sorted ascending (degeneracies
     allowed) and ``eigenbasis`` the matching unitary whose columns are
-    eigenvectors, so ``eigenbasis @ diag(spectrum) @ eigenbasis^dag``
-    reconstructs ``matrix``. Within a degenerate subspace the basis choice
-    is arbitrary; downstream operations must not depend on it.
+    eigenvectors, so ``eigenbasis @ diag(spectrum) @ eigenbasis^dag`` is H.
+    Within a degenerate subspace the basis choice is arbitrary; downstream
+    operations must not depend on it.
     """
 
-    __slots__ = ("dim", "matrix", "spectrum", "eigenbasis")
+    __slots__ = ("dim", "spectrum", "eigenbasis")
 
     def __init__(self, matrix):
         arr = _as_matrix(matrix)
-        dim = _require_square(arr)
+        _require_square(arr)
         _check_hermitian(arr, "Hamiltonian")
         try:
             energies, basis = np.linalg.eigh(arr)
@@ -195,7 +197,7 @@ class Hamiltonian:
             raise EigensolverError(
                 f"spectrum is not finite: [{energies.min():g}..{energies.max():g}]"
             )
-        self._finish_init(dim, arr, energies, basis, matrix)
+        self._finish_init(energies, basis, matrix, arr)
 
     @classmethod
     def from_eigensystem(cls, eigenvalues, eigenbasis) -> "Hamiltonian":
@@ -214,36 +216,31 @@ class Hamiltonian:
             raise QuantumStateError("eigensystem has non-finite entries")
         if np.any(np.diff(energies) < 0):
             raise QuantumStateError("eigenvalues must be sorted ascending")
-        arr = (basis * energies) @ basis.conj().T
-        arr = 0.5 * (arr + arr.conj().T)  # exact symmetrization of roundoff
-        self = cls.__new__(cls)
-        self._finish_init(energies.size, arr, energies, basis, eigenbasis)
-        return self
+        return cls.__new__(cls)._finish_init(energies, basis, eigenbasis)
 
-    def _finish_init(self, dim, arr, energies, basis, given):
-        adjoint = basis.conj().T  # one copy serves both checks
-        defect = adjoint @ basis
-        defect[np.diag_indices(dim)] -= 1.0  # U^dag U - I, in place
-        unitarity = float(np.max(np.abs(defect), initial=0.0))
-        if not unitarity <= _EIGENBASIS_TOL:
+    def _finish_init(self, energies, basis, given, arr=None):
+        """Probe U U^dag = I, and U diag(E) U^dag = H if given as ``arr``, at one
+        fixed x, |x_k| = 1 (Freivalds, 1977): a max-norm residual above c d u,
+        times max|E| for H, or NaN raises. Then store E and U; return self."""
+        x = np.exp(1j * np.arange(energies.size))
+        y = basis.conj().T @ x
+        back = basis @ np.stack([y, energies * y], axis=1)  # U y, U (E * y)
+        budget = _PROBE * energies.size * 2.0**-53
+        unitarity = float(np.max(np.abs(back[:, 0] - x), initial=0.0))
+        if not unitarity <= budget:
             raise EigensolverError(
-                f"eigenbasis is not unitary: max |U^dag U - I| = {unitarity:.3e}"
+                f"eigenbasis is not unitary: max |U U^dag x - x| = {unitarity:.3e}"
             )
-        adjoint *= energies[:, None]  # diag(E) U^dag
-        np.matmul(basis, adjoint, out=defect)
-        defect -= arr  # U diag(E) U^dag - matrix, in the same buffer
-        recon = float(np.max(np.abs(defect), initial=0.0))
-        del adjoint, defect  # gone before matrix is copied below
-        if not recon <= _EIGENBASIS_TOL:
-            raise EigensolverError(
-                f"spectral reconstruction error {recon:.3e} exceeds budget"
-            )
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", _frozen(arr, given))
-        energies = np.array(energies, dtype=float, copy=True)
-        energies.setflags(write=False)
-        object.__setattr__(self, "spectrum", energies)
+        if arr is not None:
+            recon = float(np.max(np.abs(back[:, 1] - arr @ x), initial=0.0))
+            if not recon <= budget * float(np.max(np.abs(energies), initial=0.0)):
+                raise EigensolverError(
+                    f"spectral reconstruction error {recon:.3e} exceeds budget"
+                )
+        object.__setattr__(self, "dim", energies.size)
+        object.__setattr__(self, "spectrum", _frozen(np.array(energies, float), None))
         object.__setattr__(self, "eigenbasis", _frozen(basis, given))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Hamiltonian is immutable")

@@ -549,9 +549,7 @@ def _sha256():
 
 def _spectrum(values: np.ndarray, dim: int) -> np.ndarray:
     if len(values) != dim:
-        raise RelatimeError(
-            f"system spectrum has {len(values)} entries, expected {dim}"
-        )
+        raise RelatimeError(f"spectrum has {len(values)} entries, expected {dim}")
     return np.diag(values)
 
 
@@ -591,7 +589,7 @@ def _observable_from_preset(name: str, dim: int) -> np.ndarray:
 
 # name: (block, type, preset builder, issue prefix for a preset, for a matrix)
 _OPERATORS = {
-    "hamiltonian": ("system", Hamiltonian, _spectrum, "", "system hamiltonian: "),
+    "hamiltonian": ("system", Hamiltonian, _spectrum) + ("system hamiltonian: ",) * 2,
     "state": (
         "system", DensityMatrix, _state_from_preset,
         "system state preset: ", "system state: ",

@@ -32,6 +32,11 @@ def random_hamiltonian(rng, dim: int, scale: float = 1.0) -> Hamiltonian:
     return Hamiltonian(random_hermitian(rng, dim, scale))
 
 
+def dense(h: Hamiltonian) -> np.ndarray:
+    """The d x d matrix U diag(E) U^dag that a Hamiltonian's eigensystem holds."""
+    return (h.eigenbasis * h.spectrum) @ h.eigenbasis.conj().T
+
+
 def random_density(rng, dim: int) -> DensityMatrix:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T

@@ -38,6 +38,7 @@ from relatime import (
 )
 from conftest import (
     SCENARIO_DIR,
+    dense,
     plus_density,
     random_density,
     random_hamiltonian,
@@ -166,7 +167,7 @@ def test_criterion_6_subsystem_consistency():
         rho_s = random_density(rng, d_s)
         rho_c = random_density(rng, d_c)
         h_q = Hamiltonian(
-            tensor(h_s.matrix, np.eye(d_c)) + tensor(np.eye(d_s), h_c.matrix)
+            tensor(dense(h_s), np.eye(d_c)) + tensor(np.eye(d_s), dense(h_c))
         )
         rho_q = DensityMatrix(tensor(rho_s, rho_c))
         kernel = make_gaussian_kernel(

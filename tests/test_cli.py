@@ -1,5 +1,6 @@
 import inspect
 import io
+import re
 import subprocess
 import sys
 import warnings
@@ -450,20 +451,45 @@ def test_overflowing_hamiltonian_exits_2(tmp_path):
     )
 
 
+DENSE_MINIMAL = MINIMAL.replace(  # the same qubit, with H = pauli_x as a matrix block
+    "  spectrum 0.0 1.0\n", "  hamiltonian {\n    row 0 0 1 0\n    row 1 0 0 0\n  }\n",
+)
+
+
 def test_eigensolver_failure_exits_2(tmp_path, monkeypatch):
+    # a dense and a spectrum-declared H name the same field
     def no_convergence(arr):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    path = tmp_path / "h.scn"
+    for text in (DENSE_MINIMAL, MINIMAL):
+        path.write_text(text)
+        assert _validate(path) == (2, (
+            "E_VALIDATION: 1 validation issue(s):\n"
+            "  - system hamiltonian: eigensolver did not converge: "
+            "Eigenvalues did not converge\n"
+        ))
+
+
+def test_wrong_eigensystem_exits_2(tmp_path, monkeypatch):
+    # eigh returning its eigenvectors swapped: the probe refuses the result
+    eigh = np.linalg.eigh
+
+    def swapped(arr):
+        energies, basis = eigh(arr)
+        return energies, basis[:, ::-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", swapped)
     path = tmp_path / "dense.scn"
-    path.write_text(MINIMAL.replace(
-        "  spectrum 0.0 1.0\n", "  hamiltonian {\n    row 0 0 1 0\n    row 1 0 0 0\n  }\n",
-    ))
-    assert _validate(path) == (2, (
-        "E_VALIDATION: 1 validation issue(s):\n"
-        "  - system hamiltonian: eigensolver did not converge: "
-        "Eigenvalues did not converge\n"
-    ))
+    path.write_text(DENSE_MINIMAL)
+    code, err = _validate(path)
+    assert code == 2
+    header, bullet = err.splitlines()
+    assert header == "E_VALIDATION: 1 validation issue(s):"
+    assert re.fullmatch(
+        r"  - system hamiltonian: spectral reconstruction error \S+ exceeds budget", bullet
+    )
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,7 @@ from relatime import (
 from relatime import clockmodel, evolution, scenario as scenario_module
 from conftest import (
     SCENARIO_DIR,
+    dense,
     plus_density,
     random_density,
     random_hamiltonian,
@@ -92,21 +93,21 @@ def precession_scenario(omega=1.0, dim=8, tick=0.4, state=None):
 class TestIdealClock:
     def test_one_tick_swaps_two_pointer_states(self):
         clock = ClockSystem(2, 1.0)
-        step = expm_series(-1j * dense_clock(clock).matrix * 1.0)
+        step = expm_series(-1j * dense(dense_clock(clock)) * 1.0)
         assert abs(step[1, 0]) == pytest.approx(1.0, abs=1e-10)
         assert abs(step[0, 0]) <= 1e-10
 
     @pytest.mark.parametrize("dim,tick", [(2, 1.0), (5, 0.3), (8, 0.5)])
     def test_full_cycle_returns_to_start(self, dim, tick):
         clock = ClockSystem(dim, tick)
-        cycle = expm_series(-1j * dense_clock(clock).matrix * dim * tick)
+        cycle = expm_series(-1j * dense(dense_clock(clock)) * dim * tick)
         # frequencies are integer multiples of 2 pi / period, so the global
         # phase after one period is exactly 1
         assert np.max(np.abs(cycle - np.eye(dim))) <= 1e-8
 
     def test_shift_property_every_pointer_state(self):
         clock = ClockSystem(6, 0.7)
-        step = expm_series(-1j * dense_clock(clock).matrix * 0.7)
+        step = expm_series(-1j * dense(dense_clock(clock)) * 0.7)
         for m in range(6):
             ket = np.zeros(6)
             ket[m] = 1.0
@@ -340,8 +341,8 @@ def dense_readout(scenario, observable, weights):
     """
     d_s, d_c = scenario.dims
     eye_s, eye_c = np.eye(d_s), np.eye(d_c)
-    h = np.kron(scenario.system_hamiltonian.matrix, eye_c) + np.kron(
-        eye_s, dense_clock(scenario.clock).matrix
+    h = np.kron(dense(scenario.system_hamiltonian), eye_c) + np.kron(
+        eye_s, dense(dense_clock(scenario.clock))
     )
     energies, basis = np.linalg.eigh(h)
     rho0 = np.kron(scenario.system_state.matrix, scenario.clock.projector(0))

@@ -32,6 +32,7 @@ from relatime.evolution import (
     _unitary_multiplier,
 )
 from conftest import (
+    dense,
     plus_density,
     random_density,
     random_hamiltonian,
@@ -253,7 +254,7 @@ class TestRelationalDephasing:
         energies = [0.0, 1.0, 1.0]
         h_plain = Hamiltonian.from_eigensystem(energies, np.eye(3))
         h_rotated = Hamiltonian.from_eigensystem(energies, rot)
-        assert np.max(np.abs(h_plain.matrix - h_rotated.matrix)) <= 1e-12
+        assert np.max(np.abs(dense(h_plain) - dense(h_rotated))) <= 1e-12
         rho = random_density(rng, 3)
         kernel = make_gaussian_kernel(0.3, 1.5)
         out_plain = evolve_relational_dephasing(rho, h_plain, kernel)
@@ -321,7 +322,7 @@ class TestProductSystems:
         rho_s = plus_density()
         rho_c = plus_density()
         h_q = Hamiltonian(
-            tensor(h_s.matrix, np.eye(2)) + tensor(np.eye(2), h_c.matrix)
+            tensor(dense(h_s), np.eye(2)) + tensor(np.eye(2), dense(h_c))
         )
         rho_q = DensityMatrix(tensor(rho_s, rho_c))
         return h_s, h_c, h_q, rho_s, rho_c, rho_q
@@ -356,7 +357,7 @@ class TestProductSystems:
             rho_s = random_density(rng, d_s)
             rho_c = random_density(rng, d_c)
             h_q = Hamiltonian(
-                tensor(h_s.matrix, np.eye(d_c)) + tensor(np.eye(d_s), h_c.matrix)
+                tensor(dense(h_s), np.eye(d_c)) + tensor(np.eye(d_s), dense(h_c))
             )
             rho_q = DensityMatrix(tensor(rho_s, rho_c))
             kernel = make_gaussian_kernel(0.3, 1.2)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from relatime import (
 )
 from relatime import qmat
 from relatime.qmat import HERMITICITY_TOL, PSD_TOL, _check_state, _schur_state
-from conftest import plus_density, random_density, random_hermitian
+from conftest import dense, plus_density, random_density, random_hermitian
 
 
 class TestMakeDensity:
@@ -61,7 +62,7 @@ class TestMakeDensity:
                 _check_state(np.asarray(arr, dtype=complex))
 
     @pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
-    @pytest.mark.parametrize("make", [DensityMatrix, Hamiltonian, Observable])
+    @pytest.mark.parametrize("make", [DensityMatrix, Observable])
     def test_caller_array_stays_the_callers(self, make, view):
         # the operator keeps a copy of a complex128 array its caller still
         # holds, or of a subclass view, which np.asarray turns into a new view
@@ -488,6 +489,62 @@ class TestSpectralDecompose:
         ) as caught:
             Hamiltonian(np.eye(2))
         assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+    @pytest.mark.parametrize("defect, message", [
+        ("swap", "spectral reconstruction error"),
+        ("perturb", "eigenbasis is not unitary"),
+        ("energy", "spectral reconstruction error"),
+        ("nan", "eigenbasis is not unitary"),
+    ])
+    def test_probe_refuses_a_wrong_eigensystem_at_any_scale(
+        self, rng, monkeypatch, defect, message, scale
+    ):
+        from relatime import EigensolverError
+
+        corrupt_eigh(monkeypatch, defect)
+        with pytest.raises(EigensolverError, match=f"^{message}"):
+            Hamiltonian(scale * random_hermitian(rng, 16))
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-9, 1e-6, 1.0, 1e3, 1e6, 1e8])
+    @pytest.mark.parametrize("dim", [2, 16, 256])
+    def test_valid_hamiltonian_constructs_at_any_scale(self, rng, dim, scale):
+        m = scale * random_hermitian(rng, dim)
+        assert np.max(np.abs(dense(Hamiltonian(m)) - m)) <= 1e-12 * scale
+
+    def test_construction_holds_one_dense_array(self, rng):
+        # eigh's work copy and its basis at the peak; the basis alone after
+        d = 512
+        m = random_hermitian(rng, d)
+        tracemalloc.start()
+        try:
+            h = Hamiltonian(m)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert h.dim == d
+        assert peak <= 2.5 * 16 * d * d
+        assert held <= 1.1 * 16 * d * d
+
+
+def corrupt_eigh(monkeypatch, defect: str) -> None:
+    """Make np.linalg.eigh return a wrong eigensystem: the first and last
+    eigenvectors swapped, one entry of the first moved by 1e-9 or made NaN, or
+    the largest eigenvalue off by 1e-7 relative."""
+    eigh = np.linalg.eigh
+
+    def corrupted(arr):
+        energies, basis = eigh(arr)
+        if defect == "swap":
+            basis[:, [0, -1]] = basis[:, [-1, 0]]
+        elif defect in ("perturb", "nan"):
+            basis[0, 0] += 1e-9 if defect == "perturb" else np.nan
+        else:
+            k = int(np.argmax(np.abs(energies)))
+            energies[k] *= 1 + 1e-7
+        return energies, basis
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
 
 
 class TestTensor:

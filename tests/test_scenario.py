@@ -42,7 +42,7 @@ from relatime import qmat
 from relatime import scenario as scenario_module
 from relatime.evolution import _distinct_gaps
 from relatime.scenario import _gap_names
-from conftest import SCENARIO_DIR, random_hermitian
+from conftest import SCENARIO_DIR, dense, random_hermitian
 
 MINIMAL = """
 system {
@@ -199,7 +199,7 @@ class TestParsing:
         }
         """
         scn = parse_scenario(text)
-        assert scn.system_hamiltonian.matrix[0, 1] == pytest.approx(0.5 - 0.5j)
+        assert dense(scn.system_hamiltonian)[0, 1] == pytest.approx(0.5 - 0.5j)
         assert scn.initial_state.matrix[1, 1] == pytest.approx(1.0)
         assert scn.observable.matrix[1, 1] == pytest.approx(-1.0)
 
@@ -418,8 +418,9 @@ class TestEmission:
         np.testing.assert_array_equal(
             hamiltonian, [[0.0, 0.0, 0.25, -0.125], [0.25, 0.125, 1.0, 0.0]]
         )
-        np.testing.assert_array_equal(
-            scn.system_hamiltonian.matrix, [[0, 0.25 - 0.125j], [0.25 + 0.125j, 1]]
+        np.testing.assert_allclose(  # rebuilt from the eigensystem: to roundoff
+            dense(scn.system_hamiltonian), [[0, 0.25 - 0.125j], [0.25 + 0.125j, 1]],
+            rtol=0, atol=1e-15,
         )
         np.testing.assert_array_equal(scn.initial_state.matrix, np.full((2, 2), 0.5))
         np.testing.assert_array_equal(scn.observable.matrix, [[0, 1], [1, 0]])
@@ -1060,11 +1061,8 @@ LADDER = np.arange(8) / 3  # 7 gaps, each between several pairs of levels
 _UNITARY = np.linalg.qr(
     np.random.default_rng(9).standard_normal((8, 16)).view(np.complex128)
 )[0]
-UNIT_SCALES = [2.0**-40, 1e-13, 1e-9, 1e-6, 1.0, 3e5, 1e6]
-# the eigensystem's absolute reconstruction budget still refuses a dense H near 1e6
-_SCALED_CASES = [(s, False) for s in UNIT_SCALES] + [
-    (s, True) for s in UNIT_SCALES if s <= 1e4
-]
+UNIT_SCALES = [2.0**-40, 1e-13, 1e-9, 1e-6, 1.0, 3e5, 1e6, 1e8]
+_SCALED_CASES = [(s, dense) for dense in (False, True) for s in UNIT_SCALES]
 
 
 def unit_scaled(s: float, dense: bool) -> str:
@@ -1473,7 +1471,9 @@ PARSE_EXPECTED = {
             "system: give 'spectrum' or a 'hamiltonian' block, not both",
         ],
     ),
-    "spectrum_length": ("issues", ['system spectrum has 3 entries, expected 2']),
+    "spectrum_length": (
+        "issues", ['system hamiltonian: spectrum has 3 entries, expected 2'],
+    ),
     "hamiltonian_shape": (
         "issues",
         [
@@ -1630,7 +1630,7 @@ PARSE_EXPECTED = {
     "lambda_and_spectrum_together": (
         "issues",
         [
-            'system spectrum has 3 entries, expected 2',
+            'system hamiltonian: spectrum has 3 entries, expected 2',
             'kernel: lam must be > 0, got -1.0',
         ],
     ),
