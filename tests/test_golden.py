@@ -6,7 +6,10 @@ lines must match exactly and every numeric cell within ``ABS_TOL``. The
 leading ``#`` metadata block (version, digest, provenance) is not
 compared. ``dense_d8.scn`` has a dense Hamiltonian, state and observable,
 so a basis-change error shows in every column; ``dense_clock_d8.scn``
-reads the same system through an 8-state clock.
+reads the same system through an 8-state clock. ``dense_d8_uniform``,
+``dense_d8_lambda`` and ``dense_d8_t0`` sweep it through the other envelopes
+a sweep builds: a uniform watch over t_B, a gaussian one over lambda, and a
+gaussian one over t_B from 0.0, where the kernel is the delta kernel.
 
 Regenerate (only when a change is meant to move the numbers)::
 
@@ -30,6 +33,9 @@ CASES = [
     ("sweep", GOLDEN_DIR / "dense_d8.scn"),
     ("report", GOLDEN_DIR / "dense_d8.scn"),
     ("clock-recovery", GOLDEN_DIR / "dense_clock_d8.scn"),
+    ("sweep", GOLDEN_DIR / "dense_d8_uniform.scn"),
+    ("sweep", GOLDEN_DIR / "dense_d8_lambda.scn"),
+    ("sweep", GOLDEN_DIR / "dense_d8_t0.scn"),
 ]
 
 
