@@ -6,7 +6,7 @@ takes ``--seed``; ``pearle-compare`` also takes ``--nodes`` and ``report``
 ``--threshold``. Output goes to stdout unless ``--out`` names a file.
 Failures print a machine-parsable prefix (E_PARSE / E_VALIDATION /
 E_NUMERIC) on stderr and exit 2 for parse or validation problems, 3 for
-numerical ones.
+numerical ones, running out of memory included (``E_NUMERIC: out of memory``).
 """
 
 from __future__ import annotations
@@ -116,6 +116,8 @@ def main(argv=None) -> int:
         return _fail("E_PARSE", exc, EXIT_INVALID)
     except (RelatimeError, ValueError, OSError) as exc:  # a bad file too
         return _fail("E_VALIDATION", exc, EXIT_INVALID)
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too
+        return _fail("E_NUMERIC: out of memory", exc, EXIT_NUMERIC)
 
     if args.command == "validate":
         clock = "none"
@@ -137,6 +139,8 @@ def main(argv=None) -> int:
         return _fail("E_NUMERIC", exc, EXIT_NUMERIC)
     except (RelatimeError, ValueError) as exc:
         return _fail("E_VALIDATION", exc, EXIT_INVALID)
+    except MemoryError as exc:
+        return _fail("E_NUMERIC: out of memory", exc, EXIT_NUMERIC)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as out:

@@ -153,7 +153,6 @@ class CompositeScenario:
         h_c = np.fft.ifft(self.clock.frequencies)[(m[:, None] - m) % d_c]
         u = self.system_hamiltonian.eigenbasis
         h_s = (u * self.system_hamiltonian.spectrum) @ u.conj().T
-        h_s = 0.5 * (h_s + h_s.conj().T)  # exactly Hermitian at any scale of E
         return Hamiltonian(tensor(h_s, np.eye(d_c)) + tensor(np.eye(d_s), h_c))
 
     @property

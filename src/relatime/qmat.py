@@ -6,13 +6,13 @@ arrays: ``DensityMatrix`` (Hermitian, unit trace, positive semidefinite),
 hbar = 1) and ``Observable`` (Hermitian). Validation happens at
 construction: no instance can exist that violates its invariants beyond
 the fixed tolerances ``HERMITICITY_TOL``, ``TRACE_TOL`` and ``PSD_TOL``.
-PSD is proved by a Cholesky factor; ``eigvalsh`` runs only to judge and
-name a failure (``_check_state``): an eigenvalue test's verdict, to roundoff.
-A sweep point's X = rho * Phi (Phi real, exactly symmetric) is PSD when
-(rho + aI) * (Phi + bI) is (Schur product): lambda_min(X) >= -max_i(a Phi_ii +
-b rho_ii) - ab, a = m + g tr(rho + tau/2 I) for rho's bound -m, b = tau/4 + u +
-g tr(Phi + tau/4 I) if Phi + tau/4 I has a real factor; tau = PSD_TOL, u = 2^-53,
-g = gamma_{d+1} (Cholesky backward error, Higham ch. 10). Else X is factored.
+PSD is proved by a Cholesky factor, and ``eigvalsh`` judges and names what fails
+it (``_check_state``): an eigenvalue test's verdict, to roundoff. A sweep point's
+X = rho * Phi, Phi_ij = phi(|E_i - E_j|) for a watch error's characteristic function
+phi, is PSD by construction: Phi is (Bochner), so is (rho + mI) * Phi (Schur) for
+rho's bound -m, and Phi_ii = 1. A computed Phi' within eps of Phi, Phi'_ii = 1, adds
+max_i(rho_ii + m) d eps (Horn & Johnson, Topics, ch. 5); rounding X adds
+u (1 + eps) || |rho| || <= u (1 + eps)(tr rho + (d + 1) m), u = 2^-53.
 
 Tensor index convention, shared by every module: in a bipartite product
 the slow subsystem S is the LEFT (row-major outer) factor and the clock C
@@ -52,6 +52,7 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
+_ENVELOPE_EPS = 8 * 2.0**-53  # most |phi' - phi| of a sweep envelope, seen <= 2.11 u
 
 # Largest composite dimension tensor() or a CompositeScenario may have.
 DIMENSION_CAP = 4096
@@ -80,24 +81,15 @@ def _require_square(arr: np.ndarray) -> int:
     return arr.shape[0]
 
 
-def _check_hermitian(arr: np.ndarray, what: str) -> None:
+def _check_hermitian(arr: np.ndarray, what: str, relative: bool = False) -> None:
+    """Raise if max |arr - arr^H| > HERMITICITY_TOL, times max |arr| if ``relative``."""
     b = _HERMITIAN_BAND  # max |arr - arr^H|, NaN kept, over upper-triangle bands
     defect = float(np.max([np.max(np.abs(
         arr[r:r + b, r:] - arr[r:, r:r + b].T.conj()
     ), initial=0.0) for r in range(0, len(arr), b)], initial=0.0))
-    if defect > HERMITICITY_TOL:
+    scale = float(np.max(np.abs(arr), initial=0.0)) if relative else 1.0
+    if defect > HERMITICITY_TOL * scale:
         raise NotHermitianError(defect, what=what)
-
-
-def _factors(arr: np.ndarray, shift: float) -> bool:
-    """Whether arr + shift I has a Cholesky factor."""
-    shifted, diag = arr.copy(), np.arange(len(arr))
-    shifted[diag, diag] += shift
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _check_state(arr: np.ndarray, proved: float = np.inf) -> float:
@@ -112,8 +104,13 @@ def _check_state(arr: np.ndarray, proved: float = np.inf) -> float:
         raise TraceNotOneError(tr)
     if proved < PSD_TOL:
         return proved
-    if _factors(arr, 0.5 * PSD_TOL):
+    shifted, diag = arr.copy(), np.arange(len(arr))
+    shifted[diag, diag] += 0.5 * PSD_TOL
+    try:
+        np.linalg.cholesky(shifted)
         return 0.5 * PSD_TOL
+    except np.linalg.LinAlgError:
+        del shifted
     smallest = float(np.min(np.linalg.eigvalsh(arr)))
     if smallest < -PSD_TOL:
         raise NotPositiveError(smallest)
@@ -121,16 +118,18 @@ def _check_state(arr: np.ndarray, proved: float = np.inf) -> float:
 
 
 def _schur_state(state: DensityMatrix, phi: np.ndarray) -> np.ndarray:
-    """X = rho * phi, a state as the module docstring proves; rho exactly Hermitian."""
-    rho, bound = state.matrix, np.inf
-    if np.isrealobj(phi) and np.array_equal(phi, phi.T) and _factors(phi, PSD_TOL / 4):
-        d = len(phi)
-        g = _roundoff(1.0, d + 1)  # gamma_{d+1}
-        a = state._margin + g * (np.trace(rho).real + d * PSD_TOL / 2)
-        b = PSD_TOL / 4 + 2.0**-53 + g * (np.trace(phi) + d * PSD_TOL / 4)
-        bound = float(np.max(a * phi.diagonal() + b * rho.diagonal().real)) + a * b
+    """X = rho * phi, a state by the module docstring's bound (rho exactly Hermitian,
+    phi an envelope at |E_i - E_j|) unless phi fails phi_ii = 1, |phi_ij| <= 1 + eps."""
+    rho, d, eps, m = state.matrix, len(phi), _ENVELOPE_EPS, state._margin
+    at_zero = float(np.max(np.abs(phi.diagonal() - 1.0), initial=0.0))
+    top = float(np.max(np.abs(phi), initial=0.0))
+    if not (at_zero == 0.0 and top <= 1.0 + eps):  # NaN fails too
+        raise QuantumStateError(
+            f"envelope is not a characteristic function: max |phi(0) - 1| = "
+            f"{at_zero:.3e}, max |phi| = 1 + {top - 1:.3e}")
+    u, peak = 2.0**-53, float(np.max(rho.diagonal().real, initial=0.0)) + m
     x = rho * phi
-    _check_state(x, bound)
+    _check_state(x, m + peak * d * eps + u * (1 + eps) * (1 + TRACE_TOL + (d + 1) * m))
     return x
 
 
@@ -188,7 +187,7 @@ class Hamiltonian:
     def __init__(self, matrix):
         arr = _as_matrix(matrix)
         _require_square(arr)
-        _check_hermitian(arr, "Hamiltonian")
+        _check_hermitian(arr, "Hamiltonian", relative=True)
         try:
             energies, basis = np.linalg.eigh(arr)
         except np.linalg.LinAlgError as exc:
@@ -258,7 +257,7 @@ class Observable:
     def __init__(self, matrix):
         arr = _as_matrix(matrix)
         dim = _require_square(arr)
-        _check_hermitian(arr, "observable")
+        _check_hermitian(arr, "observable", relative=True)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", _frozen(arr, matrix))
 
@@ -323,10 +322,10 @@ def _roundoff(scale: float, n: float) -> float:
 def _imaginary_bound(scale: float, n: np.ndarray) -> float:
     """Most |Im Tr(N rho)| for a checked unit-trace rho and observable N, with
     W = rho * N^T in one d-dim basis and scale = sum |W_ij|: roundoff gamma_{4d}
-    scale, and the skew parts the checks admit (||K||_F <= d HERMITICITY_TOL / 2,
-    |Tr K_N rho| <= ||K_N||_F, |Tr N K_rho| <= ||N||_F ||K_rho||_F)."""
+    scale, and the skew parts the checks admit: |Tr K_N rho| + |Tr N K_rho| <= d
+    HERMITICITY_TOL / 2 (max|N| + ||N||_F) <= d HERMITICITY_TOL ||N||_F, any basis."""
     d = len(n)
-    skew = d * HERMITICITY_TOL / 2 * (1.0 + float(np.linalg.norm(n)))
+    skew = d * HERMITICITY_TOL * float(np.linalg.norm(n))
     return _roundoff(scale, 4 * d) + skew
 
 

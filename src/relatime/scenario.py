@@ -807,7 +807,7 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
 
     The state (validated there once: rho_s) and observable go to the energy basis.
     As chi = phase x envelope, Alice's state is D rho_s D* and Bob's D X D*, with
-    D = diag(exp(-i E t_B)) and X = rho_s * envelope(E_i - E_j). Each point checks
+    D = diag(exp(-i E t_B)) and X = rho_s * envelope(|E_i - E_j|). Each point checks
     every |D_ii| = 1, then validates X, which has Bob's spectrum, trace and purity.
     """
     if scn.sweep is None or scn.sweep.variable not in ("t_B", "lambda"):
@@ -831,7 +831,7 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
     # Tr[N D X D*] = p^T (X * N^T) p*, X * N^T = alice_e * envelope, |envelope| <= 1
     state_e, alice_e, bound = frame.state, frame.weighted, frame.bound
     purity_a = purity(state_e)
-    omega = spectrum[:, None] - spectrum[None, :]
+    omega = np.abs(spectrum[:, None] - spectrum[None, :])  # phi is even
     distinct = _distinct_gap_mask(spectrum)
 
     variable = scn.sweep.variable

@@ -8,13 +8,14 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from numpy._core._exceptions import _ArrayMemoryError
 from hypothesis import example, given, settings, strategies as st
 
-from relatime import scenario as scenario_module
+from relatime import GaussianKernel, scenario as scenario_module
 from relatime.cli import _RUNNERS, build_parser, main
 from conftest import SCENARIO_DIR, random_hermitian
 from test_clockmodel import scaled_clock_recovery
-from test_golden import CASES as GOLDEN_CASES
+from test_golden import CASES as GOLDEN_CASES, GOLDEN_DIR
 from test_scenario import MINIMAL, PARSE_CASES, PARSE_EXPECTED, SWEEP_BLOCK, wide_sweep
 
 QUBIT = SCENARIO_DIR / "qubit_decoherence.scn"
@@ -470,6 +471,37 @@ def test_eigensolver_failure_exits_2(tmp_path, monkeypatch):
             "  - system hamiltonian: eigensolver did not converge: "
             "Eigenvalues did not converge\n"
         ))
+
+
+def _sweep_dense_d8(tmp_path, capsys):
+    """Exit code and stderr of a dense sweep, and whether it left its --out file."""
+    out = tmp_path / "out.csv"
+    code = main(["sweep", str(GOLDEN_DIR / "dense_d8.scn"), "--out", str(out)])
+    return code, capsys.readouterr().err, out.exists()
+
+
+def test_out_of_memory_while_parsing_exits_3(tmp_path, monkeypatch, capsys):
+    # running out of memory is a numerical failure, and leaves no --out file
+    def exhausted(arr):
+        raise MemoryError("no room for the eigensystem")
+
+    monkeypatch.setattr(np.linalg, "eigh", exhausted)
+    assert _sweep_dense_d8(tmp_path, capsys) == (
+        3, "E_NUMERIC: out of memory: no room for the eigensystem\n", False
+    )
+
+
+def test_out_of_memory_while_running_exits_3(tmp_path, monkeypatch, capsys):
+    # numpy's own _ArrayMemoryError, raised inside the runner, likewise
+    error = _ArrayMemoryError((8, 8), np.dtype(np.float64))
+
+    def exhausted(self, omega):
+        raise error
+
+    monkeypatch.setattr(GaussianKernel, "_envelope", exhausted)
+    assert _sweep_dense_d8(tmp_path, capsys) == (
+        3, f"E_NUMERIC: out of memory: {error}\n", False
+    )
 
 
 def test_wrong_eigensystem_exits_2(tmp_path, monkeypatch):

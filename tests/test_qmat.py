@@ -20,7 +20,7 @@ from relatime import (
     purity,
     tensor,
 )
-from relatime import qmat
+from relatime import DeltaKernel, GaussianKernel, UniformKernel, qmat
 from relatime.qmat import HERMITICITY_TOL, PSD_TOL, _check_state, _schur_state
 from conftest import dense, plus_density, random_density, random_hermitian
 
@@ -262,18 +262,47 @@ def _unit_gram(rng, dim: int, rank: int) -> np.ndarray:
     return gram
 
 
-class TestSchurCertificate:
-    """A sweep point's X = rho * Phi is proved PSD by the Schur product theorem
-    from a real factor of Phi + PSD_TOL/4 I and rho's own bound; otherwise X is
-    factored (complex) and eigvalsh decides, so the verdict is eigvalsh's."""
+def _envelope(kind: str, spectrum: np.ndarray, r: float):
+    """A sweep's envelope Phi' = kernel._envelope(|E_i - E_j|), for a kernel of
+    width r / max|E|, with phi at the same gaps in long double."""
+    tau = r / float(np.max(np.abs(spectrum)))
+    kernel = {"delta": DeltaKernel(tau), "gaussian": GaussianKernel(tau, tau),
+              "uniform": UniformKernel(tau, tau)}[kind]
+    built = kernel._envelope(np.abs(spectrum[:, None] - spectrum[None, :]))
+    gaps = np.abs(np.subtract.outer(*[spectrum.astype(np.longdouble)] * 2))
+    if kind == "delta":
+        exact = np.ones_like(gaps)
+    elif kind == "gaussian":
+        exact = np.exp(-0.5 * np.longdouble(kernel.variance) * gaps**2)
+    else:
+        x = gaps * np.longdouble(kernel.half_width)
+        safe = np.where(x == 0, 1, x)
+        exact = np.where(x == 0, 1, np.sin(safe) / safe)
+    return built, exact
 
-    def test_forms_x_itself(self, rng, cholesky_dtypes):
+
+def _certified(patch) -> list:
+    """The bounds _schur_state hands to _check_state, from now on."""
+    bounds, original = [], qmat._check_state
+    patch.setattr(qmat, "_check_state",
+                  lambda arr, proved: bounds.append(proved) or original(arr, proved))
+    return bounds
+
+
+class TestSchurCertificate:
+    """A sweep point's X = rho * Phi is a state by construction: Phi is built
+    from |E_i - E_j| by a characteristic function, so X's bound is rho's margin
+    plus O(d eps) and roundoff, and no point factors. An envelope that fails the
+    necessary condition phi_ii = 1, |phi_ij| <= 1 + eps is refused."""
+
+    def test_forms_x_itself(self, rng, cholesky_dtypes, monkeypatch):
         state = random_density(rng, 5)
         phi = _unit_gram(rng, 5, 3)
         cholesky_dtypes.clear()
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # never called
         x = _schur_state(state, phi)
         assert np.array_equal(x, state.matrix * phi)
-        assert cholesky_dtypes == ["f"]  # Phi's factor only
+        assert cholesky_dtypes == []
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -281,19 +310,15 @@ class TestSchurCertificate:
         dim=st.integers(2, 8),
         factor=st.floats(-3.0, 3.0),
         rank=st.integers(1, 8),
-        indefinite=st.floats(0.0, 3e-8) | st.just(0.0),
     )
-    def test_verdict_agrees_with_eigvalsh(self, seed, dim, factor, rank, indefinite):
+    def test_verdict_agrees_with_eigvalsh(self, seed, dim, factor, rank):
         rng = np.random.default_rng(seed)
         rho = _state_with_smallest(rng, dim, factor * PSD_TOL)
         try:
             state = DensityMatrix(rho)
         except NotPositiveError:
             assume(False)  # the sweep stops at rho_s before any point
-        # (1 + e) G - e I keeps the unit diagonal; its lowest eigenvalue is -e
-        # when G is singular
-        gram = _unit_gram(rng, dim, min(rank, dim))
-        phi = (1.0 + indefinite) * gram - indefinite * np.eye(dim)
+        phi = _unit_gram(rng, dim, min(rank, dim))
         smallest = float(np.min(np.linalg.eigvalsh(rho * phi)))
         assume(abs(smallest + PSD_TOL) > 1e-12)
         if smallest < -PSD_TOL:
@@ -305,11 +330,11 @@ class TestSchurCertificate:
     def test_state_passed_only_by_eigvalsh_falls_back(
         self, rng, monkeypatch, cholesky_dtypes
     ):
-        # rho proved only lambda_min >= -0.9 PSD_TOL, so the bound does not
+        # rho proved only lambda_min >= -(1 - 1e-6) PSD_TOL, so the bound does not
         # close; X = rho is factored, fails, and eigvalsh passes it as it did rho
-        rho = _state_with_smallest(rng, 2, -0.9 * PSD_TOL)
+        rho = _state_with_smallest(rng, 2, -(1 - 1e-6) * PSD_TOL)
         state = DensityMatrix(rho)
-        assert state._margin == pytest.approx(0.9 * PSD_TOL, rel=1e-4)
+        assert state._margin == pytest.approx((1 - 1e-6) * PSD_TOL, rel=1e-9)
         cholesky_dtypes.clear()
         solved = []
         original = np.linalg.eigvalsh
@@ -318,55 +343,77 @@ class TestSchurCertificate:
         )
         x = _schur_state(state, np.ones((2, 2)))
         assert np.array_equal(x, rho)
-        assert cholesky_dtypes == ["f", "c"]
+        assert cholesky_dtypes == ["c"]
         assert len(solved) == 1 and solved[0] is x
 
-    def test_indefinite_envelope_falls_back(self, cholesky_dtypes):
-        # Phi has eigenvalue -1, but on a diagonal rho X = rho is a state
-        state = DensityMatrix(np.diag([0.3, 0.7]))
-        cholesky_dtypes.clear()
-        x = _schur_state(state, np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert np.array_equal(x, state.matrix)
-        assert cholesky_dtypes == ["f", "c"]
-
-    def test_not_exactly_symmetric_envelope_falls_back(self, cholesky_dtypes):
-        # a factor of Phi reads one triangle, so it proves nothing of the other
-        state = plus_density()
-        phi = np.ones((2, 2))
-        phi[0, 1] += 2.0**-52
-        cholesky_dtypes.clear()
-        _schur_state(state, phi)
-        assert cholesky_dtypes == ["c"]
-
-    def test_complex_envelope_falls_back(self, monkeypatch):
-        # a complex envelope is not factored for the proof: X is
-        state = plus_density()
-        factored = []
-        original = np.linalg.cholesky
-        monkeypatch.setattr(
-            np.linalg, "cholesky", lambda arr: factored.append(arr) or original(arr)
-        )
-        x = _schur_state(state, np.ones((2, 2), dtype=complex))
-        assert len(factored) == 1
-        assert np.array_equal(factored[0], x + 0.5 * PSD_TOL * np.eye(2))
-
-    def test_concentrated_state_falls_back_at_large_dim(self, cholesky_dtypes):
-        # the backward-error terms grow as d^2 u max rho_ii: at d = 1600 with
-        # rho_00 = 1 they push the bound past PSD_TOL, so X is factored
+    def test_concentrated_state_is_certified_at_large_dim(
+        self, cholesky_dtypes, monkeypatch
+    ):
+        # the bound grows as d eps max rho_ii: 1.4e-12 at d = 1600 with
+        # rho_00 = 1, far inside PSD_TOL, so X is not factored
         dim = 1600
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
         state = DensityMatrix(rho)
         cholesky_dtypes.clear()
+        certified = _certified(monkeypatch)
         _schur_state(state, np.eye(dim))
-        assert cholesky_dtypes == ["f", "c"]
+        assert cholesky_dtypes == []
+        assert certified == [pytest.approx(0.5 * PSD_TOL + dim * qmat._ENVELOPE_EPS)]
 
     def test_sign_flipped_envelope_refused(self):
-        # Phi = 2I - J is indefinite and X = rho * Phi is not a state
+        # exp(+v w^2 / 2) is not a characteristic function: |phi| > 1 off 0
         state = plus_density(3)
-        phi = 2.0 * np.eye(3) - np.ones((3, 3))
-        with pytest.raises(NotPositiveError):
+        gaps = np.abs(np.subtract.outer(*[np.array([0.0, 1.0, 2.5])] * 2))
+        with pytest.raises(QuantumStateError, match="^envelope is not a characteri"):
+            _schur_state(state, np.exp(0.5 * 0.01 * gaps**2))
+
+    @pytest.mark.parametrize("entry, value, refused", [
+        ((0, 1), 1.0 + 8 * 2.0**-53, False),
+        ((0, 1), 1.0 + 10 * 2.0**-53, True),
+        ((0, 1), -1.0 - 10 * 2.0**-53, True),
+        ((0, 1), np.nan, True),
+        ((1, 1), np.nan, True),
+        ((1, 1), 1.0 - 2.0**-53, True),
+        ((1, 1), 1.0 + 2.0**-52, True),
+    ], ids=["edge", "above", "below", "nan", "nan_at_zero", "under_one", "over_one"])
+    def test_necessary_condition(self, entry, value, refused):
+        # phi_ii = 1 exactly and |phi_ij| <= 1 + eps, eps = 8 u; NaN fails
+        phi = np.eye(3)
+        phi[entry] = phi[entry[::-1]] = value
+        state = DensityMatrix(np.diag([0.2, 0.3, 0.5]))
+        if refused:
+            with pytest.raises(QuantumStateError, match="^envelope is not a"):
+                _schur_state(state, phi)
+        else:
             _schur_state(state, phi)
+
+    @pytest.mark.parametrize("kind", ["delta", "gaussian", "uniform"])
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 64),
+        scale=st.floats(-40.0, np.log2(1e8)).map(lambda k: 2.0**k),
+        width=st.floats(-3.0, 3.0).map(lambda k: 10.0**k),
+        factor=st.floats(-1.0, 1.0),
+    )
+    def test_construction_bound(self, kind, seed, dim, scale, width, factor):
+        # Phi' is within eps of phi entry by entry (so within d eps of a PSD
+        # matrix), and lambda_min(X) >= -(the bound X is certified with)
+        rng = np.random.default_rng(seed)
+        spectrum = np.sort(rng.uniform(-1.0, 1.0, dim)) * scale
+        phi, exact = _envelope(kind, spectrum, width)
+        eps = qmat._ENVELOPE_EPS
+        assert float(np.max(np.abs(phi - exact))) <= eps
+        assert float(np.min(np.linalg.eigvalsh(phi))) >= -dim * eps
+        try:
+            state = DensityMatrix(_state_with_smallest(rng, dim, factor * PSD_TOL))
+        except NotPositiveError:
+            assume(False)
+        with pytest.MonkeyPatch.context() as patch:
+            bounds = _certified(patch)
+            x = _schur_state(state, phi)
+        assert float(np.min(np.linalg.eigvalsh(x))) >= -bounds[0]
 
 
 class TestHermitianDefect:
@@ -402,6 +449,21 @@ class TestHermitianDefect:
             with pytest.raises(NotHermitianError) as caught:
                 qmat._check_hermitian(a, "matrix")
         assert caught.value.violation == float(expected)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e7, 1e8])
+@pytest.mark.parametrize("make", [Hamiltonian, Observable])
+def test_operator_hermiticity_is_judged_at_its_scale(make, scale):
+    # an unsymmetrized (Q E) Q^dag has a roundoff skew of order u max|M|, which
+    # an absolute tolerance refused from s = 1e7; HERMITICITY_TOL max|M| admits
+    # it at every s and refuses a skew of 1e-6 max|M| at every s
+    rng = np.random.default_rng(16)
+    q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    m = (q * (scale * np.arange(16) / 16)) @ q.conj().T
+    make(m)
+    m[0, 1] += 1e-6 * np.max(np.abs(m))
+    with pytest.raises(NotHermitianError):
+        make(m)
 
 
 class TestSpectralDecompose:
@@ -676,14 +738,15 @@ class TestExpectation:
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8])
     def test_imaginary_part_is_judged_against_its_operands(self, scale, rng):
-        # roundoff scales with N; a skew part that Observable admits is
-        # allowed for; an unchecked non-Hermitian operand is refused
+        # roundoff scales with N; a skew part that Observable admits (relative
+        # to max|N|) is allowed for; an unchecked non-Hermitian operand is refused
         n = random_hermitian(rng, 64, scale=scale)
         rho = random_density(rng, 64)
         assert expectation(Observable(n), rho) == pytest.approx(
             float(np.sum(n * rho.matrix.T).real), rel=1e-12
         )
-        skewed = Observable(n + np.diag(np.full(64, 0.45j * HERMITICITY_TOL)))
+        skew = 0.45j * HERMITICITY_TOL * float(np.max(np.abs(n)))
+        skewed = Observable(n + np.diag(np.full(64, skew)))
         assert expectation(skewed, rho) == pytest.approx(
             float(np.sum(n * rho.matrix.T).real), rel=1e-9, abs=1e-9
         )

@@ -15,7 +15,6 @@ from relatime import (
     GaussianKernel,
     Hamiltonian,
     NotHermitianError,
-    NotPositiveError,
     QuantumStateError,
     RelatimeError,
     ResultTable,
@@ -23,7 +22,6 @@ from relatime import (
     ScenarioValidationError,
     TabulatedKernel,
     TimeKernel,
-    TraceNotOneError,
     UniformKernel,
     coherence_report,
     evolve_pearle,
@@ -43,6 +41,7 @@ from relatime import scenario as scenario_module
 from relatime.evolution import _distinct_gaps
 from relatime.scenario import _gap_names
 from conftest import SCENARIO_DIR, dense, random_hermitian
+from test_golden import GOLDEN_DIR
 
 MINIMAL = """
 system {
@@ -598,28 +597,43 @@ class TestDecoherenceSweep:
                 assert column[k] == pytest.approx(value, rel=0, abs=1e-12)
 
     def test_non_positive_multiplier_fails_at_its_point(self, monkeypatch):
-        # A kernel whose envelope flips the sign of every off-diagonal element
-        # is not positive definite; the energy-basis validation must catch the
-        # resulting state instead of emitting a row for it.
+        # The gaussian envelope with its exponent's sign flipped is no
+        # characteristic function and not positive semidefinite; its |phi| > 1
+        # off gap 0 fails the certificate's necessary condition at the point
+        # instead of a row being emitted for it.
         closed_form = GaussianKernel._envelope
-
-        def flipped(self, omega):
-            return np.where(omega == 0.0, 1.0, -1.0) * closed_form(self, omega)
-
-        monkeypatch.setattr(GaussianKernel, "_envelope", flipped)
+        monkeypatch.setattr(
+            GaussianKernel, "_envelope", lambda self, omega: 1.0 / closed_form(self, omega)
+        )
         text = (MINIMAL + SWEEP_BLOCK).replace("dimension 2", "dimension 3")
         text = text.replace("spectrum 0.0 1.0", "spectrum 0.0 1.0 2.5")
         text = text.replace("preset pauli_x", "preset number_op")
-        with pytest.raises(NotPositiveError, match=r"^at sweep point t_B = 0\.1: "):
+        with pytest.raises(QuantumStateError, match=(
+            r"^at sweep point t_B = 0\.1: envelope is not a characteristic function"
+        )):
             run_decoherence_sweep(parse_scenario(text))
 
+    def test_series_for_every_gap_fails_at_its_point(self, monkeypatch):
+        # the sinc's series 1 - x^2/6 taken at every x: at x = gap * half_width
+        # up to 6.4 it reaches -5.8, which the necessary condition refuses
+        monkeypatch.setattr(
+            UniformKernel, "_envelope",
+            lambda self, omega: 1.0 - (omega * self.half_width) ** 2 / 6.0,
+        )
+        scn = parse_scenario((GOLDEN_DIR / "dense_d8_uniform.scn").read_text())
+        with pytest.raises(QuantumStateError, match=(
+            r"^at sweep point t_B = 0\.1: envelope is not a characteristic function"
+        )):
+            run_decoherence_sweep(scn)
+
     def test_non_hermitian_multiplier_fails_at_its_point(self, monkeypatch):
-        # an envelope that is not even skews the upper triangle (E_i < E_j);
-        # Bob's state is validated as built, so the defect must show
+        # the envelope is built from |E_i - E_j|, so it is symmetric; one that is
+        # not real then makes X = rho_s * envelope non-Hermitian, and Bob's
+        # state is validated as built, so the defect must show
         original = GaussianKernel._envelope
 
         def skewed(self, omega):
-            return original(self, omega) + np.where(omega < 0.0, 1e-4, 0.0)
+            return original(self, omega) + np.where(omega > 0.0, 1e-4j, 0.0)
 
         monkeypatch.setattr(GaussianKernel, "_envelope", skewed)
         scn = parse_scenario((SCENARIO_DIR / "qubit_decoherence.scn").read_text())
@@ -627,14 +641,18 @@ class TestDecoherenceSweep:
             run_decoherence_sweep(scn)
 
     def test_envelope_off_one_at_zero_gap_fails_at_its_point(self, monkeypatch):
-        # phi(0) = 1 keeps Bob's trace at rho_s's; a scaled envelope is
-        # refused at its point, not renormalized away
+        # phi(0) = 1 keeps Bob's trace at rho_s's and is part of the
+        # certificate's necessary condition: a scaled envelope is refused at its
+        # point, not renormalized away
         original = GaussianKernel._envelope
         monkeypatch.setattr(
             GaussianKernel, "_envelope", lambda self, omega: 1.001 * original(self, omega)
         )
         scn = parse_scenario((SCENARIO_DIR / "qubit_decoherence.scn").read_text())
-        with pytest.raises(TraceNotOneError, match=r"^at sweep point t_B = 0\.1: "):
+        with pytest.raises(QuantumStateError, match=(
+            r"^at sweep point t_B = 0\.1: envelope is not a characteristic function: "
+            r"max \|phi\(0\) - 1\| = 1\.000e-03"
+        )):
             run_decoherence_sweep(scn)
 
     def test_expectation_guard_fires_at_its_point(self, monkeypatch):
@@ -743,9 +761,9 @@ class TestDecoherenceSweep:
     def test_factors_rho_s_once_and_one_real_envelope_per_point(
         self, monkeypatch, kind, variable
     ):
-        # Bob's state X = rho_s * envelope is proved a state by a real factor
-        # of the envelope; no point factors the complex X. t_B = 0 gives the
-        # delta kernel's all-ones envelope, singular without the shift.
+        # Bob's state X = rho_s * envelope is a state by construction: only
+        # rho_s is factored, and no point factors or eigensolves anything. t_B = 0
+        # gives the delta kernel's all-ones envelope.
         text = dense_scenario(np.random.default_rng(11), 64, kind, variable)
         scn = parse_scenario(text.replace("start 0.1", "start 0.0"))
         dtypes = []
@@ -754,12 +772,13 @@ class TestDecoherenceSweep:
             qmat.np.linalg, "cholesky",
             lambda arr, *args: dtypes.append(arr.dtype) or original(arr, *args),
         )
+        monkeypatch.setattr(qmat.np.linalg, "eigvalsh", None)  # never called
         run_decoherence_sweep(scn)
-        assert dtypes == [np.complex128] + [np.float64] * scn.sweep.steps
+        assert dtypes == [np.complex128]
 
     def test_rho_s_is_exactly_hermitian(self, monkeypatch):
-        # the envelope's factor proves X a state only if rho_s's factor, which
-        # read one triangle, proved all of rho_s
+        # the construction bound holds only if rho_s's factor, which read one
+        # triangle, proved all of rho_s
         states = []
         original = qmat._schur_state
         monkeypatch.setattr(
@@ -1072,7 +1091,7 @@ def unit_scaled(s: float, dense: bool) -> str:
     energies = s * LADDER
     if dense:
         h = (_UNITARY * energies) @ _UNITARY.conj().T
-        system = _matrix_block("hamiltonian", 0.5 * (h + h.conj().T))
+        system = _matrix_block("hamiltonian", h)
     else:
         system = f"  spectrum {' '.join(map(repr, energies.tolist()))}\n"
     return (
