@@ -119,14 +119,17 @@ def _check_state(arr: np.ndarray, proved: float = np.inf) -> float:
 
 def _schur_state(state: DensityMatrix, phi: np.ndarray) -> np.ndarray:
     """X = rho * phi, a state by the module docstring's bound (rho exactly Hermitian,
-    phi an envelope at |E_i - E_j|) unless phi fails phi_ii = 1, |phi_ij| <= 1 + eps."""
+    phi an envelope at |E_i - E_j|) unless phi fails phi_ii = 1, |phi_ij| <= 1 + eps or
+    1^T phi 1 >= -d^2 eps (Bochner) less the sum's roundoff gamma_{d^2+1} d^2 (1 + eps)."""
     rho, d, eps, m = state.matrix, len(phi), _ENVELOPE_EPS, state._margin
     at_zero = float(np.max(np.abs(phi.diagonal() - 1.0), initial=0.0))
     top = float(np.max(np.abs(phi), initial=0.0))
-    if not (at_zero == 0.0 and top <= 1.0 + eps):  # NaN fails too
+    mean = float(np.sum(phi).real) / (d * d)
+    if not (at_zero == 0.0 and top <= 1.0 + eps  # NaN fails too
+            and mean >= -eps - _roundoff(1.0 + eps, d * d + 1)):
         raise QuantumStateError(
             f"envelope is not a characteristic function: max |phi(0) - 1| = "
-            f"{at_zero:.3e}, max |phi| = 1 + {top - 1:.3e}")
+            f"{at_zero:.3e}, max |phi| = 1 + {top - 1:.3e}, mean phi = {mean:.3e}")
     u, peak = 2.0**-53, float(np.max(rho.diagonal().real, initial=0.0)) + m
     x = rho * phi
     _check_state(x, m + peak * d * eps + u * (1 + eps) * (1 + TRACE_TOL + (d + 1) * m))

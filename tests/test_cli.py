@@ -15,7 +15,7 @@ from relatime import GaussianKernel, scenario as scenario_module
 from relatime.cli import _RUNNERS, build_parser, main
 from conftest import SCENARIO_DIR, random_hermitian
 from test_clockmodel import scaled_clock_recovery
-from test_golden import CASES as GOLDEN_CASES, GOLDEN_DIR
+from test_golden import CASES as GOLDEN_CASES, GOLDEN_DIR, scenario_file
 from test_scenario import MINIMAL, PARSE_CASES, PARSE_EXPECTED, SWEEP_BLOCK, wide_sweep
 
 QUBIT = SCENARIO_DIR / "qubit_decoherence.scn"
@@ -344,7 +344,7 @@ STREAMED = [*GOLDEN_CASES, ("report", CLOCKED), ("sweep", None)]
 def test_streamed_csv_matches_the_whole_table(command, path, cells, tmp_path, monkeypatch):
     # 5 cells per write: every table goes out in many pieces, a sweep row at a time
     monkeypatch.setattr(scenario_module, "_CSV_CELLS", cells)
-    path = path or _alike_gaps(tmp_path)
+    path = scenario_file(path, tmp_path) if path else _alike_gaps(tmp_path)
     out = tmp_path / "out.csv"
     assert main([command, str(path), "--out", str(out)]) == 0
     scn = scenario_module.parse_scenario(path.read_text())

@@ -362,6 +362,14 @@ class TestSchurCertificate:
         assert certified == [pytest.approx(0.5 * PSD_TOL + dim * qmat._ENVELOPE_EPS)]
 
     def test_sign_flipped_envelope_refused(self):
+        # Phi = 2I - J keeps phi(0) = 1 and |phi| <= 1 but is indefinite, and
+        # X = rho * Phi is not a state: 1^T Phi 1 = -3 refuses it
+        state = plus_density(3)
+        phi = 2.0 * np.eye(3) - np.ones((3, 3))
+        with pytest.raises(QuantumStateError, match="^envelope is not a characteri"):
+            _schur_state(state, phi)
+
+    def test_growing_envelope_refused(self):
         # exp(+v w^2 / 2) is not a characteristic function: |phi| > 1 off 0
         state = plus_density(3)
         gaps = np.abs(np.subtract.outer(*[np.array([0.0, 1.0, 2.5])] * 2))
@@ -753,6 +761,32 @@ class TestExpectation:
         bound = qmat._imaginary_bound(scale, n)
         with pytest.raises(QuantumStateError, match="imaginary part"):
             qmat._real_expectation(complex(1.0, 1e-3 * scale + 1e-8), bound)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e8])
+    def test_largest_admitted_skews_are_allowed_for(self, scale):
+        # N and rho skewed to 0.9 of what their checks admit, aligned so that
+        # Im Tr(N rho) = 0.45 HERMITICITY_TOL s d (d + 1) = 9e-10 s: within the
+        # skew term d HERMITICITY_TOL ||N||_F = 1.6e-9 s at every s, above an
+        # absolute check's d HERMITICITY_TOL / 2 (1 + ||N||_F) at s = 1e8
+        d, tol = 4, HERMITICITY_TOL
+        signs = np.ones((d, d)) - np.eye(d) + np.diag((-1.0) ** np.arange(d))
+        n = Observable(scale * signs + 0.45j * tol * scale * np.ones((d, d)))
+        rho = DensityMatrix(np.ones((d, d)) / d + 0.45j * tol * signs)
+        assert abs(complex(np.sum(n.matrix * rho.matrix.T)).imag) == pytest.approx(
+            0.45 * tol * scale * d * (d + 1), rel=1e-6)
+        assert expectation(n, rho) == pytest.approx((d - 1) * scale, rel=1e-12)
+
+    def test_skew_beyond_the_admitted_is_refused_at_small_scale(self):
+        # an unchecked N skewed 8 d times past HERMITICITY_TOL max|N| / 2 gives
+        # Im Tr(N rho) = 2 d^2 HERMITICITY_TOL s, twice the skew term; an
+        # absolute check's bound, about d HERMITICITY_TOL / 2, would admit it
+        d, scale = 4, 1e-6
+        n = Observable.__new__(Observable)
+        object.__setattr__(n, "dim", d)
+        object.__setattr__(n, "matrix", scale * np.ones((d, d))
+                           + 2j * d * HERMITICITY_TOL * scale * np.ones((d, d)))
+        with pytest.raises(QuantumStateError, match="imaginary part"):
+            expectation(n, DensityMatrix(np.ones((d, d)) / d))
 
     @pytest.mark.parametrize("scale", [50.0, 1e8])
     def test_state_skew_is_allowed_for(self, scale):

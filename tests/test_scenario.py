@@ -41,7 +41,7 @@ from relatime import scenario as scenario_module
 from relatime.evolution import _distinct_gaps
 from relatime.scenario import _gap_names
 from conftest import SCENARIO_DIR, dense, random_hermitian
-from test_golden import GOLDEN_DIR
+from test_golden import variant_text
 
 MINIMAL = """
 system {
@@ -479,6 +479,13 @@ def _gap_columns(table) -> dict:
     return dict(zip(names, factors.T))
 
 
+def _three_levels() -> str:
+    """A t_B sweep of a plus state on levels 0, 1 and 2.5."""
+    text = (MINIMAL + SWEEP_BLOCK).replace("dimension 2", "dimension 3")
+    text = text.replace("spectrum 0.0 1.0", "spectrum 0.0 1.0 2.5")
+    return text.replace("preset pauli_x", "preset number_op")
+
+
 class TestDecoherenceSweep:
     def test_offdiagonal_column_matches_closed_form(self):
         table = run_decoherence_sweep(parse_scenario(MINIMAL + SWEEP_BLOCK))
@@ -597,21 +604,32 @@ class TestDecoherenceSweep:
                 assert column[k] == pytest.approx(value, rel=0, abs=1e-12)
 
     def test_non_positive_multiplier_fails_at_its_point(self, monkeypatch):
-        # The gaussian envelope with its exponent's sign flipped is no
-        # characteristic function and not positive semidefinite; its |phi| > 1
-        # off gap 0 fails the certificate's necessary condition at the point
-        # instead of a row being emitted for it.
+        # A kernel whose envelope flips the sign of every off-diagonal element
+        # keeps phi(0) = 1 and |phi| <= 1 but is not positive semidefinite: its
+        # sum is about 3 - 6 < 0, so the certificate's necessary condition
+        # refuses it at the point instead of a row being emitted for it.
+        closed_form = GaussianKernel._envelope
+
+        def flipped(self, omega):
+            return np.where(omega == 0.0, 1.0, -1.0) * closed_form(self, omega)
+
+        monkeypatch.setattr(GaussianKernel, "_envelope", flipped)
+        with pytest.raises(QuantumStateError, match=(
+            r"^at sweep point t_B = 0\.1: envelope is not a characteristic function"
+        )):
+            run_decoherence_sweep(parse_scenario(_three_levels()))
+
+    def test_exponent_sign_flipped_fails_at_its_point(self, monkeypatch):
+        # exp(+v w^2 / 2) grows past 1 off gap 0, which the necessary condition
+        # refuses
         closed_form = GaussianKernel._envelope
         monkeypatch.setattr(
             GaussianKernel, "_envelope", lambda self, omega: 1.0 / closed_form(self, omega)
         )
-        text = (MINIMAL + SWEEP_BLOCK).replace("dimension 2", "dimension 3")
-        text = text.replace("spectrum 0.0 1.0", "spectrum 0.0 1.0 2.5")
-        text = text.replace("preset pauli_x", "preset number_op")
         with pytest.raises(QuantumStateError, match=(
             r"^at sweep point t_B = 0\.1: envelope is not a characteristic function"
         )):
-            run_decoherence_sweep(parse_scenario(text))
+            run_decoherence_sweep(parse_scenario(_three_levels()))
 
     def test_series_for_every_gap_fails_at_its_point(self, monkeypatch):
         # the sinc's series 1 - x^2/6 taken at every x: at x = gap * half_width
@@ -620,7 +638,7 @@ class TestDecoherenceSweep:
             UniformKernel, "_envelope",
             lambda self, omega: 1.0 - (omega * self.half_width) ** 2 / 6.0,
         )
-        scn = parse_scenario((GOLDEN_DIR / "dense_d8_uniform.scn").read_text())
+        scn = parse_scenario(variant_text("dense_d8_uniform"))
         with pytest.raises(QuantumStateError, match=(
             r"^at sweep point t_B = 0\.1: envelope is not a characteristic function"
         )):
