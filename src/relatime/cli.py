@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(prefix: str, exc: Exception, code: int) -> int:
-    print(f"{prefix}: {exc}", file=sys.stderr)
+    print(f"{prefix}: {str(exc) or type(exc).__name__}", file=sys.stderr)
     return code
 
 

@@ -7,8 +7,8 @@ hbar = 1) and ``Observable`` (Hermitian). Validation happens at
 construction: no instance can exist that violates its invariants beyond
 the fixed tolerances ``HERMITICITY_TOL``, ``TRACE_TOL`` and ``PSD_TOL``.
 PSD is proved by a Cholesky factor, and ``eigvalsh`` judges and names what fails
-it (``_check_state``): an eigenvalue test's verdict, to roundoff. A sweep point's
-X = rho * Phi, Phi_ij = phi(|E_i - E_j|) for a watch error's characteristic function
+it (``_check_state``): an eigenvalue test's verdict, to roundoff. Bob's state at a
+point, X = rho * Phi, Phi_ij = phi(|E_i - E_j|) for his watch's characteristic function
 phi, is PSD by construction: Phi is (Bochner), so is (rho + mI) * Phi (Schur) for
 rho's bound -m, and Phi_ii = 1. A computed Phi' within eps of Phi, Phi'_ii = 1, adds
 max_i(rho_ii + m) d eps (Horn & Johnson, Topics, ch. 5); rounding X adds
@@ -92,18 +92,16 @@ def _check_hermitian(arr: np.ndarray, what: str, relative: bool = False) -> None
         raise NotHermitianError(defect, what=what)
 
 
-def _check_state(arr: np.ndarray, proved: float = np.inf) -> float:
+def _check_state(arr: np.ndarray) -> float:
     """Raise unless ``arr`` is a density matrix; return m <= PSD_TOL with
-    lambda_min >= -m proved: ``proved``, else PSD_TOL/2 by a factor of
-    arr + PSD_TOL/2 I, else |lambda_min| as eigvalsh decides."""
+    lambda_min >= -m proved: PSD_TOL/2 by a factor of arr + PSD_TOL/2 I,
+    else |lambda_min| as eigvalsh decides."""
     if not np.isfinite(arr).all():
         raise QuantumStateError("density matrix has non-finite entries")
     _check_hermitian(arr, "density matrix")
     tr = complex(np.trace(arr))
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOneError(tr)
-    if proved < PSD_TOL:
-        return proved
     shifted, diag = arr.copy(), np.arange(len(arr))
     shifted[diag, diag] += 0.5 * PSD_TOL
     try:
@@ -117,23 +115,27 @@ def _check_state(arr: np.ndarray, proved: float = np.inf) -> float:
     return abs(smallest)
 
 
-def _schur_state(state: DensityMatrix, phi: np.ndarray) -> np.ndarray:
-    """X = rho * phi, a state by the module docstring's bound (rho exactly Hermitian,
-    phi an envelope at |E_i - E_j|) unless phi fails phi_ii = 1, |phi_ij| <= 1 + eps or
-    1^T phi 1 >= -d^2 eps (Bochner) less the sum's roundoff gamma_{d^2+1} d^2 (1 + eps)."""
+def _schur_state(state: DensityMatrix, phi: np.ndarray) -> tuple[np.ndarray, float]:
+    """X = rho * phi and m with lambda_min(X) >= -m proved, for rho exactly Hermitian:
+    the module docstring's bound, or ``_check_state``'s if rho's margin leaves no room.
+    phi's premise: real, exactly symmetric, phi_ii = 1, |phi_ij| <= 1 + eps (so X is
+    finite, exactly Hermitian, of rho's exact trace) and 1^T phi 1 >= -d^2 eps (Bochner)
+    less its roundoff gamma_{d^2+1} d^2 (1 + eps); an envelope that fails it raises."""
     rho, d, eps, m = state.matrix, len(phi), _ENVELOPE_EPS, state._margin
     at_zero = float(np.max(np.abs(phi.diagonal() - 1.0), initial=0.0))
     top = float(np.max(np.abs(phi), initial=0.0))
     mean = float(np.sum(phi).real) / (d * d)
-    if not (at_zero == 0.0 and top <= 1.0 + eps  # NaN fails too
+    symmetric = np.isrealobj(phi) and np.array_equal(phi, phi.T)
+    if not (symmetric and at_zero == 0.0 and top <= 1.0 + eps  # NaN fails too
             and mean >= -eps - _roundoff(1.0 + eps, d * d + 1)):
         raise QuantumStateError(
             f"envelope is not a characteristic function: max |phi(0) - 1| = "
-            f"{at_zero:.3e}, max |phi| = 1 + {top - 1:.3e}, mean phi = {mean:.3e}")
+            f"{at_zero:.3e}, max |phi| = 1 + {top - 1:.3e}, mean phi = {mean:.3e}, "
+            f"real and symmetric: {symmetric}")
     u, peak = 2.0**-53, float(np.max(rho.diagonal().real, initial=0.0)) + m
     x = rho * phi
-    _check_state(x, m + peak * d * eps + u * (1 + eps) * (1 + TRACE_TOL + (d + 1) * m))
-    return x
+    bound = m + peak * d * eps + u * (1 + eps) * (1 + TRACE_TOL + (d + 1) * m)
+    return x, (bound if bound < PSD_TOL else _check_state(x))
 
 
 def _check_product_dim(d_a: int, d_b: int) -> None:

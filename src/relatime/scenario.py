@@ -75,7 +75,6 @@ from .evolution import (  # noqa: F401
     _energy_frame,
     _finish_state,
     _from_eigenbasis,
-    _kernel_multiplier,
     _max_offdiag,
     _pearle_multiplier,
     _phases,
@@ -847,7 +846,7 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
             if not off <= _PHASE_TOL:  # NaN fails too
                 raise QuantumStateError(f"phases off the unit circle by {off:.1e}")
             envelope = kernel._envelope(omega)
-            x = qmat._schur_state(state_e, envelope)  # Bob's state in D's frame
+            x, _ = qmat._schur_state(state_e, envelope)  # Bob's state in D's frame
             bob = float(np.vdot(x, x).real), _max_offdiag(x, distinct)
             del x  # read off and dropped before alice_e * envelope forms
             expect = [qmat._expect(p, w, bound) for w in (alice_e, alice_e * envelope)]
@@ -901,7 +900,9 @@ def run_pearle_compare(scn: ScenarioFile, *, nodes: int = PEARLE_NODES) -> Resul
 
     The two are the same integral in different variables, so the distance
     column is pure quadrature error; ``nodes`` is the collapse engine's
-    Gauss-Hermite node count. Both are validated in the energy basis.
+    Gauss-Hermite node count. In the energy basis, with rho_e validated once, the
+    relational state is the sweep's D X D* (X certified by construction, D = diag(p))
+    and the collapse state is validated at each point.
     """
     if scn.kernel_spec.kind != "gaussian":
         raise ScenarioValidationError(["pearle comparison needs a gaussian kernel"])
@@ -916,23 +917,22 @@ def run_pearle_compare(scn: ScenarioFile, *, nodes: int = PEARLE_NODES) -> Resul
     hamiltonian = scn.system_hamiltonian
     spectrum = hamiltonian.spectrum
     rho_e = _to_eigenbasis(scn.initial_state.matrix, hamiltonian)
-    lam = scn.kernel_spec.lam
+    state_e, lam = _finish_state(rho_e, "energy-basis state"), scn.kernel_spec.lam
+    omega = np.abs(spectrum[:, None] - spectrum[None, :])
     distinct = _distinct_gap_mask(spectrum)
     points = scn.sweep.values()
     rows = []
     for t in points.tolist():
         with _at(f"sweep point t = {t!r}"):
-            chi = _kernel_multiplier(spectrum, make_gaussian_kernel(lam, t))
-            relational = _finish_state(rho_e * chi)
+            p, kernel = _phases(spectrum, t), make_gaussian_kernel(lam, t)
+            x, _ = qmat._schur_state(state_e, kernel._envelope(omega))
+            relational = p[:, None] * x * p.conj()  # D X D*
             collapsed = relational if t == 0 else _finish_state(  # t = 0: both rho0
-                rho_e * _pearle_multiplier(spectrum, lam, t, nodes)
-            )
-        difference = _from_eigenbasis(collapsed.matrix - relational.matrix, hamiltonian)
-        rows.append((
-            float(np.max(np.abs(difference))),
-            _max_offdiag(collapsed.matrix, distinct),
-            _max_offdiag(relational.matrix, distinct),
-        ))
+                state_e.matrix * _pearle_multiplier(spectrum, lam, t, nodes)
+            ).matrix
+        difference = _from_eigenbasis(collapsed - relational, hamiltonian)
+        rows.append((float(np.max(np.abs(difference))),
+                     *(_max_offdiag(m, distinct) for m in (collapsed, relational))))
 
     names = ("t", "maxnorm_distance", "offdiag_pearle", "offdiag_relational")
     columns = dict(zip(names, (points, *np.transpose(rows))))

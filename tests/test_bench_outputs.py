@@ -15,8 +15,9 @@ import pytest
 from relatime.cli import main
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-CASES = [(name, seed) for name in ("sweep-tiny", "clock-tiny") for seed in range(1, 11)]
-CASES += [("sweep-d256", seed) for seed in (1, 2, 3)]
+CASES = [(name, seed) for name in ("sweep-tiny", "clock-tiny", "pearle-tiny")
+         for seed in range(1, 11)]
+CASES += [(name, seed) for name in ("sweep-d256", "pearle-d128") for seed in (1, 2, 3)]
 
 
 @pytest.fixture(scope="module")

@@ -491,6 +491,17 @@ def test_out_of_memory_while_parsing_exits_3(tmp_path, monkeypatch, capsys):
     )
 
 
+def test_out_of_memory_without_a_message_is_named(tmp_path, monkeypatch, capsys):
+    # numpy can raise a bare MemoryError(); the line still says what ran out
+    def exhausted(arr):
+        raise MemoryError()
+
+    monkeypatch.setattr(np.linalg, "eigh", exhausted)
+    assert _sweep_dense_d8(tmp_path, capsys) == (
+        3, "E_NUMERIC: out of memory: MemoryError\n", False
+    )
+
+
 def test_out_of_memory_while_running_exits_3(tmp_path, monkeypatch, capsys):
     # numpy's own _ArrayMemoryError, raised inside the runner, likewise
     error = _ArrayMemoryError((8, 8), np.dtype(np.float64))

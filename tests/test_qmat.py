@@ -281,26 +281,20 @@ def _envelope(kind: str, spectrum: np.ndarray, r: float):
     return built, exact
 
 
-def _certified(patch) -> list:
-    """The bounds _schur_state hands to _check_state, from now on."""
-    bounds, original = [], qmat._check_state
-    patch.setattr(qmat, "_check_state",
-                  lambda arr, proved: bounds.append(proved) or original(arr, proved))
-    return bounds
-
-
 class TestSchurCertificate:
     """A sweep point's X = rho * Phi is a state by construction: Phi is built
     from |E_i - E_j| by a characteristic function, so X's bound is rho's margin
-    plus O(d eps) and roundoff, and no point factors. An envelope that fails the
-    necessary condition phi_ii = 1, |phi_ij| <= 1 + eps is refused."""
+    plus O(d eps) and roundoff, and no point factors or walks X. An envelope that
+    fails the premise (real, exactly symmetric, phi_ii = 1, |phi_ij| <= 1 + eps,
+    1^T phi 1 >= -d^2 eps) is refused."""
 
     def test_forms_x_itself(self, rng, cholesky_dtypes, monkeypatch):
         state = random_density(rng, 5)
         phi = _unit_gram(rng, 5, 3)
         cholesky_dtypes.clear()
         monkeypatch.setattr(np.linalg, "eigvalsh", None)  # never called
-        x = _schur_state(state, phi)
+        monkeypatch.setattr(qmat, "_check_state", None)  # nor is X walked
+        x, _ = _schur_state(state, phi)
         assert np.array_equal(x, state.matrix * phi)
         assert cholesky_dtypes == []
 
@@ -341,10 +335,11 @@ class TestSchurCertificate:
         monkeypatch.setattr(
             np.linalg, "eigvalsh", lambda arr: solved.append(arr) or original(arr)
         )
-        x = _schur_state(state, np.ones((2, 2)))
+        x, margin = _schur_state(state, np.ones((2, 2)))
         assert np.array_equal(x, rho)
         assert cholesky_dtypes == ["c"]
         assert len(solved) == 1 and solved[0] is x
+        assert margin == pytest.approx(state._margin, rel=1e-6)
 
     def test_concentrated_state_is_certified_at_large_dim(
         self, cholesky_dtypes, monkeypatch
@@ -356,10 +351,9 @@ class TestSchurCertificate:
         rho[0, 0] = 1.0
         state = DensityMatrix(rho)
         cholesky_dtypes.clear()
-        certified = _certified(monkeypatch)
-        _schur_state(state, np.eye(dim))
+        _, bound = _schur_state(state, np.eye(dim))
         assert cholesky_dtypes == []
-        assert certified == [pytest.approx(0.5 * PSD_TOL + dim * qmat._ENVELOPE_EPS)]
+        assert bound == pytest.approx(0.5 * PSD_TOL + dim * qmat._ENVELOPE_EPS)
 
     def test_sign_flipped_envelope_refused(self):
         # Phi = 2I - J keeps phi(0) = 1 and |phi| <= 1 but is indefinite, and
@@ -407,7 +401,9 @@ class TestSchurCertificate:
     )
     def test_construction_bound(self, kind, seed, dim, scale, width, factor):
         # Phi' is within eps of phi entry by entry (so within d eps of a PSD
-        # matrix), and lambda_min(X) >= -(the bound X is certified with)
+        # matrix), and lambda_min(X) >= -(the bound X is certified with). The
+        # premise alone makes X finite, exactly Hermitian and of rho's trace to
+        # the bit, which is why no point walks X for them.
         rng = np.random.default_rng(seed)
         spectrum = np.sort(rng.uniform(-1.0, 1.0, dim)) * scale
         phi, exact = _envelope(kind, spectrum, width)
@@ -418,10 +414,10 @@ class TestSchurCertificate:
             state = DensityMatrix(_state_with_smallest(rng, dim, factor * PSD_TOL))
         except NotPositiveError:
             assume(False)
-        with pytest.MonkeyPatch.context() as patch:
-            bounds = _certified(patch)
-            x = _schur_state(state, phi)
-        assert float(np.min(np.linalg.eigvalsh(x))) >= -bounds[0]
+        x, bound = _schur_state(state, phi)
+        assert float(np.min(np.linalg.eigvalsh(x))) >= -bound
+        assert np.isfinite(x).all() and np.array_equal(x, x.conj().T)
+        assert np.trace(x) == np.trace(state.matrix)
 
 
 class TestHermitianDefect:

@@ -14,7 +14,6 @@ from relatime import (
     DeltaKernel,
     GaussianKernel,
     Hamiltonian,
-    NotHermitianError,
     QuantumStateError,
     RelatimeError,
     ResultTable,
@@ -646,8 +645,8 @@ class TestDecoherenceSweep:
 
     def test_non_hermitian_multiplier_fails_at_its_point(self, monkeypatch):
         # the envelope is built from |E_i - E_j|, so it is symmetric; one that is
-        # not real then makes X = rho_s * envelope non-Hermitian, and Bob's
-        # state is validated as built, so the defect must show
+        # not real would make X = rho_s * envelope non-Hermitian, and X is not
+        # walked, so the certificate's premise (phi real) must refuse it
         original = GaussianKernel._envelope
 
         def skewed(self, omega):
@@ -655,7 +654,33 @@ class TestDecoherenceSweep:
 
         monkeypatch.setattr(GaussianKernel, "_envelope", skewed)
         scn = parse_scenario((SCENARIO_DIR / "qubit_decoherence.scn").read_text())
-        with pytest.raises(NotHermitianError, match=r"^at sweep point t_B = 0\.1: "):
+        with pytest.raises(QuantumStateError, match=(
+            r"^at sweep point t_B = 0\.1: envelope is not a characteristic function: "
+            r".*, real and symmetric: False$"
+        )):
+            run_decoherence_sweep(scn)
+
+    @pytest.mark.parametrize("state", ["maximally_mixed", "plus_state"])
+    def test_asymmetric_envelope_fails_at_its_point(self, monkeypatch, state):
+        # phi less 1e-3 above the diagonal keeps phi(0) = 1, |phi| <= 1 and a
+        # positive sum, but no characteristic function gives it: phi is not
+        # symmetric. A diagonal state hides that from X = rho_s * phi, so only
+        # the premise can see it, for the maximally mixed state as for plus.
+        closed_form = GaussianKernel._envelope
+
+        def skewed(self, omega):
+            upper = np.triu(np.ones_like(omega), 1) if omega.ndim == 2 else 0.0
+            return closed_form(self, omega) - 1e-3 * upper
+
+        monkeypatch.setattr(GaussianKernel, "_envelope", skewed)
+        text = (MINIMAL + SWEEP_BLOCK).replace("dimension 2", "dimension 8")
+        text = text.replace("spectrum 0.0 1.0", "spectrum 0 0.7 1.3 2 2.6 3.1 3.9 4.4")
+        text = text.replace("preset pauli_x", "preset number_op").replace("steps 12", "steps 3")
+        scn = parse_scenario(text.replace("state plus_state", f"state {state}"))
+        with pytest.raises(QuantumStateError, match=(
+            r"^at sweep point t_B = 0\.1: envelope is not a characteristic function: "
+            r".*, real and symmetric: False$"
+        )):
             run_decoherence_sweep(scn)
 
     def test_envelope_off_one_at_zero_gap_fails_at_its_point(self, monkeypatch):
@@ -759,18 +784,21 @@ class TestDecoherenceSweep:
             run_decoherence_sweep(scn)
 
     def test_validates_the_initial_state_once_and_bob_per_point(self, monkeypatch):
-        # Alice's states are certified by their phases, not validated: a
-        # sweep of n points checks 1 + n states, not 1 + 2n
-        checked = []
-        original = qmat._check_state
+        # Alice's states are certified by their phases and Bob's by construction,
+        # not validated: a sweep of n points checks 1 state and certifies n
+        checked, certified = [], []
+        check, certify = qmat._check_state, qmat._schur_state
         monkeypatch.setattr(
-            qmat, "_check_state",
-            lambda arr, *args: checked.append(arr.shape) or original(arr, *args),
+            qmat, "_check_state", lambda arr: checked.append(arr.shape) or check(arr)
+        )
+        monkeypatch.setattr(
+            qmat, "_schur_state",
+            lambda state, phi: certified.append(phi.shape) or certify(state, phi),
         )
         scn = parse_scenario((SCENARIO_DIR / "qubit_decoherence.scn").read_text())
         checked.clear()
         run_decoherence_sweep(scn)
-        assert len(checked) == 1 + scn.sweep.steps == 26
+        assert len(checked) == 1 and len(certified) == scn.sweep.steps == 25
 
     @pytest.mark.parametrize(
         "kind, variable",
@@ -796,18 +824,20 @@ class TestDecoherenceSweep:
 
     def test_rho_s_is_exactly_hermitian(self, monkeypatch):
         # the construction bound holds only if rho_s's factor, which read one
-        # triangle, proved all of rho_s
+        # triangle, proved all of rho_s; pearle-compare's rho_e likewise
         states = []
         original = qmat._schur_state
         monkeypatch.setattr(
             qmat, "_schur_state",
             lambda state, phi: states.append(state) or original(state, phi),
         )
-        rng = np.random.default_rng(12)
-        run_decoherence_sweep(parse_scenario(dense_scenario(rng, 16, "gaussian", "t_B")))
-        rho_s = states[0].matrix
-        assert all(state is states[0] for state in states)
-        assert np.array_equal(rho_s, rho_s.conj().T)
+        scn = parse_scenario(dense_scenario(np.random.default_rng(12), 16, "gaussian", "t_B"))
+        for runner in (run_decoherence_sweep, run_pearle_compare):
+            states.clear()
+            runner(scn)
+            rho_s = states[0].matrix
+            assert len(states) == 4 and all(state is states[0] for state in states)
+            assert np.array_equal(rho_s, rho_s.conj().T)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -972,6 +1002,34 @@ class TestPearleCompare:
             }
             for name, value in expected.items():
                 assert table.columns[name][k] == pytest.approx(value, rel=0, abs=1e-12)
+
+    def test_factors_rho_e_once_and_each_collapse_state(self, monkeypatch):
+        # the relational state is the sweep's X = rho_e * envelope, certified by
+        # construction: only rho_e (once) and the collapse state at each t > 0
+        # are factored, and nothing is eigensolved
+        text = dense_scenario(np.random.default_rng(11), 64, "gaussian", "t_B")
+        scn = parse_scenario(text.replace("start 0.1", "start 0.0"))
+        dtypes = []
+        original = np.linalg.cholesky
+        monkeypatch.setattr(
+            qmat.np.linalg, "cholesky",
+            lambda arr, *args: dtypes.append(arr.dtype) or original(arr, *args),
+        )
+        monkeypatch.setattr(qmat.np.linalg, "eigvalsh", None)  # never called
+        table = run_pearle_compare(scn)
+        assert table.columns["t"][0] == 0.0
+        assert dtypes == [np.complex128] * (1 + scn.sweep.steps - 1)
+
+    def test_relational_offdiag_is_the_sweeps(self):
+        # both runners build Bob's state from one validated rho_e and the same
+        # envelope; the relational state only adds the unit phases D X D*
+        rng = np.random.default_rng(13)
+        scn = parse_scenario(dense_scenario(rng, 12, "gaussian", "t_B"))
+        np.testing.assert_array_max_ulp(
+            run_pearle_compare(scn).columns["offdiag_relational"],
+            run_decoherence_sweep(scn).columns["max_offdiag"],
+            maxulp=4,
+        )
 
     def test_requires_gaussian_kernel_and_sweep(self):
         with pytest.raises(ScenarioValidationError, match="sweep"):
