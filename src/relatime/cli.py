@@ -108,12 +108,17 @@ def main(argv=None) -> int:
         print("E_VALIDATION: --threshold must be finite and >= 0", file=sys.stderr)
         return EXIT_INVALID
 
+    options = {k: v for k, v in vars(args).items() if k in ("nodes", "threshold")}
     try:  # the file's text lives only while it is parsed
-        scenario = parse_scenario(
-            Path(args.file).read_text(encoding="utf-8"), seed=args.seed
-        )
+        scenario = parse_scenario(Path(args.file).read_text(encoding="utf-8"),
+                                  seed=args.seed)
+        if args.command != "validate":
+            table = _RUNNERS[args.command](scenario, **options)
+            table.check()  # before --out is opened: a failing table leaves no file
     except ScenarioParseError as exc:
         return _fail("E_PARSE", exc, EXIT_INVALID)
+    except _NUMERIC_ERRORS as exc:  # the parse reports its own as validation issues
+        return _fail("E_NUMERIC", exc, EXIT_NUMERIC)
     except (RelatimeError, ValueError, OSError) as exc:  # a bad file too
         return _fail("E_VALIDATION", exc, EXIT_INVALID)
     except MemoryError as exc:  # numpy's _ArrayMemoryError too
@@ -129,18 +134,6 @@ def main(argv=None) -> int:
             f"sha256 {scenario.digest()}"
         )
         return EXIT_OK
-
-    runner = _RUNNERS[args.command]
-    options = {k: v for k, v in vars(args).items() if k in ("nodes", "threshold")}
-    try:
-        table = runner(scenario, **options)
-        table.check()  # before --out is opened: a failing table leaves no file
-    except _NUMERIC_ERRORS as exc:
-        return _fail("E_NUMERIC", exc, EXIT_NUMERIC)
-    except (RelatimeError, ValueError) as exc:
-        return _fail("E_VALIDATION", exc, EXIT_INVALID)
-    except MemoryError as exc:
-        return _fail("E_NUMERIC: out of memory", exc, EXIT_NUMERIC)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as out:

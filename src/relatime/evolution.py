@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qmat
 from .errors import (
     DimensionMismatchError,
     NonPositiveLambdaError,
@@ -141,9 +142,25 @@ def _finish_state(raw: np.ndarray, what: str = "engine output") -> DensityMatrix
     return DensityMatrix(raw)
 
 
+_PHASE_TOL = 1e-12  # largest | |p_i| - 1 | a point's phases may have
+
+
 def _phases(spectrum: np.ndarray, t) -> np.ndarray:
     # p = exp(-i E t); one leading axis per axis of t.
     return np.exp(-1j * np.multiply.outer(t, spectrum))
+
+
+def _bob_point(state_e: DensityMatrix, spectrum, omega, kernel: TimeKernel) -> tuple:
+    """Bob's state at a reading, D X D* in H's eigenbasis, as (p, Phi, X): the phases
+    p of D = diag(p) at the kernel's t_b, refused off the unit circle (D is unitary);
+    Phi the envelope at omega = |E_i - E_j|; X = rho_e * Phi, by ``_schur_state``."""
+    p = _phases(spectrum, kernel.t_b)
+    off = float(np.max(np.abs(np.abs(p) - 1.0), initial=0.0))
+    if not off <= _PHASE_TOL:  # NaN fails too
+        raise QuantumStateError(f"phases off the unit circle by {off:.1e}")
+    phi = kernel._envelope(omega)
+    x, _ = qmat._schur_state(state_e, phi)
+    return p, phi, x
 
 
 def _energy_frame(state: DensityMatrix, hamiltonian: Hamiltonian, observable) -> _Frame:
@@ -175,7 +192,7 @@ def _kernel_multiplier(spectrum: np.ndarray, kernel: TimeKernel) -> np.ndarray:
 def _rule_multiplier(spectrum: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     # P[k, i] = exp(-i E_i t_k), so (P^T diag(w) P*)[i, j] is the weighted
     # sum of the node phases.
-    phases = np.exp(-1j * np.multiply.outer(rule.nodes, spectrum))
+    phases = _phases(spectrum, rule.nodes)
     return phases.T @ (rule.weights[:, None] * phases.conj())
 
 

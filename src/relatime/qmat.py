@@ -190,6 +190,9 @@ class Hamiltonian:
     __slots__ = ("dim", "spectrum", "eigenbasis")
 
     def __init__(self, matrix):
+        """Diagonalize H, then probe U U^dag = I and U diag(E) U^dag = H at one
+        fixed x, |x_k| = 1 (Freivalds, 1977): a max-norm residual above c d u,
+        times max|E| for H, or NaN raises. E and U are eigh's own arrays."""
         arr = _as_matrix(matrix)
         _require_square(arr)
         _check_hermitian(arr, "Hamiltonian", relative=True)
@@ -201,31 +204,6 @@ class Hamiltonian:
             raise EigensolverError(
                 f"spectrum is not finite: [{energies.min():g}..{energies.max():g}]"
             )
-        self._finish_init(energies, basis, matrix, arr)
-
-    @classmethod
-    def from_eigensystem(cls, eigenvalues, eigenbasis) -> "Hamiltonian":
-        """Build from explicit spectral data (eigenvalues must be ascending).
-
-        No runtime path calls it: it fixes a chosen basis inside a degenerate
-        level, to check that no output depends on that choice.
-        """
-        energies = np.asarray(eigenvalues, dtype=float)
-        basis = np.asarray(eigenbasis, dtype=np.complex128)
-        if energies.ndim != 1 or basis.shape != (energies.size, energies.size):
-            raise DimensionMismatchError(
-                f"eigensystem shapes {energies.shape} / {basis.shape} do not match"
-            )
-        if not (np.isfinite(energies).all() and np.isfinite(basis).all()):
-            raise QuantumStateError("eigensystem has non-finite entries")
-        if np.any(np.diff(energies) < 0):
-            raise QuantumStateError("eigenvalues must be sorted ascending")
-        return cls.__new__(cls)._finish_init(energies, basis, eigenbasis)
-
-    def _finish_init(self, energies, basis, given, arr=None):
-        """Probe U U^dag = I, and U diag(E) U^dag = H if given as ``arr``, at one
-        fixed x, |x_k| = 1 (Freivalds, 1977): a max-norm residual above c d u,
-        times max|E| for H, or NaN raises. Then store E and U; return self."""
         x = np.exp(1j * np.arange(energies.size))
         y = basis.conj().T @ x
         back = basis @ np.stack([y, energies * y], axis=1)  # U y, U (E * y)
@@ -235,16 +213,16 @@ class Hamiltonian:
             raise EigensolverError(
                 f"eigenbasis is not unitary: max |U U^dag x - x| = {unitarity:.3e}"
             )
-        if arr is not None:
-            recon = float(np.max(np.abs(back[:, 1] - arr @ x), initial=0.0))
-            if not recon <= budget * float(np.max(np.abs(energies), initial=0.0)):
-                raise EigensolverError(
-                    f"spectral reconstruction error {recon:.3e} exceeds budget"
-                )
+        recon = float(np.max(np.abs(back[:, 1] - arr @ x), initial=0.0))
+        if not recon <= budget * float(np.max(np.abs(energies), initial=0.0)):
+            raise EigensolverError(
+                f"spectral reconstruction error {recon:.3e} exceeds budget"
+            )
+        energies.setflags(write=False)
+        basis.setflags(write=False)
         object.__setattr__(self, "dim", energies.size)
-        object.__setattr__(self, "spectrum", _frozen(np.array(energies, float), None))
-        object.__setattr__(self, "eigenbasis", _frozen(basis, given))
-        return self
+        object.__setattr__(self, "spectrum", energies)
+        object.__setattr__(self, "eigenbasis", basis)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hamiltonian is immutable")

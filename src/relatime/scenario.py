@@ -60,7 +60,6 @@ from .clockmodel import (  # noqa: F401
     pointer_weights,
 )
 from .errors import (
-    QuantumStateError,
     RelatimeError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -69,6 +68,7 @@ from .errors import (
 # bench/traced_job.py wraps every engine here; runners call only coherence_report.
 from .evolution import (  # noqa: F401
     DECOHERENCE_THRESHOLD,
+    _bob_point,
     _collapse_nodes,
     _distinct_gap_mask,
     _distinct_gaps,
@@ -77,7 +77,6 @@ from .evolution import (  # noqa: F401
     _from_eigenbasis,
     _max_offdiag,
     _pearle_multiplier,
-    _phases,
     _to_eigenbasis,
     coherence_report,
     evolve_pearle,
@@ -465,14 +464,6 @@ class KernelSpec:
     kind: str
     params: dict
 
-    @property
-    def lam(self) -> float | None:
-        return self.params.get("lambda")
-
-    @property
-    def t_b(self) -> float | None:
-        return self.params.get("t_b")
-
     def build(self, *, t_b: float | None = None, lam: float | None = None) -> TimeKernel:
         """Instantiate the kernel, optionally overriding swept parameters."""
         if "t_b" not in self.params and (t_b, lam) != (None, None):
@@ -514,9 +505,6 @@ class ScenarioFile:
     sweep: SweepSpec | None
     source: dict
     seed: int
-
-    def kernel(self) -> TimeKernel:
-        return self.kernel_spec.build()
 
     def digest(self) -> str:
         """First 16 hex digits of SHA-256 over ``source`` in canonical order: text
@@ -785,7 +773,6 @@ def _base_metadata(scn: ScenarioFile, *, nodes=None, threshold=None) -> dict:
 PEARLE_NODES = 64  # Gauss-Hermite nodes of the collapse comparison
 SWEEP_CELL_CAP = 2**24  # most cells, steps x (6 + gaps), a sweep table may have
 _CSV_CELLS = 2**16  # cells per ResultTable.write_csv write; a wider row goes alone
-_PHASE_TOL = 1e-12  # largest | |p_i| - 1 | a sweep point's phases may have
 
 
 def _gap_names(gaps: np.ndarray) -> list[str]:
@@ -806,8 +793,8 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
 
     The state (validated there once: rho_s) and observable go to the energy basis.
     As chi = phase x envelope, Alice's state is D rho_s D* and Bob's D X D*, with
-    D = diag(exp(-i E t_B)) and X = rho_s * envelope(|E_i - E_j|). Each point checks
-    every |D_ii| = 1, then validates X, which has Bob's spectrum, trace and purity.
+    D = diag(exp(-i E t_B)) and X = rho_s * envelope(|E_i - E_j|), both built and
+    checked by ``_bob_point``; X has Bob's spectrum, trace and purity.
     """
     if scn.sweep is None or scn.sweep.variable not in ("t_B", "lambda"):
         raise ScenarioValidationError(
@@ -841,12 +828,7 @@ def run_decoherence_sweep(scn: ScenarioFile) -> ResultTable:
     for k, x in enumerate(points.tolist()):
         kernel = scn.kernel_spec.build(**{swept: x})
         with _at(f"sweep point {variable} = {x!r}"):
-            p = _phases(spectrum, kernel.t_b)
-            off = float(np.max(np.abs(np.abs(p) - 1.0), initial=0.0))
-            if not off <= _PHASE_TOL:  # NaN fails too
-                raise QuantumStateError(f"phases off the unit circle by {off:.1e}")
-            envelope = kernel._envelope(omega)
-            x, _ = qmat._schur_state(state_e, envelope)  # Bob's state in D's frame
+            p, envelope, x = _bob_point(state_e, spectrum, omega, kernel)
             bob = float(np.vdot(x, x).real), _max_offdiag(x, distinct)
             del x  # read off and dropped before alice_e * envelope forms
             expect = [qmat._expect(p, w, bound) for w in (alice_e, alice_e * envelope)]
@@ -875,7 +857,7 @@ def run_clock_recovery(scn: ScenarioFile) -> ResultTable:
              "(used as a readout window)"]
         )
     composite = CompositeScenario(scn.system_hamiltonian, scn.initial_state, scn.clock)
-    kernel = scn.kernel()
+    kernel = scn.kernel_spec.build()
 
     times = scn.clock.pointer_times
     readout = pointer_weights(kernel, scn.clock) > 0
@@ -901,8 +883,8 @@ def run_pearle_compare(scn: ScenarioFile, *, nodes: int = PEARLE_NODES) -> Resul
     The two are the same integral in different variables, so the distance
     column is pure quadrature error; ``nodes`` is the collapse engine's
     Gauss-Hermite node count. In the energy basis, with rho_e validated once, the
-    relational state is the sweep's D X D* (X certified by construction, D = diag(p))
-    and the collapse state is validated at each point.
+    relational state is the sweep's point D X D* from ``_bob_point``, phase check
+    included, and the collapse state is validated at each point.
     """
     if scn.kernel_spec.kind != "gaussian":
         raise ScenarioValidationError(["pearle comparison needs a gaussian kernel"])
@@ -917,18 +899,18 @@ def run_pearle_compare(scn: ScenarioFile, *, nodes: int = PEARLE_NODES) -> Resul
     hamiltonian = scn.system_hamiltonian
     spectrum = hamiltonian.spectrum
     rho_e = _to_eigenbasis(scn.initial_state.matrix, hamiltonian)
-    state_e, lam = _finish_state(rho_e, "energy-basis state"), scn.kernel_spec.lam
+    state_e = _finish_state(rho_e, "energy-basis state")
     omega = np.abs(spectrum[:, None] - spectrum[None, :])
     distinct = _distinct_gap_mask(spectrum)
     points = scn.sweep.values()
     rows = []
     for t in points.tolist():
         with _at(f"sweep point t = {t!r}"):
-            p, kernel = _phases(spectrum, t), make_gaussian_kernel(lam, t)
-            x, _ = qmat._schur_state(state_e, kernel._envelope(omega))
+            kernel = scn.kernel_spec.build(t_b=t)  # at t = 0 a delta, without lam
+            p, _, x = _bob_point(state_e, spectrum, omega, kernel)
             relational = p[:, None] * x * p.conj()  # D X D*
             collapsed = relational if t == 0 else _finish_state(  # t = 0: both rho0
-                state_e.matrix * _pearle_multiplier(spectrum, lam, t, nodes)
+                state_e.matrix * _pearle_multiplier(spectrum, kernel.lam, t, nodes)
             ).matrix
         difference = _from_eigenbasis(collapsed - relational, hamiltonian)
         rows.append((float(np.max(np.abs(difference))),
@@ -947,9 +929,8 @@ def run_report(
     ``complete_decoherence`` in the footer compares the largest averaged
     magnitude with ``threshold``.
     """
-    report = coherence_report(
-        scn.initial_state, scn.system_hamiltonian, scn.kernel(), threshold=threshold
-    )
+    report = coherence_report(scn.initial_state, scn.system_hamiltonian,
+                              scn.kernel_spec.build(), threshold=threshold)
     columns = {
         "i": report.i,
         "j": report.j,

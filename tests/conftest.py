@@ -32,6 +32,23 @@ def random_hamiltonian(rng, dim: int, scale: float = 1.0) -> Hamiltonian:
     return Hamiltonian(random_hermitian(rng, dim, scale))
 
 
+def hamiltonian_from_eigensystem(energies, basis) -> Hamiltonian:
+    """A Hamiltonian holding ascending ``energies`` and the unitary ``basis`` as
+    given, read-only and without ``eigh``: it fixes a chosen basis inside a
+    degenerate level, to check that no output depends on that choice."""
+    energies = np.array(energies, dtype=float)
+    basis = np.array(basis, dtype=np.complex128)
+    assert np.all(np.diff(energies) >= 0)
+    assert np.allclose(basis.conj().T @ basis, np.eye(len(energies)), atol=1e-12)
+    energies.setflags(write=False)
+    basis.setflags(write=False)
+    h = object.__new__(Hamiltonian)
+    object.__setattr__(h, "dim", len(energies))
+    object.__setattr__(h, "spectrum", energies)
+    object.__setattr__(h, "eigenbasis", basis)
+    return h
+
+
 def dense(h: Hamiltonian) -> np.ndarray:
     """The d x d matrix U diag(E) U^dag that a Hamiltonian's eigensystem holds."""
     return (h.eigenbasis * h.spectrum) @ h.eigenbasis.conj().T

@@ -41,6 +41,7 @@ from relatime import clockmodel, evolution, scenario as scenario_module
 from conftest import (
     SCENARIO_DIR,
     dense,
+    hamiltonian_from_eigensystem,
     plus_density,
     random_density,
     random_hamiltonian,
@@ -70,7 +71,7 @@ def dense_clock(clock):
     """The clock's generator F diag(omega) F^dag, with the DFT written here."""
     m = np.arange(clock.dim)
     fourier = np.exp(2j * np.pi * np.outer(m, m) / clock.dim) / np.sqrt(clock.dim)
-    return Hamiltonian.from_eigensystem(clock.frequencies, fourier)
+    return hamiltonian_from_eigensystem(clock.frequencies, fourier)
 
 
 def no_kron(*args):
@@ -470,7 +471,7 @@ def recovery_composite(wrong=lambda freqs: freqs):
     scn = parse_scenario((SCENARIO_DIR / "clock_recovery.scn").read_text())
     object.__setattr__(scn.clock, "frequencies", wrong(scn.clock.frequencies))
     composite = CompositeScenario(scn.system_hamiltonian, scn.initial_state, scn.clock)
-    return composite, scn.kernel(), scn.observable
+    return composite, scn.kernel_spec.build(), scn.observable
 
 
 @pytest.mark.parametrize("wrong, least", [

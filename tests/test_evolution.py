@@ -33,6 +33,7 @@ from relatime.evolution import (
 )
 from conftest import (
     dense,
+    hamiltonian_from_eigensystem,
     plus_density,
     random_density,
     random_hamiltonian,
@@ -252,8 +253,8 @@ class TestRelationalDephasing:
             ]
         )
         energies = [0.0, 1.0, 1.0]
-        h_plain = Hamiltonian.from_eigensystem(energies, np.eye(3))
-        h_rotated = Hamiltonian.from_eigensystem(energies, rot)
+        h_plain = hamiltonian_from_eigensystem(energies, np.eye(3))
+        h_rotated = hamiltonian_from_eigensystem(energies, rot)
         assert np.max(np.abs(dense(h_plain) - dense(h_rotated))) <= 1e-12
         rho = random_density(rng, 3)
         kernel = make_gaussian_kernel(0.3, 1.5)

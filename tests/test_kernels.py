@@ -47,7 +47,7 @@ def table_kernel(rows: str) -> TabulatedKernel:
         "system {\n  dimension 1\n  spectrum 0.0\n  state plus_state\n}\n"
         "kernel {\n  kind tabulated\n  table {\n" + rows + "\n  }\n}\n"
         "observable {\n  preset number_op\n}\n"
-    ).kernel()
+    ).kernel_spec.build()
 
 
 def quadrature_characteristic(kernel, omega, nodes=64):

@@ -35,7 +35,7 @@ from relatime import (
     run_pearle_compare,
     run_report,
 )
-from relatime import qmat
+from relatime import evolution, qmat
 from relatime import scenario as scenario_module
 from relatime.evolution import _distinct_gaps
 from relatime.scenario import _gap_names
@@ -583,10 +583,8 @@ class TestDecoherenceSweep:
         gap_names = list(gap_columns)
         assert len(gap_names) == gaps.size
         for k, x in enumerate(table.columns[variable]):
-            if variable == "t_B":
-                kernel, t_alice = scn.kernel_spec.build(t_b=x), x
-            else:
-                kernel, t_alice = scn.kernel_spec.build(lam=x), scn.kernel_spec.t_b
+            t_alice = x if variable == "t_B" else scn.kernel_spec.params["t_b"]
+            kernel = scn.kernel_spec.build(**{"t_b" if variable == "t_B" else "lam": x})
             rho_a = evolve_unitary(rho0, h, t_alice)
             rho_b = evolve_relational_dephasing(rho0, h, kernel)
             expected = {
@@ -759,29 +757,29 @@ class TestDecoherenceSweep:
             "system hamiltonian: spectrum is not finite: [0..inf]"
         ]
 
-    @pytest.mark.parametrize(
-        "scale, message",
-        [(1 + 1e-9, "unit circle by 1.0e-09"), (np.nan, "unit circle by nan")],
-        ids=["off_circle", "nan"],
-    )
+    @pytest.mark.parametrize("run, point, scale, message", [
+        (run_decoherence_sweep, "t_B", 1 + 1e-9, "unit circle by 1.0e-09"),
+        (run_decoherence_sweep, "t_B", np.nan, "unit circle by nan"),
+        (run_pearle_compare, "t", 1 + 1e-9, "unit circle by 1.0e-09"),
+        (run_pearle_compare, "t", np.nan, "unit circle by nan"),
+    ], ids=["off_circle", "nan", "pearle_off_circle", "pearle_nan"])
     def test_alice_phases_are_certified_at_each_point(
-        self, monkeypatch, scale, message
+        self, monkeypatch, run, point, scale, message
     ):
-        # Alice's state is rho_e scaled by outer(p, p*); it has rho_e's
-        # spectrum only while every |p_i| = 1, which each point checks
+        # Alice's D rho_e D* and Bob's D X D* keep rho_e's and X's spectra only
+        # while every |p_i| = 1, which each sweep and collapse-comparison point checks
         scn = parse_scenario(MINIMAL + SWEEP_BLOCK)
-        original = scenario_module._phases
+        original = evolution._phases
         monkeypatch.setattr(
-            scenario_module, "_phases", lambda *args: original(*args) * (1 + 1e-13)
+            evolution, "_phases", lambda *args: original(*args) * (1 + 1e-13)
         )
-        run_decoherence_sweep(scn)  # inside the 1e-12 budget
-        monkeypatch.setattr(
-            scenario_module, "_phases", lambda *args: original(*args) * scale
-        )
-        with pytest.raises(QuantumStateError, match=r"^at sweep point t_B = 0\.1: "):
-            run_decoherence_sweep(scn)
+        run(scn)  # inside the 1e-12 budget
+        monkeypatch.setattr(evolution, "_phases", lambda *args: original(*args) * scale)
+        prefix = rf"^at sweep point {point} = 0\.1: "
+        with pytest.raises(QuantumStateError, match=prefix):
+            run(scn)
         with pytest.raises(QuantumStateError, match=message):
-            run_decoherence_sweep(scn)
+            run(scn)
 
     def test_validates_the_initial_state_once_and_bob_per_point(self, monkeypatch):
         # Alice's states are certified by their phases and Bob's by construction,
@@ -983,7 +981,8 @@ class TestPearleCompare:
         # the runner works in the energy basis; the engines go there and back
         rng = np.random.default_rng(seed)
         scn = parse_scenario(dense_scenario(rng, dim, "gaussian", "t_B"))
-        h, rho0, lam = scn.system_hamiltonian, scn.initial_state, scn.kernel_spec.lam
+        h, rho0 = scn.system_hamiltonian, scn.initial_state
+        lam = scn.kernel_spec.params["lambda"]
         table = run_pearle_compare(scn, nodes=32)
         distinct = scenario_module._distinct_gap_mask(h.spectrum)
         for k, t in enumerate(table.columns["t"].tolist()):
