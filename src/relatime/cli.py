@@ -7,12 +7,18 @@ takes ``--seed``; ``pearle-compare`` also takes ``--nodes`` and ``report``
 Failures print a machine-parsable prefix (E_PARSE / E_VALIDATION /
 E_NUMERIC) on stderr and exit 2 for parse or validation problems, 3 for
 numerical ones, running out of memory included (``E_NUMERIC: out of memory``).
+Output that cannot be written (a missing ``--out`` directory, a full disk, a
+closed pipe) is ``E_VALIDATION``, exit 2, and leaves no ``--out`` file.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
+import stat
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .errors import (
@@ -99,6 +105,30 @@ def _fail(prefix: str, exc: Exception, code: int) -> int:
     return code
 
 
+def _emit(write, path=None) -> None:
+    """``write(stream)`` to the ``--out`` file, or stdout, and flush it inside
+    ``main``'s ladder. A failed write removes the file (a regular one only, no
+    device or link), or points fd 1 at ``os.devnull`` so that the exit flush
+    cannot fail again (the Python docs' "Note on SIGPIPE")."""
+    if not path:  # an empty --out means stdout
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
+        return
+    with open(path, "w", encoding="utf-8") as out:
+        try:
+            write(out)
+            out.flush()
+        except BaseException:
+            with suppress(OSError):
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.unlink(path)
+            raise
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if not 0 <= args.seed < 2**64:
@@ -112,36 +142,39 @@ def main(argv=None) -> int:
     try:  # the file's text lives only while it is parsed
         scenario = parse_scenario(Path(args.file).read_text(encoding="utf-8"),
                                   seed=args.seed)
-        if args.command != "validate":
+        if args.command == "validate":
+            clock = "none"
+            if scenario.clock is not None:
+                clock = f"{scenario.clock.dim} x {scenario.clock.tick}"
+            line = (
+                f"OK: dimension {scenario.dimension}, kernel "
+                f"{scenario.kernel_spec.kind}, clock {clock}, "
+                f"sha256 {scenario.digest()}\n"
+            )
+            _emit(lambda stream: stream.write(line))
+        else:
             table = _RUNNERS[args.command](scenario, **options)
             table.check()  # before --out is opened: a failing table leaves no file
+            _emit(table.write_csv, args.out)
     except ScenarioParseError as exc:
         return _fail("E_PARSE", exc, EXIT_INVALID)
     except _NUMERIC_ERRORS as exc:  # the parse reports its own as validation issues
         return _fail("E_NUMERIC", exc, EXIT_NUMERIC)
-    except (RelatimeError, ValueError, OSError) as exc:  # a bad file too
+    except (RelatimeError, ValueError, OSError) as exc:  # a bad file, a failed write
         return _fail("E_VALIDATION", exc, EXIT_INVALID)
     except MemoryError as exc:  # numpy's _ArrayMemoryError too
         return _fail("E_NUMERIC: out of memory", exc, EXIT_NUMERIC)
-
-    if args.command == "validate":
-        clock = "none"
-        if scenario.clock is not None:
-            clock = f"{scenario.clock.dim} x {scenario.clock.tick}"
-        print(
-            f"OK: dimension {scenario.dimension}, kernel "
-            f"{scenario.kernel_spec.kind}, clock {clock}, "
-            f"sha256 {scenario.digest()}"
-        )
-        return EXIT_OK
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as out:
-            table.write_csv(out)
-    else:
-        table.write_csv(sys.stdout)
     return EXIT_OK
 
 
+def _entry() -> None:
+    """The process entry (``python -m relatime``, the ``relatime`` script).
+    After ``main``, ``gc.freeze()`` spares the finalizing collections a walk
+    over the ~22k objects the imports built; ``main`` leaves gc alone."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _entry()

@@ -1,10 +1,16 @@
+import errno
+import gc
+import importlib
 import inspect
 import io
+import os
 import re
+import runpy
 import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -652,3 +658,144 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("E_PARSE:")
+
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+BUNDLED_JOBS = [  # every command that runs on a bundled scenario
+    ("sweep", QUBIT), ("pearle-compare", QUBIT), ("report", QUBIT),
+    ("clock-recovery", CLOCKED), ("report", CLOCKED),
+    ("sweep", PEARLE), ("pearle-compare", PEARLE), ("report", PEARLE),
+]
+STARVED = CLOCKED.read_text().replace("0.4 2", "0.4 1e-13")  # exits 3
+
+
+def _relatime(*args, stdout=subprocess.PIPE, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "relatime", *map(str, args)],
+                          stdout=stdout, stderr=subprocess.PIPE, **kwargs)
+
+
+class TestProcessExit:
+    """The process entry freezes the collector after ``main`` returns; ``main``
+    run in-process leaves it alone."""
+
+    @pytest.mark.parametrize("command", list(COMMAND_FILES))
+    def test_main_in_process_freezes_nothing(self, command, capsys):
+        before = gc.get_freeze_count()
+        assert main([command, str(COMMAND_FILES[command])]) == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("command, text, code", [
+        ("validate", QUBIT.read_text(), 0),
+        ("validate", "system {\n", 2),
+        ("clock-recovery", STARVED, 3),
+    ], ids=["ok", "invalid", "numeric"])
+    def test_module_exits_frozen_with_mains_code(self, command, text, code, tmp_path):
+        path = tmp_path / "in.scn"
+        path.write_text(text)
+        script = (
+            "import gc, runpy, sys\n"
+            "sys.argv = ['relatime', *sys.argv[1:]]\n"
+            "try:\n    runpy.run_module('relatime', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, command, str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == f"{code} True"
+
+    @pytest.mark.parametrize(
+        "command, path", BUNDLED_JOBS, ids=[f"{c}-{p.stem}" for c, p in BUNDLED_JOBS]
+    )
+    def test_stdout_loses_nothing_at_exit(self, command, path, tmp_path):
+        out = tmp_path / "out.csv"
+        assert _relatime(command, path, "--out", out).returncode == 0
+        printed = _relatime(command, path)
+        assert printed.returncode == 0
+        assert printed.stdout == out.read_bytes()
+
+    def test_script_runs_what_the_module_runs(self, monkeypatch):
+        tomllib = pytest.importorskip("tomllib")
+        target = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]["relatime"]
+        module, _, name = target.partition(":")
+        calls = []
+        monkeypatch.setattr(importlib.import_module(module), name,
+                            lambda: calls.append(name))
+        runpy.run_module("relatime", run_name="__main__")
+        assert calls == [name]
+
+
+class TestOutputErrors:
+    """Output that cannot be written is E_VALIDATION, exit 2: no traceback, no
+    error at the interpreter's exit flush, no --out file."""
+
+    @staticmethod
+    def _refused(code: int, err: bytes):
+        err = err.decode()
+        assert code == 2, err
+        assert err.startswith("E_VALIDATION: [Errno "), err
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_missing_out_directory(self, tmp_path):
+        out = tmp_path / "missing" / "out.csv"
+        proc = _relatime("sweep", QUBIT, "--out", out)
+        self._refused(proc.returncode, proc.stderr)
+        assert not out.parent.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_full_stdout(self, command, unbuffered, tmp_path):
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        with open("/dev/full", "wb") as full:
+            proc = _relatime(command, QUBIT, stdout=full, env=env, cwd=tmp_path)
+        self._refused(proc.returncode, proc.stderr)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_reader_closes_the_pipe(self, unbuffered, tmp_path):
+        path = tmp_path / "dense.scn"
+        path.write_text(_dense_sweep(96))  # its report outgrows a pipe's buffer
+        with open(tmp_path / "err", "w+b") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "relatime", "report", str(path)],
+                stdout=subprocess.PIPE, stderr=err,
+                env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
+            )
+            assert proc.stdout.readline().startswith(b"# generator: relatime")
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err.seek(0)
+            err = err.read()
+        self._refused(code, err)
+        assert b"Broken pipe" in err
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (OSError(errno.ENOSPC, "No space left on device"), 2, "E_VALIDATION: [Errno 28]"),
+        (MemoryError("no room for the row"), 3, "E_NUMERIC: out of memory:"),
+    ], ids=["disk-full", "out-of-memory"])
+    def test_partly_written_out_file_is_removed(self, error, code, prefix, tmp_path,
+                                                monkeypatch, capsys):
+        def failing(table, stream):
+            stream.write("# generator: relatime\n")
+            stream.flush()
+            raise error
+
+        monkeypatch.setattr(scenario_module.ResultTable, "write_csv", failing)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", str(QUBIT), "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not out.exists()
+
+    def test_a_linked_out_file_is_not_removed(self, tmp_path, monkeypatch, capsys):
+        # only a regular file the path names itself goes: never a link (such
+        # as /dev/stdout) or a device (such as /dev/full)
+        def failing(table, stream):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(scenario_module.ResultTable, "write_csv", failing)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["sweep", str(QUBIT), "--out", str(link)]) == 2
+        assert capsys.readouterr().err.startswith("E_VALIDATION: ")
+        assert link.is_symlink() and target.exists()
