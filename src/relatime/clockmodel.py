@@ -37,6 +37,7 @@ from .qmat import (
     Observable,
     _check_product_dim,
     _expect,
+    _Immutable,
     _roundoff,
     tensor,
 )
@@ -55,7 +56,7 @@ _SHIFT_TOL = 1e-8
 _ZERO_PROBABILITY = 1e-12
 
 
-class ClockSystem:
+class ClockSystem(_Immutable):
     """Cyclic d-state pointer clock with tick ``tick``.
 
     ``pointer_times[m] = m * tick`` labels the pointer basis, and one tick
@@ -81,9 +82,6 @@ class ClockSystem:
         object.__setattr__(self, "tick", tick)
         object.__setattr__(self, "pointer_times", times)
         object.__setattr__(self, "frequencies", freqs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClockSystem is immutable")
 
     @property
     def period(self) -> float:
@@ -114,7 +112,7 @@ class ClockSystem:
         return f"ClockSystem(dim={self.dim}, tick={self.tick})"
 
 
-class CompositeScenario:
+class CompositeScenario(_Immutable):
     """System S coupled to an internal clock C, dynamically independent.
 
     The composite generator is H_S (x) I + I (x) H_C (system left, clock
@@ -141,9 +139,6 @@ class CompositeScenario:
         object.__setattr__(self, "system_hamiltonian", system_hamiltonian)
         object.__setattr__(self, "system_state", system_state)
         object.__setattr__(self, "clock", clock)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CompositeScenario is immutable")
 
     @property
     def hamiltonian(self) -> Hamiltonian:

@@ -23,8 +23,7 @@ are untouched. ``coherence_report`` tabulates that suppression per gap.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,12 +47,17 @@ __all__ = [
 ]
 
 _TRACE_DRIFT_BUDGET = 1e-8
-_Frame = namedtuple("_Frame", "state weighted scale bound")  # see _energy_frame
 DECOHERENCE_THRESHOLD = 1e-6  # default cutoff for "completely decohered"
 
 
-@dataclass(frozen=True, eq=False)
-class CoherenceReport:
+class _Frame(NamedTuple):  # see _energy_frame
+    state: DensityMatrix
+    weighted: np.ndarray
+    scale: float
+    bound: float
+
+
+class CoherenceReport(NamedTuple):
     """Per-gap dephasing summary for one state, Hamiltonian and kernel.
 
     The arrays hold one entry per energy-basis element (i, j) with i < j,

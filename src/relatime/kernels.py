@@ -24,7 +24,6 @@ table, typically unnormalized).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +33,7 @@ from .errors import (
     NonPositiveLambdaError,
     QuantumStateError,
 )
+from .qmat import _Immutable
 
 __all__ = [
     "TimeKernel",
@@ -59,16 +59,14 @@ def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(_Immutable):
     """Nodes and normalized nonnegative weights for one kernel integral."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("nodes", "weights")
 
-    def __post_init__(self):
-        nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
+    def __init__(self, nodes, weights):
+        nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
+        weights = np.atleast_1d(np.asarray(weights, dtype=float))
         if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size == 0:
             raise QuantumStateError(
                 f"rule needs matching 1-d nodes/weights, got {nodes.shape} "

@@ -154,7 +154,17 @@ def _frozen(arr: np.ndarray, given) -> np.ndarray:
     return arr
 
 
-class DensityMatrix:
+class _Immutable:
+    """Base of the checked types: slots set once in ``__init__`` through
+    ``object.__setattr__``, and no assignment after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class DensityMatrix(_Immutable):
     """Validated quantum state: Hermitian, unit trace, positive semidefinite.
 
     Instances are immutable; the underlying array is read-only and safe to
@@ -170,14 +180,11 @@ class DensityMatrix:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", _frozen(arr, matrix))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityMatrix is immutable")
-
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
 
 
-class Hamiltonian:
+class Hamiltonian(_Immutable):
     """Hermitian operator held as its spectral decomposition alone.
 
     ``spectrum`` holds the eigenvalues sorted ascending (degeneracies
@@ -224,15 +231,12 @@ class Hamiltonian:
         object.__setattr__(self, "spectrum", energies)
         object.__setattr__(self, "eigenbasis", basis)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Hamiltonian is immutable")
-
     def __repr__(self) -> str:
         lo, hi = self.spectrum[0], self.spectrum[-1]
         return f"Hamiltonian(dim={self.dim}, spectrum=[{lo:g}..{hi:g}])"
 
 
-class Observable:
+class Observable(_Immutable):
     """Hermitian operator measured against a state via ``expectation``."""
 
     __slots__ = ("dim", "matrix")
@@ -243,9 +247,6 @@ class Observable:
         _check_hermitian(arr, "observable", relative=True)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", _frozen(arr, matrix))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Observable is immutable")
 
     def __repr__(self) -> str:
         return f"Observable(dim={self.dim})"

@@ -44,7 +44,6 @@ from __future__ import annotations
 import io
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -108,8 +107,7 @@ __all__ = [
 # generic nested-block reader
 
 
-@dataclass
-class _Leaf:
+class _Leaf(NamedTuple):
     name: str
     text: str  # all after the name; split only when read, one row at a time
     line: int
@@ -119,16 +117,15 @@ class _Leaf:
         return self.text.split()
 
 
-@dataclass
-class _Block:
+class _Block(NamedTuple):
     name: str
     line: int
-    leaves: list[_Leaf] = field(default_factory=list)
-    blocks: list["_Block"] = field(default_factory=list)
+    leaves: list[_Leaf]
+    blocks: list[_Block]
 
 
 def _parse_blocks(text: str) -> _Block:
-    root = _Block(name="<document>", line=0)
+    root = _Block("<document>", 0, [], [])
     stack = [root]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -146,7 +143,7 @@ def _parse_blocks(text: str) -> _Block:
                     f"line {lineno}: block header must be a single name "
                     f"before '{{', got {raw.strip()!r}"
                 )
-            block = _Block(name=name, line=lineno)
+            block = _Block(name, lineno, [], [])
             stack[-1].blocks.append(block)
             stack.append(block)
             continue
@@ -457,8 +454,7 @@ def _read_section(section: _Section, block: _Block, issues: list[str]) -> dict:
     return fields
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(NamedTuple):
     """A kernel kind and the parameters it takes, by their scenario names."""
 
     kind: str
@@ -476,8 +472,7 @@ class KernelSpec:
         return _KERNEL_KINDS[self.kind][0](*params)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     variable: str
     start: float
     stop: float
@@ -487,8 +482,7 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-@dataclass(frozen=True)
-class ScenarioFile:
+class ScenarioFile(NamedTuple):
     """One fully validated scenario plus the values it was read from.
 
     ``source`` holds, per block in canonical order, each entry's ``_Field``,
@@ -701,19 +695,21 @@ def parse_scenario(text: str, *, seed: int = 0) -> ScenarioFile:
 # result tables
 
 
-@dataclass
 class ResultTable:
     """Ordered named 1-d columns, then 2-d float blocks keyed by the names of
-    their columns, plus '#'-comment metadata and footer lines.
+    their columns, plus '#'-comment metadata and footer lines (``None``: a new
+    empty dict).
 
     A column's dtype sets its cell text: ``str`` for integers, ``repr``
     (shortest round trip) for floats. Lists go through ``np.asarray``.
     """
 
-    columns: dict[str, np.ndarray]
-    metadata: dict[str, str] = field(default_factory=dict)
-    footer: dict[str, str] = field(default_factory=dict)
-    blocks: dict[tuple[str, ...], np.ndarray] = field(default_factory=dict)
+    def __init__(self, columns: dict[str, np.ndarray], metadata: dict | None = None,
+                 footer: dict | None = None, blocks: dict | None = None):
+        self.columns = columns
+        self.metadata = {} if metadata is None else metadata
+        self.footer = {} if footer is None else footer
+        self.blocks = {} if blocks is None else blocks
 
     def check(self) -> int:
         """The row count; each column and block must hold one finite value a row."""

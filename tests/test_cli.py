@@ -630,15 +630,16 @@ class TestEntryPoint:
 
     def test_sweep_loads_no_openssl_difflib_or_numpy_random(self, tmp_path):
         # the digest hashes with the built-in SHA-256, difflib serves only a
-        # refused name, only the random state presets draw numbers, and the
-        # sweep's distinct gaps come without np.unique, which loads numpy.ma
+        # refused name, only the random state presets draw numbers, the
+        # sweep's distinct gaps come without np.unique, which loads numpy.ma,
+        # and records are NamedTuples, which generate no code at import
         code = (
             "import runpy, sys\n"
             "sys.argv = ['relatime', 'sweep', sys.argv[1], '--out', sys.argv[2]]\n"
             "try:\n    runpy.run_module('relatime', run_name='__main__')\n"
             "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
-            "print(sorted({'_hashlib', 'difflib', 'numpy.ma', 'numpy.random'}\n"
-            "             & set(sys.modules)))"
+            "print(sorted({'_hashlib', 'dataclasses', 'difflib', 'numpy.ma',\n"
+            "              'numpy.random'} & set(sys.modules)))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code, str(QUBIT), str(tmp_path / "out.csv")],

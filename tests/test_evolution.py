@@ -430,3 +430,9 @@ class TestCoherenceReport:
         )
         assert report.complete_decoherence
         assert report.threshold == 0.9
+
+    def test_immutable(self):
+        report = coherence_report(plus_density(), QUBIT_GAP, DeltaKernel(1.0))
+        with pytest.raises(AttributeError):
+            report.threshold = 0.5
+        assert report.threshold == 1e-6

@@ -181,6 +181,14 @@ class TestQuadratureRuleInvariants:
             with pytest.raises(QuantumStateError, match="must be finite"):
                 QuadratureRule(np.array(nodes), np.array(weights))
 
+    def test_immutable(self):
+        rule = QuadratureRule(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        with pytest.raises(AttributeError, match="^QuadratureRule is immutable$"):
+            rule.nodes = np.array([2.0, 3.0])
+        with pytest.raises(ValueError):
+            rule.weights[0] = 1.0
+        np.testing.assert_array_equal(rule.nodes, [0.0, 1.0])
+
 
 class TestCharacteristic:
     def test_unit_at_zero_gap_for_all_kinds(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import sys
 import tracemalloc
@@ -104,6 +103,18 @@ class TestParsing:
         np.testing.assert_allclose(scn.system_hamiltonian.spectrum, [0.0, 1.0])
         np.testing.assert_allclose(scn.initial_state.matrix, np.full((2, 2), 0.5))
         assert scn.clock is None and scn.sweep is None
+
+    def test_parsed_values_are_immutable(self):
+        scn = parse_scenario(MINIMAL + SWEEP_BLOCK)
+        for value, name, new in (
+            (scn, "dimension", 3),
+            (scn.kernel_spec, "kind", "delta"),
+            (scn.sweep, "steps", 2),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(value, name, new)
+        kept = scn.dimension, scn.kernel_spec.kind, scn.sweep.steps
+        assert kept == (2, "gaussian", 12)
 
     def test_trace_violation_is_reported_by_name(self):
         text = MINIMAL.replace(
@@ -345,7 +356,7 @@ class TestEmission:
             ("kernel", {**kernel, "kind": kernel["kind"]._replace(value="gaussianl"),
                         "lambda": kernel["lambda"]._replace(key="ambda")}),
         ):
-            other = dataclasses.replace(scn, source={**scn.source, block: fields})
+            other = scn._replace(source={**scn.source, block: fields})
             assert other.digest() != scn.digest()
 
     def test_digest_prints_no_float(self):
@@ -702,8 +713,7 @@ class TestDecoherenceSweep:
         # observable that skipped validation
         unchecked = types.SimpleNamespace
         monkeypatch.setattr(scenario_module, "Observable", lambda m: unchecked(matrix=m))
-        scn = dataclasses.replace(
-            parse_scenario(MINIMAL + SWEEP_BLOCK),
+        scn = parse_scenario(MINIMAL + SWEEP_BLOCK)._replace(
             observable=unchecked(
                 dim=2, matrix=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
             ),
@@ -1111,6 +1121,14 @@ class TestResultTable:
         one = run_decoherence_sweep(parse_scenario(text, seed=3)).to_csv()
         two = run_decoherence_sweep(parse_scenario(text, seed=3)).to_csv()
         assert one == two
+
+    def test_mutable_with_fresh_defaults(self):
+        one, two = ResultTable({"a": [1.0]}), ResultTable({"a": [2.0]})
+        assert (one.metadata, one.footer, one.blocks) == ({}, {}, {})
+        one.metadata["seed"] = "1"
+        one.footer = {"total": "1.0"}
+        assert (two.metadata, two.footer) == ({}, {})
+        assert one.to_csv() == "# seed: 1\na\n1.0\n# total: 1.0\n"
 
     def test_ragged_table_rejected(self):
         table = ResultTable(columns={"a": [1.0], "b": []})
