@@ -50,12 +50,12 @@ import numpy as np
 
 from . import __version__, qmat
 # bench/traced_job.py wraps alice_ and bob_conditional here; the runner calls neither.
-from .clockmodel import (  # noqa: F401
+from .clockmodel import (
     ClockSystem,
     CompositeScenario,
     _read_clock,
-    alice_conditional,
-    bob_conditional,
+    alice_conditional,  # noqa: F401
+    bob_conditional,  # noqa: F401
     pointer_weights,
 )
 from .errors import (
@@ -65,7 +65,7 @@ from .errors import (
     _at,
 )
 # bench/traced_job.py wraps every engine here; runners call only coherence_report.
-from .evolution import (  # noqa: F401
+from .evolution import (
     DECOHERENCE_THRESHOLD,
     _bob_point,
     _collapse_nodes,
@@ -78,9 +78,9 @@ from .evolution import (  # noqa: F401
     _pearle_multiplier,
     _to_eigenbasis,
     coherence_report,
-    evolve_pearle,
-    evolve_relational_dephasing,
-    evolve_unitary,
+    evolve_pearle,  # noqa: F401
+    evolve_relational_dephasing,  # noqa: F401
+    evolve_unitary,  # noqa: F401
 )
 from .kernels import (
     DeltaKernel,
@@ -483,12 +483,8 @@ class SweepSpec(NamedTuple):
 
 
 class ScenarioFile(NamedTuple):
-    """One fully validated scenario plus the values it was read from.
-
-    ``source`` holds, per block in canonical order, each entry's ``_Field``,
-    which ``digest`` hashes. ``seed`` is the one the random state presets
-    were drawn with.
-    """
+    """One fully validated scenario plus ``sha256``, the ``_digest`` of the values
+    it was read from, and the ``seed`` the random state presets were drawn with."""
 
     dimension: int
     system_hamiltonian: Hamiltonian
@@ -497,24 +493,29 @@ class ScenarioFile(NamedTuple):
     observable: Observable
     clock: ClockSystem | None
     sweep: SweepSpec | None
-    source: dict
+    sha256: str
     seed: int
 
     def digest(self) -> str:
-        """First 16 hex digits of SHA-256 over ``source`` in canonical order: text
-        as UTF-8, floats as little-endian float64, each part behind its length.
-        Equal exactly when every key and value is, floats by their bytes."""
-        h = _sha256()
-        for name, fields in self.source.items():
-            parts = [name, len(fields)]
-            for key, reader, value in fields.values():
-                head, rows = (f"{key} {{", value) if reader.block else (key, [value])
-                parts += [head, len(rows), *rows]
-            for part in parts:
-                text = isinstance(part, (str, int))
-                data = str(part).encode() if text else np.asarray(part, "<f8").tobytes()
-                h.update(len(data).to_bytes(8, "little") + data)
-        return h.hexdigest()[:16]
+        """The scenario's hash, ``sha256``."""
+        return self.sha256
+
+
+def _digest(source: dict) -> str:
+    """First 16 hex digits of SHA-256 over each block's ``_Field``s in canonical
+    order: text as UTF-8, floats as little-endian float64, each part behind its
+    length. Equal exactly when every key and value is, floats by their bytes."""
+    h = _sha256()
+    for name, fields in source.items():
+        parts = [name, len(fields)]
+        for key, reader, value in fields.values():
+            head, rows = (f"{key} {{", value) if reader.block else (key, [value])
+            parts += [head, len(rows), *rows]
+        for part in parts:
+            text = isinstance(part, (str, int))
+            data = str(part).encode() if text else np.asarray(part, "<f8").tobytes()
+            h.update(len(data).to_bytes(8, "little") + data)
+    return h.hexdigest()[:16]
 
 
 def _sha256():
@@ -686,7 +687,7 @@ def parse_scenario(text: str, *, seed: int = 0) -> ScenarioFile:
         observable=operators["observable"],
         clock=clock,
         sweep=sweep,
-        source=source,
+        sha256=_digest(source),
         seed=int(seed),
     )
 

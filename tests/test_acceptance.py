@@ -342,7 +342,7 @@ PUBLIC_PARAMETERS = {
     "ResultTable": ("columns", "metadata", "footer", "blocks"),
     "ScenarioFile": (
         "dimension", "system_hamiltonian", "initial_state", "kernel_spec",
-        "observable", "clock", "sweep", "source", "seed",
+        "observable", "clock", "sweep", "sha256", "seed",
     ),
     "TabulatedKernel": ("times", "weights"),
     "TimeKernel": (),

@@ -394,6 +394,26 @@ def test_options_are_the_runner_keywords(command, capsys):
     assert has_threshold == (command == "report")
 
 
+@pytest.mark.parametrize("command", list(COMMAND_FILES))
+def test_each_command_pays_its_pinned_cubic_work(command, monkeypatch):
+    """The O(d^3) calls a run makes: eigh once, for H; cholesky once per state
+    certified, which in pearle-compare is also each sweep point with t > 0."""
+    path = COMMAND_FILES[command]
+    cholesky = {"validate": 1, "sweep": 2, "clock-recovery": 2, "report": 1}.get(command)
+    if command == "pearle-compare":
+        sweep = scenario_module.parse_scenario(path.read_text()).sweep
+        cholesky = 2 + int(np.count_nonzero(sweep.values() > 0))
+    calls = dict.fromkeys(("eigh", "cholesky"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert main([command, str(path)]) == 0
+    assert calls == {"eigh": 1, "cholesky": cholesky}
+
+
 def test_report_threshold_reaches_output(capsys):
     assert main(["report", str(QUBIT), "--threshold", "0.5"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import sys
 import tracemalloc
 import types
@@ -167,6 +168,33 @@ class TestParsing:
             tracemalloc.stop()
         assert peak <= 3.5 * len(text)
 
+    def test_a_parsed_scenario_keeps_no_matrix_row(self):
+        # the record keeps the hash of the values, not the rows they were read
+        # from: every array the number reader made is freed with the parse
+        dim = 128
+        text = dense_scenario(np.random.default_rng(3), dim, "gaussian", "t_B")
+        assert text.count("row ") == 3 * dim  # hamiltonian, state, observable
+        lines, first = inspect.getsourcelines(scenario_module._floats)
+
+        def held(snapshot) -> int:
+            return sum(
+                trace.size for trace in snapshot.traces
+                if trace.traceback[0].filename == scenario_module.__file__
+                and first <= trace.traceback[0].lineno < first + len(lines)
+            )
+
+        tracemalloc.start()
+        try:
+            scn = parse_scenario(text)
+            after_parse = tracemalloc.take_snapshot()
+            tree = _tree(text)  # the rows, kept: what the count must see
+            with_tree = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert scn.dimension == dim and "observable" in tree
+        assert held(after_parse) < 2 * dim * 8  # less than one row's floats
+        assert held(with_tree) >= 3 * dim * 2 * dim * 8
+
     def test_unknown_key_suggests(self):
         text = MINIMAL.replace("lambda 0.1", "lamda 0.1")
         with pytest.raises(ScenarioParseError, match="did you mean 'lambda'"):
@@ -282,11 +310,9 @@ class TestEmission:
             assert parse_scenario(respelled).digest() == parse_scenario(text).digest()
         digests = set()
         for index in ("1", "+1", "01"):
-            scn = parse_scenario(
-                MINIMAL.replace("state plus_state", f"state basis_state {index}")
-            )
-            assert scn.source["system"]["state"].value == "basis_state 1"
-            digests.add(scn.digest())
+            text = MINIMAL.replace("state plus_state", f"state basis_state {index}")
+            assert _tree(text)["system"]["state"].value == "basis_state 1"
+            digests.add(parse_scenario(text).digest())
         assert len(digests) == 1
 
     def test_digest_tracks_content(self):
@@ -316,7 +342,7 @@ class TestEmission:
                   "maximally_mixed": np.eye(dim) / dim}
 
         def scenario(values, state_block=False, observable_block=False):
-            return parse_scenario(
+            return (
                 f"system {{\n  dimension {dim}\n"
                 f"  spectrum {' '.join(map(repr, values))}\n"
                 + (_matrix_block("state", states[state]) if state_block
@@ -339,25 +365,28 @@ class TestEmission:
             other[i], other[j] = other[j], other[i]
         a = scenario(spectrum)
         b = scenario(other, change == "state", change == "observable")
+        values_a, values_b = _values(_tree(a)), _values(_tree(b))
         if change in ("nudge", "zero_sign", "state", "observable"):
-            assert _values(a) != _values(b)
-        assert (a.digest() == b.digest()) == (_values(a) == _values(b))
+            assert values_a != values_b
+        digest_a, digest_b = parse_scenario(a).digest(), parse_scenario(b).digest()
+        assert (digest_a == digest_b) == (values_a == values_b)
 
     def test_digest_frames_every_part(self):
         """The same bytes split into other parts (two rows regrouped, a
         letter moved from one key to the value before it) give another digest."""
-        scn = parse_scenario(MINIMAL.replace(
+        text = MINIMAL.replace(
             "preset pauli_x", "matrix {\n    row 0 0 1 0\n    row 1 0 0 0\n  }"
-        ))
-        matrix, kernel = scn.source["observable"]["observable"], scn.source["kernel"]
+        )
+        tree, digest = _tree(text), parse_scenario(text).digest()
+        assert scenario_module._digest(tree) == digest
+        matrix, kernel = tree["observable"]["observable"], tree["kernel"]
         regrouped = [np.array([0.0, 0.0]), np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0])]
         for block, fields in (
             ("observable", {"observable": matrix._replace(value=regrouped)}),
             ("kernel", {**kernel, "kind": kernel["kind"]._replace(value="gaussianl"),
                         "lambda": kernel["lambda"]._replace(key="ambda")}),
         ):
-            other = scn._replace(source={**scn.source, block: fields})
-            assert other.digest() != scn.digest()
+            assert scenario_module._digest({**tree, block: fields}) != digest
 
     def test_digest_prints_no_float(self):
         # pinned over each number's float64 bytes: printing one changes it
@@ -368,9 +397,9 @@ class TestEmission:
     def test_digest_is_sha256_of_length_framed_parts(self, loaded, monkeypatch):
         """Either constructor route hashes the same framed bytes as hashlib; the
         built-in one is taken, and hashlib left unloaded, when none is loaded."""
-        scn = parse_scenario(SWEPT.replace("preset pauli_x", (
+        text = SWEPT.replace("preset pauli_x", (
             "matrix {\n    row 0 0 1 0\n    row 1 0 0 0\n  }"
-        )))
+        ))
         fed, made = [], []
 
         class Recording:
@@ -388,7 +417,8 @@ class TestEmission:
         monkeypatch.setattr(scenario_module, "_sha256", Recording)
         if not loaded:
             monkeypatch.delitem(sys.modules, "hashlib")
-        digest = scn.digest()
+        digest = parse_scenario(text).digest()
+        assert len(made) == 1
         assert ("hashlib" in sys.modules) == loaded
         if loaded:
             assert type(made[0]) is type(hashlib.sha256())
@@ -423,7 +453,7 @@ class TestEmission:
         }
         """
         scn = parse_scenario(text)
-        hamiltonian = scn.source["system"]["hamiltonian"].value
+        hamiltonian = _tree(text)["system"]["hamiltonian"].value
         np.testing.assert_array_equal(
             hamiltonian, [[0.0, 0.0, 0.25, -0.125], [0.25, 0.125, 1.0, 0.0]]
         )
@@ -435,14 +465,27 @@ class TestEmission:
         np.testing.assert_array_equal(scn.observable.matrix, [[0, 1], [1, 0]])
 
 
-def _values(scn) -> list:
-    """Every block, key and value of ``scn.source``: text and integers as they
+def _tree(text: str) -> dict:
+    """The reader's tree of a valid scenario, the one ``parse_scenario`` hashes:
+    per block in canonical order, each entry's ``_Field`` by entry name."""
+    blocks = {block.name: block for block in scenario_module._parse_blocks(text).blocks}
+    issues = []
+    tree = {
+        name: scenario_module._read_section(section, blocks[name], issues)
+        for name, section in scenario_module._SECTIONS.items() if name in blocks
+    }
+    assert issues == []
+    return tree
+
+
+def _values(tree: dict) -> list:
+    """Every block, key and value of a reader's tree: text and integers as they
     are, numbers by their float64 bytes (so -0.0 is not 0.0)."""
     return [
         (name, key, reader.block,
          [row if isinstance(row, (str, int)) else np.asarray(row, "<f8").tobytes()
           for row in (value if reader.block else [value])])
-        for name, fields in scn.source.items()
+        for name, fields in tree.items()
         for key, reader, value in fields.values()
     ]
 

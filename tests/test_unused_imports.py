@@ -2,8 +2,9 @@
 
 Deleting code leaves dead imports behind, and the package has no linter. A
 name imported only for others to reach (a re-export, or a name a tracer
-wraps) says so with ``# noqa: F401`` on its import line. ``__init__.py``
-imports to re-export and is not checked.
+wraps) says so with ``# noqa: F401`` on its own line, so each name is judged
+alone: the comment on a parenthesised group's first line exempts no name
+below it. ``__init__.py`` imports to re-export and is not checked.
 """
 
 import ast
@@ -28,10 +29,9 @@ def unused_imports(source: str) -> list[str]:
             continue
         if getattr(node, "module", None) == "__future__":
             continue
-        if "# noqa: F401" in lines[node.lineno - 1]:
-            continue
         for alias in node.names:
-            imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            if "# noqa: F401" not in lines[alias.lineno - 1]:
+                imported[(alias.asname or alias.name).split(".")[0]] = alias.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items()
             if name not in used]
@@ -43,6 +43,9 @@ def test_every_import_is_used(module):
 
 
 def test_an_unused_import_is_found():
-    source = "from .errors import (  # noqa: F401\n    A,\n)\nimport numpy as np\n"
+    source = "from .errors import (\n    A,  # noqa: F401\n)\nimport numpy as np\n"
     assert unused_imports(source) == ["line 4: np"]
     assert unused_imports(source + "np.eye(2)\n") == []
+    # a comment on a group's first line exempts no name below it
+    grouped = "from .errors import (  # noqa: F401\n    A,\n    B,\n)\nB\n"
+    assert unused_imports(grouped) == ["line 2: A"]
