@@ -76,12 +76,7 @@ class ClockSystem(_Immutable):
         d, tick = int(dim), float(tick)
         times = np.arange(d) * tick
         freqs = 2.0 * np.pi * np.arange(d) / (d * tick)
-        for values in (times, freqs):
-            values.setflags(write=False)
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "tick", tick)
-        object.__setattr__(self, "pointer_times", times)
-        object.__setattr__(self, "frequencies", freqs)
+        self._freeze(dim=d, tick=tick, pointer_times=times, frequencies=freqs)
 
     @property
     def period(self) -> float:
@@ -136,9 +131,8 @@ class CompositeScenario(_Immutable):
                 f"state dim {system_state.dim}"
             )
         _check_product_dim(system_hamiltonian.dim, clock.dim)
-        object.__setattr__(self, "system_hamiltonian", system_hamiltonian)
-        object.__setattr__(self, "system_state", system_state)
-        object.__setattr__(self, "clock", clock)
+        self._freeze(system_hamiltonian=system_hamiltonian, system_state=system_state,
+                     clock=clock)
 
     @property
     def hamiltonian(self) -> Hamiltonian:

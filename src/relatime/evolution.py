@@ -35,7 +35,7 @@ from .errors import (
     QuantumStateError,
 )
 from .kernels import QuadratureRule, TimeKernel, _hermgauss, quadrature_for
-from .qmat import DensityMatrix, Hamiltonian, _check_hermitian, _imaginary_bound
+from .qmat import DensityMatrix, Hamiltonian, _check_hermitian, _hermitian_part
 
 __all__ = [
     "CoherenceReport",
@@ -125,7 +125,7 @@ def _max_offdiag(rho_e: np.ndarray, distinct: np.ndarray) -> float:
 
 
 def _finish_state(raw: np.ndarray, what: str = "engine output") -> DensityMatrix:
-    """Validate engine output: check Hermiticity and trace drift, then remove roundoff.
+    """Validate engine output: check Hermiticity and trace drift, then renormalize.
 
     Renormalization is only allowed inside the drift budget; a larger
     deviation means the multiplier does not average to 1 on the populations
@@ -133,7 +133,7 @@ def _finish_state(raw: np.ndarray, what: str = "engine output") -> DensityMatrix
     and is reported as an error instead of being papered over. ``raw``, a
     fresh temporary, is changed; ``what`` names it in a Hermiticity error.
     """
-    _check_hermitian(raw, what)  # symmetrizing below would hide it
+    _check_hermitian(raw, what)  # the state's Hermitian part would hide it
     tr = complex(np.trace(raw)).real
     if abs(tr - 1.0) > _TRACE_DRIFT_BUDGET:
         raise QuadratureDriftError(
@@ -141,8 +141,6 @@ def _finish_state(raw: np.ndarray, what: str = "engine output") -> DensityMatrix
             f"budget {_TRACE_DRIFT_BUDGET:.1e})"
         )
     raw /= tr
-    raw += raw.conj().T
-    raw *= 0.5
     return DensityMatrix(raw)
 
 
@@ -169,16 +167,16 @@ def _bob_point(state_e: DensityMatrix, spectrum, omega, kernel: TimeKernel) -> t
 
 def _energy_frame(state: DensityMatrix, hamiltonian: Hamiltonian, observable) -> _Frame:
     """``state`` and ``observable`` N in H's eigenbasis, after both dimension checks:
-    rho_e = U^dag rho U, validated by ``_finish_state`` (``_schur_state`` needs it
-    symmetric), W = rho_e * N_e^T (Tr[N D rho_e D*] = p^T W p*, D = diag(p)),
-    sum |W_ij| and the bound on such a value's imaginary part."""
+    rho_e = U^dag rho U, validated by ``_finish_state``, N_e the Hermitian part of U^dag
+    N U, W = rho_e * N_e^T (Tr[N D rho_e D*] = p^T W p*, D = diag(p)), sum |W_ij| and
+    gamma_{4d} sum |W_ij|, which bounds such a value's imaginary part (roundoff)."""
     _check_dims(hamiltonian, state=state, observable=observable)
     rho_e = _to_eigenbasis(state.matrix, hamiltonian)
     rho_e = _finish_state(rho_e, "energy-basis state")
-    n_e = _to_eigenbasis(observable.matrix, hamiltonian)
+    n_e = _hermitian_part(_to_eigenbasis(observable.matrix, hamiltonian))
     weighted = rho_e.matrix * n_e.T
     scale = float(np.sum(np.abs(weighted)))
-    return _Frame(rho_e, weighted, scale, _imaginary_bound(scale, n_e))
+    return _Frame(rho_e, weighted, scale, qmat._roundoff(scale, 4 * len(n_e)))
 
 
 def _unitary_multiplier(spectrum: np.ndarray, t) -> np.ndarray:

@@ -81,12 +81,7 @@ class QuadratureRule(_Immutable):
             raise QuantumStateError(
                 f"quadrature weights sum to {total:.12g}, expected 1"
             )
-        nodes = nodes.copy()
-        weights = weights.copy()
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        self._freeze(nodes=nodes.copy(), weights=weights.copy())
 
     @property
     def node_count(self) -> int:

@@ -7,7 +7,7 @@ hbar = 1) and ``Observable`` (Hermitian). Validation happens at
 construction: no instance can exist that violates its invariants beyond
 the fixed tolerances ``HERMITICITY_TOL``, ``TRACE_TOL`` and ``PSD_TOL``.
 PSD is proved by a Cholesky factor, and ``eigvalsh`` judges and names what fails
-it (``_check_state``): an eigenvalue test's verdict, to roundoff. Bob's state at a
+it (``_psd_margin``): an eigenvalue test's verdict, to roundoff. Bob's state at a
 point, X = rho * Phi, Phi_ij = phi(|E_i - E_j|) for his watch's characteristic function
 phi, is PSD by construction: Phi is (Bochner), so is (rho + mI) * Phi (Schur) for
 rho's bound -m, and Phi_ii = 1. A computed Phi' within eps of Phi, Phi'_ii = 1, adds
@@ -81,8 +81,8 @@ def _require_square(arr: np.ndarray) -> int:
     return arr.shape[0]
 
 
-def _check_hermitian(arr: np.ndarray, what: str, relative: bool = False) -> None:
-    """Raise if max |arr - arr^H| > HERMITICITY_TOL, times max |arr| if ``relative``."""
+def _check_hermitian(arr: np.ndarray, what: str, relative: bool = False) -> float:
+    """max |arr - arr^H|, raised above HERMITICITY_TOL (times max |arr| if relative)."""
     b = _HERMITIAN_BAND  # max |arr - arr^H|, NaN kept, over upper-triangle bands
     defect = float(np.max([np.max(np.abs(
         arr[r:r + b, r:] - arr[r:, r:r + b].T.conj()
@@ -90,25 +90,47 @@ def _check_hermitian(arr: np.ndarray, what: str, relative: bool = False) -> None
     scale = float(np.max(np.abs(arr), initial=0.0)) if relative else 1.0
     if defect > HERMITICITY_TOL * scale:
         raise NotHermitianError(defect, what=what)
+    return defect
 
 
-def _check_state(arr: np.ndarray) -> float:
-    """Raise unless ``arr`` is a density matrix; return m <= PSD_TOL with
-    lambda_min >= -m proved: PSD_TOL/2 by a factor of arr + PSD_TOL/2 I,
-    else |lambda_min| as eigvalsh decides."""
+def _hermitian_part(arr: np.ndarray) -> np.ndarray:
+    """arr/2 + arr^H/2 of a finite ``arr``, C-ordered: summed as halves (no finite entry
+    overflows), in 256 row bands so that it is the one d x d array allocated."""
+    part, rows = arr.T.copy(order="C"), len(arr) // 256 + 1
+    np.conjugate(part, out=part)
+    part *= 0.5
+    for r in range(0, len(arr), rows):
+        part[r:r + rows] += 0.5 * arr[r:r + rows]
+    return part
+
+
+def _check_state(arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """Raise unless ``arr`` is a density matrix: finite, Hermitian to HERMITICITY_TOL,
+    its Hermitian part h of unit trace and PSD. Return h and ``_psd_margin(h)``."""
     if not np.isfinite(arr).all():
         raise QuantumStateError("density matrix has non-finite entries")
     _check_hermitian(arr, "density matrix")
-    tr = complex(np.trace(arr))
+    part = _hermitian_part(arr)
+    tr = complex(np.trace(part))
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOneError(tr)
-    shifted, diag = arr.copy(), np.arange(len(arr))
-    shifted[diag, diag] += 0.5 * PSD_TOL
+    return part, _psd_margin(part)
+
+
+def _psd_margin(arr: np.ndarray) -> float:
+    """m <= PSD_TOL with lambda_min(arr) >= -m proved, for an exactly Hermitian ``arr``
+    its caller owns: PSD_TOL/2 by a factor of arr + PSD_TOL/2 I (the diagonal shifted
+    in place, then restored), else |lambda_min| as eigvalsh decides."""
+    diag = np.arange(len(arr))
+    saved = arr[diag, diag]
+    arr[diag, diag] += 0.5 * PSD_TOL
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(arr)
         return 0.5 * PSD_TOL
     except np.linalg.LinAlgError:
-        del shifted
+        pass
+    finally:
+        arr[diag, diag] = saved
     smallest = float(np.min(np.linalg.eigvalsh(arr)))
     if smallest < -PSD_TOL:
         raise NotPositiveError(smallest)
@@ -116,8 +138,9 @@ def _check_state(arr: np.ndarray) -> float:
 
 
 def _schur_state(state: DensityMatrix, phi: np.ndarray) -> tuple[np.ndarray, float]:
-    """X = rho * phi and m with lambda_min(X) >= -m proved, for rho exactly Hermitian:
-    the module docstring's bound, or ``_check_state``'s if rho's margin leaves no room.
+    """X = rho * phi and m with lambda_min(X) >= -m proved (rho is exactly Hermitian, as
+    every DensityMatrix is): the module docstring's bound, or ``_psd_margin(X)`` if
+    rho's margin leaves no room.
     phi's premise: real, exactly symmetric, phi_ii = 1, |phi_ij| <= 1 + eps (so X is
     finite, exactly Hermitian, of rho's exact trace) and 1^T phi 1 >= -d^2 eps (Bochner)
     less its roundoff gamma_{d^2+1} d^2 (1 + eps); an envelope that fails it raises."""
@@ -135,7 +158,7 @@ def _schur_state(state: DensityMatrix, phi: np.ndarray) -> tuple[np.ndarray, flo
     u, peak = 2.0**-53, float(np.max(rho.diagonal().real, initial=0.0)) + m
     x = rho * phi
     bound = m + peak * d * eps + u * (1 + eps) * (1 + TRACE_TOL + (d + 1) * m)
-    return x, (bound if bound < PSD_TOL else _check_state(x))
+    return x, (bound if bound < PSD_TOL else _psd_margin(x))
 
 
 def _check_product_dim(d_a: int, d_b: int) -> None:
@@ -146,29 +169,29 @@ def _check_product_dim(d_a: int, d_b: int) -> None:
         )
 
 
-def _frozen(arr: np.ndarray, given) -> np.ndarray:
-    """Read-only ``arr``; a copy if it is the caller's input ``given`` or a view."""
-    if arr is given or arr.base is not None:
-        arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
 class _Immutable:
-    """Base of the checked types: slots set once in ``__init__`` through
-    ``object.__setattr__``, and no assignment after."""
+    """Base of the checked types: slots set once in ``__init__`` through ``_freeze``,
+    and no assignment after."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def _freeze(self, **slots) -> None:
+        """Set each slot; an array value, which must be the instance's own, turns
+        read-only."""
+        for name, value in slots.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
 
 class DensityMatrix(_Immutable):
     """Validated quantum state: Hermitian, unit trace, positive semidefinite.
 
-    Instances are immutable; the underlying array is read-only and safe to
-    share across threads.
+    ``matrix`` is the input's Hermitian part, the array the trace and positivity
+    checks judge, fresh and read-only: safe to share across threads.
     """
 
     __slots__ = ("dim", "matrix", "_margin")
@@ -176,9 +199,8 @@ class DensityMatrix(_Immutable):
     def __init__(self, matrix):
         arr = _as_matrix(matrix, finite=False)  # _check_state tests it
         dim = _require_square(arr)
-        object.__setattr__(self, "_margin", _check_state(arr))  # for _schur_state
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", _frozen(arr, matrix))
+        part, margin = _check_state(arr)
+        self._freeze(dim=dim, matrix=part, _margin=margin)  # _margin: for _schur_state
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
@@ -199,10 +221,11 @@ class Hamiltonian(_Immutable):
     def __init__(self, matrix):
         """Diagonalize H, then probe U U^dag = I and U diag(E) U^dag = H at one
         fixed x, |x_k| = 1 (Freivalds, 1977): a max-norm residual above c d u,
-        times max|E| for H, or NaN raises. E and U are eigh's own arrays."""
+        times max|E| for H, plus |(H - L) x| <= d defect for the lower triangle L
+        eigh reads, or NaN raises. E and U are eigh's own arrays."""
         arr = _as_matrix(matrix)
         _require_square(arr)
-        _check_hermitian(arr, "Hamiltonian", relative=True)
+        defect = _check_hermitian(arr, "Hamiltonian", relative=True)
         try:
             energies, basis = np.linalg.eigh(arr)
         except np.linalg.LinAlgError as exc:
@@ -221,15 +244,12 @@ class Hamiltonian(_Immutable):
                 f"eigenbasis is not unitary: max |U U^dag x - x| = {unitarity:.3e}"
             )
         recon = float(np.max(np.abs(back[:, 1] - arr @ x), initial=0.0))
-        if not recon <= budget * float(np.max(np.abs(energies), initial=0.0)):
+        top = float(np.max(np.abs(energies), initial=0.0))
+        if not recon <= budget * top + energies.size * defect:
             raise EigensolverError(
                 f"spectral reconstruction error {recon:.3e} exceeds budget"
             )
-        energies.setflags(write=False)
-        basis.setflags(write=False)
-        object.__setattr__(self, "dim", energies.size)
-        object.__setattr__(self, "spectrum", energies)
-        object.__setattr__(self, "eigenbasis", basis)
+        self._freeze(dim=energies.size, spectrum=energies, eigenbasis=basis)
 
     def __repr__(self) -> str:
         lo, hi = self.spectrum[0], self.spectrum[-1]
@@ -237,7 +257,7 @@ class Hamiltonian(_Immutable):
 
 
 class Observable(_Immutable):
-    """Hermitian operator measured against a state via ``expectation``."""
+    """Hermitian operator, held as its input's Hermitian part (fresh, read-only)."""
 
     __slots__ = ("dim", "matrix")
 
@@ -245,8 +265,7 @@ class Observable(_Immutable):
         arr = _as_matrix(matrix)
         dim = _require_square(arr)
         _check_hermitian(arr, "observable", relative=True)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", _frozen(arr, matrix))
+        self._freeze(dim=dim, matrix=_hermitian_part(arr))
 
     def __repr__(self) -> str:
         return f"Observable(dim={self.dim})"
@@ -293,7 +312,7 @@ def expectation(observable: Observable, rho: DensityMatrix) -> float:
             f"observable dim {observable.dim} != state dim {rho.dim}"
         )
     terms = observable.matrix * rho.matrix.T
-    bound = _imaginary_bound(np.sum(np.abs(terms)), observable.matrix)
+    bound = _roundoff(float(np.sum(np.abs(terms))), 4 * rho.dim)
     return _real_expectation(complex(np.sum(terms)), bound)
 
 
@@ -303,23 +322,13 @@ def _roundoff(scale: float, n: float) -> float:
     return n / (2.0**53 - n) * scale
 
 
-def _imaginary_bound(scale: float, n: np.ndarray) -> float:
-    """Most |Im Tr(N rho)| for a checked unit-trace rho and observable N, with
-    W = rho * N^T in one d-dim basis and scale = sum |W_ij|: roundoff gamma_{4d}
-    scale, and the skew parts the checks admit: |Tr K_N rho| + |Tr N K_rho| <= d
-    HERMITICITY_TOL / 2 (max|N| + ||N||_F) <= d HERMITICITY_TOL ||N||_F, any basis."""
-    d = len(n)
-    skew = d * HERMITICITY_TOL * float(np.linalg.norm(n))
-    return _roundoff(scale, 4 * d) + skew
-
-
 def _expect(p: np.ndarray, weighted: np.ndarray, bound: float) -> float:
     """Tr[N D X D*] = Re p^T weighted p* for weighted = X * N^T, D = diag(p)."""
     return _real_expectation(complex(p @ weighted @ p.conj()), bound)
 
 
 def _real_expectation(value: complex, bound: float) -> float:
-    """Re of an expectation value whose |Im| ``_imaginary_bound`` bounds."""
+    """Re of an expectation value whose |Im| is roundoff, at most ``bound``."""
     if abs(value.imag) > bound:
         raise QuantumStateError(
             f"expectation has imaginary part {value.imag:.3e} beyond its "

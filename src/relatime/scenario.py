@@ -895,8 +895,8 @@ def run_pearle_compare(scn: ScenarioFile, *, nodes: int = PEARLE_NODES) -> Resul
 
     hamiltonian = scn.system_hamiltonian
     spectrum = hamiltonian.spectrum
-    rho_e = _to_eigenbasis(scn.initial_state.matrix, hamiltonian)
-    state_e = _finish_state(rho_e, "energy-basis state")
+    state_e = _finish_state(  # the raw U^dag rho U is not held through the points
+        _to_eigenbasis(scn.initial_state.matrix, hamiltonian), "energy-basis state")
     omega = np.abs(spectrum[:, None] - spectrum[None, :])
     distinct = _distinct_gap_mask(spectrum)
     points = scn.sweep.values()

@@ -113,6 +113,79 @@ class TestMakeDensity:
                 make(np.diag([1.0, 0.0])).dim = 3
 
 
+def _unit_skew(rng, dim: int) -> np.ndarray:
+    """A random anti-Hermitian K with max |K - K^H| = 1."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    k = g - g.conj().T
+    return k / np.max(np.abs(k - k.conj().T))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 12) | st.sampled_from([255, 256, 257, 600]),
+    skew=st.floats(0.0, 0.9),
+    scale=st.sampled_from([1e-6, 1.0, 1e8]),
+    order=st.sampled_from(["C", "F"]),
+)
+def test_types_hold_the_hermitian_part(seed, dim, skew, scale, order):
+    # a Hermitian M plus a skew the check admits: each type holds its input A's
+    # Hermitian part A/2 + A^H/2, entry for entry, as a fresh C-ordered
+    # read-only array, and leaves the caller's array as it was
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T + np.eye(dim)
+    rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+    n = scale * random_hermitian(rng, dim)
+    unit = _unit_skew(rng, dim)
+    cases = [
+        (DensityMatrix, rho + skew * HERMITICITY_TOL * unit),
+        (Observable, n + skew * HERMITICITY_TOL * float(np.max(np.abs(n))) * unit),
+    ]
+    for make, arr in cases:
+        arr = np.asarray(arr, order=order)
+        kept = arr.copy()
+        held = make(arr).matrix
+        assert np.array_equal(held, arr / 2 + arr.conj().T / 2)
+        assert held.flags.c_contiguous and not held.flags.writeable
+        assert not np.shares_memory(held, arr)
+        assert np.array_equal(arr, kept) and arr.flags.writeable
+
+
+def test_entries_near_the_float_maximum_raise_no_warning():
+    # the Hermitian part is summed as halves: 1e308 / 2 + 1e308 / 2 is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveError):
+            DensityMatrix([[0.5, 1e308], [1e308, 0.5]])
+        held = Observable([[0.0, 1e308], [1e308, 0.0]]).matrix
+    assert np.array_equal(held, [[0.0, 1e308], [1e308, 0.0]])
+
+
+def test_construction_peaks_are_one_part_each():
+    # at d = 512, in units of one complex d x d array: the state's part and its
+    # factor, the observable's part alone, and the energy frame's 3.5
+    from relatime.evolution import _energy_frame
+
+    d = 512
+    rng = np.random.default_rng(5)
+    m = random_hermitian(rng, d)
+    rho = random_density(rng, d).matrix.copy()
+
+    def peak(make, *args):
+        tracemalloc.start()
+        try:
+            built = make(*args)
+            return tracemalloc.get_traced_memory()[1] / (16 * d * d), built
+        finally:
+            tracemalloc.stop()
+
+    state_peak, state = peak(DensityMatrix, rho)
+    observable_peak, observable = peak(Observable, m)
+    frame_peak, _ = peak(_energy_frame, state, Hamiltonian(m), observable)
+    assert state_peak <= 2.01 and observable_peak <= 1.01 and frame_peak <= 3.51
+
+
 def _block_diagonal(blocks):
     d = blocks.shape[1]
     dense = np.zeros((len(blocks) * d,) * 2, dtype=complex)
@@ -557,6 +630,19 @@ class TestSpectralDecompose:
         m = scale * random_hermitian(rng, dim)
         assert np.max(np.abs(dense(Hamiltonian(m)) - m)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("dim", [8, 64, 256])
+    def test_every_admitted_skew_constructs(self, dim):
+        # eigh reads H's lower triangle L and the probe compares with H x; the
+        # budget allows |(H - L) x| <= d defect, so what the check admits builds
+        rng = np.random.default_rng(0)
+        m = random_hermitian(rng, dim)
+        unit = float(np.max(np.abs(m))) * _unit_skew(rng, dim)
+        for relative in (1e-12, 1e-11, 0.9e-10):
+            h = Hamiltonian(m + relative * unit)
+            assert np.max(np.abs(dense(h) - m)) <= 1e-9
+        with pytest.raises(NotHermitianError):
+            Hamiltonian(m + 2e-10 * unit)
+
     def test_construction_holds_one_dense_array(self, rng):
         # eigh's work copy and its basis at the peak; the basis alone after
         d = 512
@@ -733,22 +819,22 @@ class TestExpectation:
         assert expectation(skewed, rho) == pytest.approx(
             float(np.sum(n * rho.matrix.T).real), rel=1e-9, abs=1e-9
         )
-        bound = qmat._imaginary_bound(scale, n)
+        bound = qmat._roundoff(scale, 4 * 64)
         with pytest.raises(QuantumStateError, match="imaginary part"):
             qmat._real_expectation(complex(1.0, 1e-3 * scale + 1e-8), bound)
 
     @pytest.mark.parametrize("scale", [1e-6, 1e8])
     def test_largest_admitted_skews_are_allowed_for(self, scale):
-        # N and rho skewed to 0.9 of what their checks admit, aligned so that
-        # Im Tr(N rho) = 0.45 HERMITICITY_TOL s d (d + 1) = 9e-10 s: within the
-        # skew term d HERMITICITY_TOL ||N||_F = 1.6e-9 s at every s, above an
-        # absolute check's d HERMITICITY_TOL / 2 (1 + ||N||_F) at s = 1e8
+        # N and rho skewed to 0.9 of what their checks admit, aligned so that the
+        # skews alone would give Im Tr(N rho) = 0.45 HERMITICITY_TOL s d (d + 1);
+        # each type holds its input's Hermitian part, so no skew is left to read
         d, tol = 4, HERMITICITY_TOL
         signs = np.ones((d, d)) - np.eye(d) + np.diag((-1.0) ** np.arange(d))
-        n = Observable(scale * signs + 0.45j * tol * scale * np.ones((d, d)))
-        rho = DensityMatrix(np.ones((d, d)) / d + 0.45j * tol * signs)
-        assert abs(complex(np.sum(n.matrix * rho.matrix.T)).imag) == pytest.approx(
-            0.45 * tol * scale * d * (d + 1), rel=1e-6)
+        n_in = scale * signs + 0.45j * tol * scale * np.ones((d, d))
+        rho_in = np.ones((d, d)) / d + 0.45j * tol * signs
+        n, rho = Observable(n_in), DensityMatrix(rho_in)
+        for held, given in ((n.matrix, n_in), (rho.matrix, rho_in)):
+            assert np.array_equal(held, given / 2 + given.conj().T / 2)
         assert expectation(n, rho) == pytest.approx((d - 1) * scale, rel=1e-12)
 
     def test_skew_beyond_the_admitted_is_refused_at_small_scale(self):

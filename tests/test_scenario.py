@@ -2,7 +2,6 @@ import hashlib
 import inspect
 import sys
 import tracemalloc
-import types
 import warnings
 from pathlib import Path
 
@@ -752,15 +751,16 @@ class TestDecoherenceSweep:
 
     def test_expectation_guard_fires_at_its_point(self, monkeypatch):
         # both expectation values go through one helper that keeps
-        # expectation's guard on the imaginary part; reaching it takes an
-        # observable that skipped validation
-        unchecked = types.SimpleNamespace
-        monkeypatch.setattr(scenario_module, "Observable", lambda m: unchecked(matrix=m))
-        scn = parse_scenario(MINIMAL + SWEEP_BLOCK)._replace(
-            observable=unchecked(
-                dim=2, matrix=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-            ),
-        )
+        # expectation's guard on the imaginary part; the frame's operands are
+        # exactly Hermitian, so reaching it takes a W planted after the frame
+        frame_of = scenario_module._energy_frame
+
+        def planted(*args):
+            w = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+            return frame_of(*args)._replace(weighted=w)
+
+        monkeypatch.setattr(scenario_module, "_energy_frame", planted)
+        scn = parse_scenario(MINIMAL + SWEEP_BLOCK)
         with pytest.raises(
             QuantumStateError,
             match=r"^at sweep point t_B = 0\.1: expectation has imaginary part",
